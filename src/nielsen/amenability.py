@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import UsageError
 from .explore import GraphFragment, ball
 from .groups import Group, State
-from .moves import apply_move, move_set
+from .moves import move_set
 
 
 @dataclass
@@ -199,22 +199,3 @@ def cheeger_search(frag: GraphFragment, strategy: str = "balls") -> IsoReport:
         return best
     raise UsageError(f"unknown strategy {strategy!r}; use 'balls' or 'sweep'")
 
-
-def brute_force_closed_walks(group: Group, root: State, k_max: int) -> list[int]:
-    """Oracle: enumerate the tree of move sequences directly (no fragment)."""
-    n = len(root)
-    moves = move_set(n)
-    out = [0] * (k_max + 1)
-    out[0] = 1
-
-    def rec(state: State, depth: int):
-        if depth == k_max:
-            return
-        for mv in moves:
-            nxt = apply_move(group, state, mv, n)
-            if nxt == root:
-                out[depth + 1] += 1
-            rec(nxt, depth + 1)
-
-    rec(root, 0)
-    return out

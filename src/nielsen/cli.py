@@ -82,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--workers", type=int, default=1,
-                    help="worker count; outputs never depend on it (current implementation is serial)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("explore", help="BFS ball summary")
@@ -154,8 +152,6 @@ def _fragment_from_args(args):
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
 
     if args.command == "explore":
         group, root, frag = _fragment_from_args(args)

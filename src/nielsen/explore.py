@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 import numpy as np
 
 from .errors import ResourceCapError, UsageError
-from .groups import Group, State
+from .groups import FiniteTable, Group, State
 from .moves import I, Move, R, apply_move, move_inverse, move_set
 
 DEFAULT_VERTEX_CAP = 5_000_000
@@ -146,25 +145,57 @@ class GraphFragment:
         return self.darts == other.darts
 
 
+def _hex_key(obj, lineno: int) -> bytes:
+    if isinstance(obj, str):
+        try:
+            return bytes.fromhex(obj)
+        except ValueError:
+            pass
+    raise UsageError(f"fragment line {lineno}: vertex key {obj!r} is not a hex string")
+
+
 def fragment_from_jsonl(group: Group, n: int, text: str, moves: tuple[Move, ...] | None = None) -> GraphFragment:
+    """Read a fragment written by ``to_jsonl``; a malformed line is a UsageError."""
     moves = move_set(n) if moves is None else moves
     frag = GraphFragment(group=group, n=n, moves=moves, root=(), radius=0, window=None)
     move_pos = {m.text(): k for k, m in enumerate(moves)}
-    rows = [json.loads(line) for line in text.splitlines() if line.strip()]
-    for row in rows:
-        key = bytes.fromhex(row["v"])
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise UsageError(f"fragment line {lineno} is not JSON: {e}") from None
+        if not (isinstance(row, dict) and {"v", "tuple", "depth", "adj"} <= row.keys()):
+            raise UsageError(f"fragment line {lineno} must be an object with fields v, tuple, depth, adj")
+        if not (isinstance(row["tuple"], list) and len(row["tuple"]) == n):
+            raise UsageError(f"fragment line {lineno}: tuple must be a list of {n} elements")
+        if not (isinstance(row["depth"], int) and not isinstance(row["depth"], bool) and row["depth"] >= 0):
+            raise UsageError(f"fragment line {lineno}: depth must be an int >= 0")
+        if not (row["adj"] is None or isinstance(row["adj"], list)):
+            raise UsageError(f"fragment line {lineno}: adj must be a list or null")
+        key = _hex_key(row["v"], lineno)
+        if key in frag.index:
+            raise UsageError(f"fragment line {lineno} repeats vertex {row['v']}")
         frag.index[key] = len(frag.keys)
         frag.keys.append(key)
         frag.states.append(tuple(group.element_from_json(e) for e in row["tuple"]))
         frag.depths.append(row["depth"])
         frag.expanded.append(row["adj"] is not None)
         frag.darts.append(None)
-    for v, row in enumerate(rows):
-        if row["adj"] is None:
+        rows.append((lineno, row["adj"]))
+    for v, (lineno, adj) in enumerate(rows):
+        if adj is None:
             continue
         out = [-1] * len(moves)
-        for dart in row["adj"]:
-            out[move_pos[dart["move"]]] = frag.index[bytes.fromhex(dart["to"])]
+        for dart in adj:
+            if not (isinstance(dart, dict) and dart.get("move") in move_pos and "to" in dart):
+                raise UsageError(f"fragment line {lineno}: dart {dart!r} needs a known move and a target")
+            target = frag.index.get(_hex_key(dart["to"], lineno))
+            if target is None:
+                raise UsageError(f"fragment line {lineno}: dart target {dart['to']} is not a vertex")
+            out[move_pos[dart["move"]]] = target
         if any(w < 0 for w in out):
             raise UsageError("expanded vertex with incomplete dart list")
         frag.darts[v] = out
@@ -288,23 +319,29 @@ class ComponentsReport:
     generating_count: int
     sizes: list[int]                    # aligned with representatives
     representatives: list[State]
-    assignments: dict[State, int] | None  # state -> component position; None for the array path
+    table: FiniteTable
+    positions: np.ndarray               # of the generating tuples, class by class, each class increasing
 
     @property
     def num_components(self) -> int:
         return len(self.sizes)
 
     def members(self, comp: int) -> list[State]:
-        if self.assignments is None:
-            raise UsageError("per-vertex assignments were not materialized for this instance")
-        return [s for s, c in self.assignments.items() if c == comp]
-
-
-_SMALL_STATE_LIMIT = 300_000
+        """The tuples of one class, in enumeration order."""
+        start = sum(self.sizes[:comp])
+        idx = self.table.index_tuples(self.positions[start : start + self.sizes[comp]], self.n)
+        return [tuple(self.table.elements[k] for k in t) for t in idx]
 
 
 def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> ComponentsReport:
-    """Partition all generating n-tuples of a finite group into Nielsen classes."""
+    """Partition all generating n-tuples of a finite group into Nielsen classes.
+
+    Vectorized minimum-label propagation over the full tuple space, numbered
+    in ``itertools.product`` order: every class is labelled by its least
+    position, whose tuple is its representative. Moves preserve the
+    generated subgroup, so labels never leak between the generating set and
+    its complement; the restriction afterwards is exact.
+    """
     if not group.is_finite:
         raise UsageError("components requires a finite group")
     if n < 1:
@@ -312,91 +349,14 @@ def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Component
     total = group.order**n
     if total > cap:
         raise ResourceCapError(f"state count {total} exceeds cap {cap}")
-    if total <= _SMALL_STATE_LIMIT:
-        return _components_unionfind(group, n, total)
-    return _components_labelprop(group, n, total)
-
-
-def _components_unionfind(group: Group, n: int, total: int) -> ComponentsReport:
-    elems = list(group.elements())
-    states = [tuple(t) for t in iproduct(elems, repeat=n)]
-    gen_cache: dict[tuple, bool] = {}
-
-    def generating(state) -> bool:
-        key = tuple(sorted(set(state), key=repr))
-        hit = gen_cache.get(key)
-        if hit is None:
-            hit = gen_cache[key] = group.is_generating(state)
-        return hit
-
-    pos = {s: k for k, s in enumerate(states)}
-    parent = list(range(total))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    moves = move_set(n)
-    gen_mask = [generating(s) for s in states]
-    for k, s in enumerate(states):
-        if not gen_mask[k]:
-            continue
-        for move in moves:
-            t = pos[apply_move(group, s, move, n)]
-            a, b = find(k), find(t)
-            if a != b:
-                if a < b:
-                    parent[b] = a
-                else:
-                    parent[a] = b
-    comp_root: dict[int, int] = {}
-    assignments: dict[State, int] = {}
-    sizes: list[int] = []
-    reps: list[State] = []
-    for k, s in enumerate(states):
-        if not gen_mask[k]:
-            continue
-        r = find(k)
-        if r not in comp_root:
-            comp_root[r] = len(sizes)
-            sizes.append(0)
-            reps.append(states[r])
-        c = comp_root[r]
-        sizes[c] += 1
-        assignments[s] = c
-    return ComponentsReport(
-        group=group,
-        n=n,
-        total_tuples=total,
-        generating_count=sum(gen_mask),
-        sizes=sizes,
-        representatives=reps,
-        assignments=assignments,
-    )
-
-
-def _components_labelprop(group: Group, n: int, total: int) -> ComponentsReport:
-    """Vectorized minimum-label propagation over the full tuple space.
-
-    Moves preserve the generated subgroup, so labels never leak between the
-    generating set and its complement; the restriction afterwards is exact.
-    """
-    elems = list(group.elements())
-    order = len(elems)
-    eidx = {e: k for k, e in enumerate(elems)}
-    table = np.zeros((order, order), dtype=np.int64)
-    for a, ea in enumerate(elems):
-        for b, eb in enumerate(elems):
-            table[a, b] = eidx[group.mul(ea, eb)]
-    inv = np.zeros(order, dtype=np.int64)
-    for a, ea in enumerate(elems):
-        inv[a] = eidx[group.inv(ea)]
+    tab = FiniteTable.of(group)
+    gen_idx = np.flatnonzero(tab.generating_mask(n))
+    order = tab.order
+    mul = np.array(tab.mul, dtype=np.int64)
+    inv = np.array(tab.inv, dtype=np.int64)
 
     idx = np.arange(total, dtype=np.int64)
-    # entry p is digit n-1-p, matching the itertools.product enumeration of
-    # the union-find path so both report the same least representative
+    # entry p is digit n-1-p, the itertools.product enumeration
     place = [order ** (n - 1 - p) for p in range(n)]
     digits = [(idx // place[p]) % order for p in range(n)]
 
@@ -407,7 +367,7 @@ def _components_labelprop(group: Group, n: int, total: int) -> ComponentsReport:
             return idx + (new - digits[j]) * place[j]
         i, j = move.i - 1, move.j - 1
         h = digits[j] if move.sign > 0 else inv[digits[j]]
-        new = table[digits[i], h] if move.kind == "R" else table[h, digits[i]]
+        new = mul[digits[i], h] if move.kind == "R" else mul[h, digits[i]]
         return idx + (new - digits[i]) * place[i]
 
     # perms are recomputed each round to bound memory at O(total)
@@ -423,34 +383,17 @@ def _components_labelprop(group: Group, n: int, total: int) -> ComponentsReport:
         if np.array_equal(labels, before):
             break
 
-    gen_mask = _generating_mask(group, n, elems, digits, total)
-    gen_labels = labels[gen_mask]
-    uniq, counts = np.unique(gen_labels, return_counts=True)
-    reps = []
-    for u in uniq:
-        entries = tuple(elems[int(d[u])] for d in digits)
-        reps.append(entries)
+    uniq, inverse, counts = np.unique(labels[gen_idx], return_inverse=True, return_counts=True)
     return ComponentsReport(
         group=group,
         n=n,
         total_tuples=total,
-        generating_count=int(gen_mask.sum()),
-        sizes=[int(c) for c in counts],
-        representatives=reps,
-        assignments=None,
+        generating_count=len(gen_idx),
+        sizes=counts.tolist(),
+        representatives=[tuple(tab.elements[k] for k in t) for t in tab.index_tuples(uniq, n)],
+        table=tab,
+        positions=gen_idx[np.argsort(inverse, kind="stable")],
     )
-
-
-def _generating_mask(group: Group, n: int, elems, digits, total: int) -> np.ndarray:
-    """Generating test vectorized by memoizing on the sorted entry multiset."""
-    mat = np.stack(digits, axis=1)
-    mat.sort(axis=1)
-    uniq, inverse = np.unique(mat, axis=0, return_inverse=True)
-    flags = np.zeros(len(uniq), dtype=bool)
-    for k, row in enumerate(uniq):
-        state = tuple(elems[int(v)] for v in row)
-        flags[k] = group.is_generating(state)
-    return flags[inverse]
 
 
 # ---------------------------------------------------------------------------

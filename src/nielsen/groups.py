@@ -31,12 +31,16 @@ All operations are pure functions on immutable values.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
 from .errors import UsageError
+
+if TYPE_CHECKING:
+    from .moves import Move
 
 Element = Any
 State = tuple  # ordered tuple of elements; the vertex type of a Nielsen graph
@@ -59,6 +63,11 @@ def decode_int(buf: bytes, offset: int) -> tuple[int, int]:
     size = int.from_bytes(buf[offset : offset + 4], "little")
     start = offset + 4
     return int.from_bytes(buf[start : start + size], "little", signed=True), start + size
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool (JSON ``true`` must not pass as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -213,6 +222,94 @@ def _closure(group: Group, entries: State) -> set:
     return seen
 
 
+@dataclass
+class FiniteTable:
+    """Index form of a finite group: elements in the order of ``elements()``.
+
+    Index n-tuples are numbered as ``itertools.product(range(order),
+    repeat=n)`` enumerates them, first entry most significant.
+    """
+
+    group: Group
+    elements: list
+    index: dict
+    mul: list[list[int]]
+    inv: list[int]
+    id_idx: int
+
+    @classmethod
+    def of(cls, group: Group) -> "FiniteTable":
+        if not group.is_finite:
+            raise UsageError(f"{group.kind} is not a finite group")
+        elements = list(group.elements())
+        index = {e: k for k, e in enumerate(elements)}
+        mul = [[index[group.mul(a, b)] for b in elements] for a in elements]
+        inv = [index[group.inv(a)] for a in elements]
+        return cls(group, elements, index, mul, inv, index[group.identity()])
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def closure(self, idx_tuple: tuple[int, ...]) -> set[int]:
+        seen = set(idx_tuple) | {self.id_idx}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in idx_tuple:
+                    for c in (self.mul[a][b], self.mul[b][a]):
+                        if c not in seen:
+                            seen.add(c)
+                            nxt.append(c)
+            frontier = nxt
+        return seen
+
+    def apply_move_idx(self, state: tuple[int, ...], move: "Move") -> tuple[int, ...]:
+        if move.kind == "I":
+            j = move.j - 1
+            return state[:j] + (self.inv[state[j]],) + state[j + 1 :]
+        i, j = move.i - 1, move.j - 1
+        h = state[j] if move.sign > 0 else self.inv[state[j]]
+        new = self.mul[state[i]][h] if move.kind == "R" else self.mul[h][state[i]]
+        return state[:i] + (new,) + state[i + 1 :]
+
+    def index_tuples(self, positions, n: int) -> list[tuple[int, ...]]:
+        """The index n-tuples at the given enumeration positions."""
+        cols = np.unravel_index(np.asarray(positions, dtype=np.int64), (self.order,) * n)
+        return list(zip(*(c.tolist() for c in cols)))
+
+    def generating_mask(self, n: int) -> np.ndarray:
+        """For every index n-tuple in enumeration order: does it generate?
+
+        Walks the lattice of subgroups one entry at a time: the subgroup
+        generated by a prefix joined with the next entry is looked up in the
+        memoized table ``join[subgroup][element]``, whose rows each cost one
+        closure per element outside the subgroup.
+        """
+        subgroups = [frozenset(self.closure(()))]
+        gens: list[tuple[int, ...]] = [()]
+        ids = {subgroups[0]: 0}
+        join: list[list[int]] = []
+        sub = np.zeros(1, dtype=np.int64)
+        for _ in range(n):
+            for s in range(len(join), len(subgroups)):
+                row = []
+                for g in range(self.order):
+                    if g in subgroups[s]:
+                        row.append(s)
+                        continue
+                    members = frozenset(self.closure(gens[s] + (g,)))
+                    if members not in ids:
+                        ids[members] = len(subgroups)
+                        subgroups.append(members)
+                        gens.append(gens[s] + (g,))
+                    row.append(ids[members])
+                join.append(row)
+            sub = np.asarray(join, dtype=np.int64)[sub].ravel()
+        return sub == ids.get(frozenset(range(self.order)), -1)
+
+
 class Integers(Group):
     kind = "Integers"
 
@@ -226,7 +323,7 @@ class Integers(Group):
         return -a
 
     def check_element(self, a):
-        if not isinstance(a, int) or isinstance(a, bool):
+        if not _is_int(a):
             raise UsageError(f"Integers element must be an int, got {a!r}")
         return a
 
@@ -259,7 +356,7 @@ class FreeAbelian(Group):
     kind = "FreeAbelian"
 
     def __init__(self, d: int):
-        if not isinstance(d, int) or d < 1:
+        if not _is_int(d) or d < 1:
             raise UsageError("FreeAbelian rank d must be a positive int")
         self.d = d
 
@@ -273,7 +370,7 @@ class FreeAbelian(Group):
         return tuple(-x for x in a)
 
     def check_element(self, a):
-        if not (isinstance(a, tuple) and len(a) == self.d and all(isinstance(x, int) for x in a)):
+        if not (isinstance(a, tuple) and len(a) == self.d and all(_is_int(x) for x in a)):
             raise UsageError(f"FreeAbelian({self.d}) element must be a tuple of {self.d} ints")
         return a
 
@@ -288,7 +385,7 @@ class FreeAbelian(Group):
         return tuple(out), offset
 
     def element_from_json(self, obj):
-        return self.check_element(tuple(obj))
+        return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
 
     def measure(self, a):
         return max(abs(x) for x in a)
@@ -324,7 +421,8 @@ class InfiniteDihedral(Group):
         if not (
             isinstance(a, tuple)
             and len(a) == 2
-            and isinstance(a[0], int)
+            and _is_int(a[0])
+            and _is_int(a[1])
             and a[1] in (0, 1)
         ):
             raise UsageError("InfiniteDihedral element must be (t, eps) with eps in {0,1}")
@@ -339,7 +437,7 @@ class InfiniteDihedral(Group):
         return (t, e), offset
 
     def element_from_json(self, obj):
-        return self.check_element(tuple(obj))
+        return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
 
     def measure(self, a):
         return abs(a[0])
@@ -378,7 +476,7 @@ class FiniteCayley(Group):
             raise UsageError("FiniteCayley table must be nonempty")
         if tab.min() < 0 or tab.max() >= k:
             raise UsageError("FiniteCayley table entries must be element indices")
-        if not isinstance(identity, int) or not 0 <= identity < k:
+        if not _is_int(identity) or not 0 <= identity < k:
             raise UsageError("FiniteCayley identity index out of range")
         ar = np.arange(k)
         if not all((np.sort(tab[i]) == ar).all() and (np.sort(tab[:, i]) == ar).all() for i in range(k)):
@@ -409,7 +507,7 @@ class FiniteCayley(Group):
         return int(self._inv[a])
 
     def check_element(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        if not _is_int(a) or not 0 <= a < self.order:
             raise UsageError(f"FiniteCayley element must be an index in [0, {self.order})")
         return a
 
@@ -471,7 +569,7 @@ class Heisenberg(Group):
         return (-x, -y, x * y - z)
 
     def check_element(self, a):
-        if not (isinstance(a, tuple) and len(a) == 3 and all(isinstance(x, int) for x in a)):
+        if not (isinstance(a, tuple) and len(a) == 3 and all(_is_int(x) for x in a)):
             raise UsageError("Heisenberg element must be a triple of ints")
         return a
 
@@ -485,7 +583,7 @@ class Heisenberg(Group):
         return (x, y, z), offset
 
     def element_from_json(self, obj):
-        return self.check_element(tuple(obj))
+        return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
 
     def measure(self, a):
         return max(abs(v) for v in a)
@@ -512,9 +610,9 @@ class FiniteAbelianExp(Group):
     is_finite = True
 
     def __init__(self, m: int, d: int):
-        if not isinstance(m, int) or m < 2:
+        if not _is_int(m) or m < 2:
             raise UsageError("FiniteAbelianExp modulus m must be an int >= 2")
-        if not isinstance(d, int) or d < 1:
+        if not _is_int(d) or d < 1:
             raise UsageError("FiniteAbelianExp rank d must be a positive int")
         self.m = m
         self.d = d
@@ -532,7 +630,7 @@ class FiniteAbelianExp(Group):
         if not (
             isinstance(a, tuple)
             and len(a) == self.d
-            and all(isinstance(x, int) and 0 <= x < self.m for x in a)
+            and all(_is_int(x) and 0 <= x < self.m for x in a)
         ):
             raise UsageError(f"FiniteAbelianExp element must be {self.d} residues mod {self.m}")
         return a
@@ -548,7 +646,7 @@ class FiniteAbelianExp(Group):
         return tuple(out), offset
 
     def element_from_json(self, obj):
-        return self.check_element(tuple(obj))
+        return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
 
     def random_element(self, rng, size=10):
         return tuple(rng.randrange(self.m) for _ in range(self.d))
@@ -603,7 +701,7 @@ class BurnsideB23(Group):
         if not (
             isinstance(a, tuple)
             and len(a) == 3
-            and all(isinstance(x, int) and 0 <= x < 3 for x in a)
+            and all(_is_int(x) and 0 <= x < 3 for x in a)
         ):
             raise UsageError("BurnsideB23 element must be a triple of residues mod 3")
         return a
@@ -618,7 +716,7 @@ class BurnsideB23(Group):
         return (x, y, z), offset
 
     def element_from_json(self, obj):
-        return self.check_element(tuple(obj))
+        return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
 
     def random_element(self, rng, size=10):
         return tuple(rng.randrange(3) for _ in range(3))
@@ -649,7 +747,7 @@ class FreeGroup(Group):
     kind = "FreeGroup"
 
     def __init__(self, d: int):
-        if not isinstance(d, int) or not 1 <= d <= 26:
+        if not _is_int(d) or not 1 <= d <= 26:
             raise UsageError("FreeGroup rank d must be an int in [1, 26]")
         self.d = d
 
@@ -671,7 +769,7 @@ class FreeGroup(Group):
         if not isinstance(a, tuple):
             raise UsageError("FreeGroup element must be a tuple of signed letters")
         for x in a:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.d:
+            if not _is_int(x) or x == 0 or abs(x) > self.d:
                 raise UsageError(f"FreeGroup letter {x!r} out of range for rank {self.d}")
         for u, v in zip(a, a[1:]):
             if u == -v:

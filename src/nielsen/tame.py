@@ -11,11 +11,10 @@ module enumerates both sides exhaustively and checks the match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .errors import UsageError, VerificationError
 from .explore import ComponentsReport, components
-from .groups import Group, State
+from .groups import FiniteTable, Group, State
 from .moves import Move, move_set
 
 
@@ -33,55 +32,6 @@ class NotRelativelyFreeError(UsageError):
             f"{group.kind} is not relatively free of rank {d}: "
             f"{generating} generating {d}-tuples but only {extending} extend to automorphisms"
         )
-
-
-@dataclass
-class FiniteTable:
-    """Index form of a finite group: elements in a fixed canonical order."""
-
-    group: Group
-    elements: list
-    index: dict
-    mul: list[list[int]]
-    inv: list[int]
-    id_idx: int
-
-    @classmethod
-    def of(cls, group: Group) -> "FiniteTable":
-        if not group.is_finite:
-            raise UsageError("tame analysis requires a finite group")
-        elements = list(group.elements())
-        index = {e: k for k, e in enumerate(elements)}
-        mul = [[index[group.mul(a, b)] for b in elements] for a in elements]
-        inv = [index[group.inv(a)] for a in elements]
-        return cls(group, elements, index, mul, inv, index[group.identity()])
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def closure(self, idx_tuple: tuple[int, ...]) -> set[int]:
-        seen = set(idx_tuple) | {self.id_idx}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in idx_tuple:
-                    for c in (self.mul[a][b], self.mul[b][a]):
-                        if c not in seen:
-                            seen.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return seen
-
-    def apply_move_idx(self, state: tuple[int, ...], move: Move) -> tuple[int, ...]:
-        if move.kind == "I":
-            j = move.j - 1
-            return state[:j] + (self.inv[state[j]],) + state[j + 1 :]
-        i, j = move.i - 1, move.j - 1
-        h = state[j] if move.sign > 0 else self.inv[state[j]]
-        new = self.mul[state[i]][h] if move.kind == "R" else self.mul[h][state[i]]
-        return state[:i] + (new,) + state[i + 1 :]
 
 
 @dataclass
@@ -173,10 +123,7 @@ def aut_group(group: Group, d: int, base: State | None = None) -> AutAction:
     if len(tab.closure(base_idx)) != tab.order:
         raise UsageError("base tuple does not generate the group")
 
-    tuples = []
-    for cand in iproduct(range(tab.order), repeat=d):
-        if len(tab.closure(cand)) == tab.order:
-            tuples.append(cand)
+    tuples = tab.index_tuples(tab.generating_mask(d).nonzero()[0], d)
     perms = []
     failures = 0
     for cand in tuples:

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from conftest import seeded
 from nielsen.amenability import (
-    brute_force_closed_walks,
     closed_walks,
     iso_ratio,
     spectral_estimate,
@@ -35,6 +34,7 @@ from nielsen.groups import (
 )
 from nielsen.moves import I, R, eval_word
 from nielsen.tame import verify_component_structure
+from oracles import brute_force_closed_walks
 
 Z = Integers()
 DINF = InfiniteDihedral()

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from nielsen.amenability import (
-    brute_force_closed_walks,
     cheeger_search,
     closed_walks,
     iso_ratio,
@@ -14,6 +13,7 @@ from nielsen.amenability import (
 from nielsen.errors import UsageError
 from nielsen.explore import ball
 from nielsen.groups import FiniteAbelianExp, InfiniteDihedral, Integers
+from oracles import brute_force_closed_walks
 
 Z = Integers()
 D = InfiniteDihedral()

@@ -22,10 +22,13 @@ from nielsen.groups import (
     InfiniteDihedral,
     Integers,
     cyclic_table,
+    dihedral_table,
+    quaternion_table,
 )
 from nielsen.moves import I, eval_word
 
 from conftest import seeded
+from oracles import components_unionfind
 
 Z = Integers()
 D = InfiniteDihedral()
@@ -160,17 +163,37 @@ def test_components_sizes_sum_to_generating_count():
         assert sum(rep.sizes) == rep.generating_count == direct
 
 
-def test_components_paths_agree():
-    from nielsen.explore import _components_labelprop, _components_unionfind
+def test_components_match_unionfind_oracle():
+    cases = [(FiniteCayley(cyclic_table(6), 0), 1), (FiniteCayley(cyclic_table(6), 0), 2)]
+    cases += [(g, 2) for g in (FiniteCayley(dihedral_table(3), 0), FiniteCayley(quaternion_table(), 0),
+                               BurnsideB23(), FiniteAbelianExp(3, 2))]
+    for group, n in cases:
+        rep = components(group, n)
+        count, classes = components_unionfind(group, n)
+        assert rep.generating_count == count
+        assert rep.sizes == [len(c) for c in classes]
+        assert rep.representatives == [c[0] for c in classes]
+        assert [rep.members(k) for k in range(rep.num_components)] == classes
 
-    group = FiniteCayley(cyclic_table(6), 0)
-    for n in (1, 2):
-        total = group.order**n
-        a = _components_unionfind(group, n, total)
-        b = _components_labelprop(group, n, total)
-        assert sorted(a.sizes) == sorted(b.sizes)
-        assert a.generating_count == b.generating_count
-        assert set(a.representatives) == set(b.representatives)
+
+def test_components_diaconis_graham_grid():
+    # Diaconis-Graham: a generating d-tuple of (Z/m)^d is a matrix in
+    # GL_d(Z/m), moves change its determinant only by sign, and the classes
+    # are the sets det in {u, -u}: max(phi(m)/2, 1) classes of equal size.
+    # One more entry makes N_n connected.
+    checked = 0
+    for m in range(2, 10):
+        phi = sum(1 for u in range(1, m) if math.gcd(u, m) == 1)
+        for d in (1, 2, 3):
+            for n in (d, d + 1):
+                if m ** (d * n) > 50_000:
+                    continue
+                rep = components(FiniteAbelianExp(m, d), n)
+                expected = max(phi // 2, 1) if n == d else 1
+                assert rep.num_components == expected, (m, d, n)
+                assert len(set(rep.sizes)) == 1, (m, d, n)
+                checked += 1
+    assert checked == 32
 
 
 def test_components_requires_finite_group():

@@ -338,6 +338,21 @@ def test_group_json_round_trip(all_groups):
         group_from_json({"kind": "FreeAbelian"})
 
 
+def test_bool_is_not_an_int():
+    # JSON true must not pass as 1, neither in a spec nor inside an element
+    for spec in ({"kind": "FreeAbelian", "d": True}, {"kind": "FiniteAbelianExp", "m": True, "d": 1},
+                 {"kind": "FiniteAbelianExp", "m": 3, "d": True}, {"kind": "FreeGroup", "d": True},
+                 {"kind": "FiniteCayley", "table": [[0, 1], [1, 0]], "identity": False}):
+        with pytest.raises(UsageError):
+            group_from_json(spec)
+    for group, elem in ((FreeAbelian(2), (True, 0)), (InfiniteDihedral(), (True, 0)),
+                        (InfiniteDihedral(), (0, True)), (Heisenberg(), (1, 0, False)),
+                        (FiniteAbelianExp(3, 2), (True, 0)), (BurnsideB23(), (0, 0, True)),
+                        (FiniteCayley(cyclic_table(2), 0), True), (FreeGroup(2), (True,))):
+        with pytest.raises(UsageError):
+            group.check_element(elem)
+
+
 def test_table_builders_are_groups():
     for table in (cyclic_table(7), dihedral_table(4), quaternion_table(),
                   direct_product_table(cyclic_table(2), cyclic_table(4))):
