@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .explore import GraphFragment, ball
+from .explore import GraphFragment, ball, state_from_key
 from .groups import Group, State
 from .moves import move_set
 
@@ -68,9 +68,9 @@ def iso_ratio(frag: GraphFragment, members, description: str = "custom") -> IsoR
             if not 0 <= idx < len(frag):
                 raise UsageError(f"vertex index {idx} out of range")
         elif isinstance(m, bytes):
-            if m not in frag.index:
+            idx = frag.index.get(state_from_key(frag.group, frag.n, m))
+            if idx is None or frag.keys[idx] != m:
                 raise UsageError("vertex key not present in fragment")
-            idx = frag.index[m]
         else:
             idx = frag.vertex_index(tuple(m))
         idxs.add(idx)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import UsageError, VerificationError
-from .explore import GraphFragment, state_key
+from .explore import GraphFragment
 from .groups import (
     FiniteAbelianExp,
     FiniteCayley,
@@ -287,11 +287,10 @@ def verify_surjectivity_on_fragment(epi: Epimorphism, frag: GraphFragment, seed_
     if len(seed_tuple) != frag.n:
         raise UsageError("seed tuple length does not match the fragment")
     start_state = push(epi, seed_tuple)
-    start_key = state_key(frag.group, start_state)
+    start = frag.index.get(start_state)
     lifts: dict[int, State] = {}
     unreached = []
-    if start_key in frag.index:
-        start = frag.index[start_key]
+    if start is not None:
         lifts[start] = seed_tuple
         queue = [start]
         qpos = 0
@@ -308,7 +307,19 @@ def verify_surjectivity_on_fragment(epi: Epimorphism, frag: GraphFragment, seed_
     for v in range(len(frag)):
         if v in lifts:
             if tuple(epi.apply(g) for g in lifts[v]) != frag.states[v]:
+                _check_darts(frag)
                 raise VerificationError("lifted tuple does not push onto its fragment vertex")
         else:
             unreached.append(frag.keys[v].hex())
     return LiftReport(total=len(frag), lifted=len(lifts), unreached=unreached)
+
+
+def _check_darts(frag: GraphFragment) -> None:
+    """Raise a UsageError naming the first dart whose move does not reach its target."""
+    for v, out in enumerate(frag.darts):
+        for k, w in enumerate(out or ()):
+            if apply_move(frag.group, frag.states[v], frag.moves[k], frag.n) != frag.states[w]:
+                raise UsageError(
+                    f"fragment dart {frag.moves[k].text()} of vertex {frag.keys[v].hex()} "
+                    f"does not lead to vertex {frag.keys[w].hex()}"
+                )

@@ -5,6 +5,12 @@ in canonical order (BFS depth, then byte key); every expanded vertex carries
 one dart per element of the fragment's move list, as the index of the target
 vertex. Frontier vertices (at the radius, or outside the window) are retained
 unexpanded so that boundary counts over interior sets are exact.
+
+Every element kind keeps its elements in a canonical normal form with an
+injective encoding, so two tuples are equal exactly when their byte keys
+are. The BFS therefore deduplicates on the tuples themselves and encodes
+the key of each vertex once, when its layer is complete; the key fixes only
+the order of the vertices within a layer.
 """
 
 from __future__ import annotations
@@ -46,12 +52,12 @@ class GraphFragment:
     root: State
     radius: int
     window: int | None
-    keys: list[bytes] = field(default_factory=list)
+    keys: list[bytes] = field(default_factory=list)        # canonical byte key, one per vertex
     states: list[State] = field(default_factory=list)
     depths: list[int] = field(default_factory=list)
     expanded: list[bool] = field(default_factory=list)
     darts: list[list[int] | None] = field(default_factory=list)
-    index: dict[bytes, int] = field(default_factory=dict)
+    index: dict[State, int] = field(default_factory=dict)   # tuple -> vertex
     truncated_at: int | None = None  # least depth where the window blocked expansion
 
     @property
@@ -62,10 +68,10 @@ class GraphFragment:
         return len(self.keys)
 
     def vertex_index(self, state: State) -> int:
-        key = state_key(self.group, state)
-        if key not in self.index:
-            raise UsageError(f"tuple {state!r} is not a vertex of this fragment")
-        return self.index[key]
+        try:
+            return self.index[tuple(state)]
+        except (KeyError, TypeError):
+            raise UsageError(f"tuple {state!r} is not a vertex of this fragment") from None
 
     def ball_indices(self, r: int) -> list[int]:
         return [v for v in range(len(self)) if self.depths[v] <= r]
@@ -73,14 +79,15 @@ class GraphFragment:
     def validate(self) -> None:
         """Assert dart symmetry and regular out-degree."""
         inv = [self._move_pos(move_inverse(m)) for m in self.moves]
-        for v in range(len(self)):
+        size = len(self)
+        for v in range(size):
             out = self.darts[v]
             if not self.expanded[v]:
                 assert out is None
                 continue
             assert out is not None and len(out) == len(self.moves), "irregular out-degree"
             for k, w in enumerate(out):
-                assert 0 <= w < len(self), "dart target missing"
+                assert 0 <= w < size, "dart target missing"
                 back = self.darts[w]
                 if back is not None:
                     assert back[inv[k]] == v, "dart symmetry violated"
@@ -159,6 +166,7 @@ def fragment_from_jsonl(group: Group, n: int, text: str, moves: tuple[Move, ...]
     moves = move_set(n) if moves is None else moves
     frag = GraphFragment(group=group, n=n, moves=moves, root=(), radius=0, window=None)
     move_pos = {m.text(): k for k, m in enumerate(moves)}
+    by_key: dict[bytes, int] = {}   # resolves dart targets
     rows = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -176,9 +184,9 @@ def fragment_from_jsonl(group: Group, n: int, text: str, moves: tuple[Move, ...]
         if not (row["adj"] is None or isinstance(row["adj"], list)):
             raise UsageError(f"fragment line {lineno}: adj must be a list or null")
         key = _hex_key(row["v"], lineno)
-        if key in frag.index:
+        if key in by_key:
             raise UsageError(f"fragment line {lineno} repeats vertex {row['v']}")
-        frag.index[key] = len(frag.keys)
+        by_key[key] = len(frag.keys)
         frag.keys.append(key)
         frag.states.append(tuple(group.element_from_json(e) for e in row["tuple"]))
         frag.depths.append(row["depth"])
@@ -192,13 +200,18 @@ def fragment_from_jsonl(group: Group, n: int, text: str, moves: tuple[Move, ...]
         for dart in adj:
             if not (isinstance(dart, dict) and dart.get("move") in move_pos and "to" in dart):
                 raise UsageError(f"fragment line {lineno}: dart {dart!r} needs a known move and a target")
-            target = frag.index.get(_hex_key(dart["to"], lineno))
+            target = by_key.get(_hex_key(dart["to"], lineno))
             if target is None:
                 raise UsageError(f"fragment line {lineno}: dart target {dart['to']} is not a vertex")
             out[move_pos[dart["move"]]] = target
         if any(w < 0 for w in out):
             raise UsageError("expanded vertex with incomplete dart list")
         frag.darts[v] = out
+    del rows, by_key  # the tuple index is built once the parsed lines are freed, to keep the peak low
+    for v, state in enumerate(frag.states):
+        first = frag.index.setdefault(state, v)
+        if first != v:
+            raise UsageError(f"fragment vertices {frag.keys[first].hex()} and {frag.keys[v].hex()} share a tuple")
     roots = [v for v in range(len(frag)) if frag.depths[v] == 0]
     if len(roots) != 1:
         raise UsageError("fragment must contain exactly one depth-0 vertex")
@@ -240,46 +253,60 @@ def ball(
     if window is not None and not in_window(root):
         raise UsageError(f"root lies outside the window {window}")
 
+    if cap < 1:
+        raise ResourceCapError(f"vertex cap {cap} exceeded while exploring")
     frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=radius, window=window)
-
-    def add_vertex(state: State, key: bytes, depth: int) -> int:
-        idx = len(frag.keys)
-        if idx >= cap:
-            raise ResourceCapError(f"vertex cap {cap} exceeded while exploring")
-        frag.index[key] = idx
-        frag.keys.append(key)
-        frag.states.append(state)
-        frag.depths.append(depth)
-        frag.expanded.append(False)
-        frag.darts.append(None)
-        return idx
-
-    add_vertex(root, state_key(group, root), 0)
-    layer = [0]
+    keys, states, index, darts = frag.keys, frag.states, frag.index, frag.darts
+    keys.append(state_key(group, root))
+    states.append(root)
+    index[root] = 0
+    frag.depths.append(0)
+    frag.expanded.append(False)
+    darts.append(None)
+    start = 0
     for depth in range(radius):
-        discovered: dict[bytes, State] = {}
-        layer_targets: list[tuple[int, list[bytes]]] = []
-        for v in layer:
-            if not in_window(frag.states[v]):
+        # New tuples get provisional indices base, base + 1, ... in discovery
+        # order; once the layer is complete they are renumbered in byte-key order.
+        base = len(states)
+        layer_expanded = []
+        for v in range(start, base):
+            state = states[v]
+            if not in_window(state):
                 if frag.truncated_at is None or depth < frag.truncated_at:
                     frag.truncated_at = depth
                 continue
-            targets = []
+            out = []
             for move in moves:
-                w = apply_move(group, frag.states[v], move, n)
-                wk = state_key(group, w)
-                if wk not in frag.index and wk not in discovered:
-                    discovered[wk] = w
-                targets.append(wk)
-            layer_targets.append((v, targets))
-        for wk in sorted(discovered):
-            add_vertex(discovered[wk], wk, depth + 1)
-        for v, targets in layer_targets:
-            frag.darts[v] = [frag.index[wk] for wk in targets]
+                w = apply_move(group, state, move, n)
+                i = index.get(w)
+                if i is None:
+                    i = len(states)
+                    if i >= cap:
+                        raise ResourceCapError(f"vertex cap {cap} exceeded while exploring")
+                    index[w] = i
+                    states.append(w)
+                out.append(i)
+            darts[v] = out
             frag.expanded[v] = True
-        layer = [frag.index[wk] for wk in sorted(discovered)]
-        if not layer:
+            layer_expanded.append(v)
+        new_states = states[base:]
+        if not new_states:
             break
+        new_keys = [state_key(group, w) for w in new_states]
+        # keys are distinct, so the stable sort orders by (key, provisional)
+        order = sorted(range(len(new_states)), key=new_keys.__getitem__)
+        final = [0] * len(order)
+        for v, p in enumerate(order, base):
+            final[p] = v
+            index[new_states[p]] = v
+        states[base:] = [new_states[p] for p in order]
+        keys.extend(new_keys[p] for p in order)
+        frag.depths.extend([depth + 1] * len(order))
+        frag.expanded.extend([False] * len(order))
+        darts.extend([None] * len(order))
+        for v in layer_expanded:
+            darts[v] = [w if w < base else final[w - base] for w in darts[v]]
+        start = base
     frag.validate()
     return frag
 

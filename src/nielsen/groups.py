@@ -468,6 +468,8 @@ class FiniteCayley(Group):
     is_finite = True
 
     def __init__(self, table, identity: int):
+        if isinstance(table, list) and not all(isinstance(row, list) and all(map(_is_int, row)) for row in table):
+            raise UsageError("FiniteCayley table must be a list of rows of int element indices")
         tab = np.asarray(table, dtype=np.int64)
         if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
             raise UsageError("FiniteCayley table must be square")
@@ -781,6 +783,8 @@ class FreeGroup(Group):
 
     def decode_element(self, buf, offset):
         k, offset = decode_int(buf, offset)
+        if offset + 4 * k > len(buf):  # every letter takes at least 4 bytes
+            raise UsageError("FreeGroup word runs past the end of its key")
         out = []
         for _ in range(k):
             v, offset = decode_int(buf, offset)

@@ -12,7 +12,7 @@ from nielsen.amenability import (
 )
 from nielsen.errors import UsageError
 from nielsen.explore import ball
-from nielsen.groups import FiniteAbelianExp, InfiniteDihedral, Integers
+from nielsen.groups import FiniteAbelianExp, FreeGroup, InfiniteDihedral, Integers
 from oracles import brute_force_closed_walks
 
 Z = Integers()
@@ -31,6 +31,20 @@ def test_iso_whole_finite_graph_is_zero():
     frag = ball(Z, (1,), 3)
     rep = iso_ratio(frag, [(1,), (-1,)])
     assert rep.ratio == 0
+
+
+def test_iso_members_by_key():
+    frag = ball(Z, (1, 1), 2)
+    ball1 = frag.ball_indices(1)
+    assert iso_ratio(frag, [frag.keys[v] for v in ball1]) == iso_ratio(frag, ball1)
+    with pytest.raises(UsageError):
+        iso_ratio(frag, [frag.keys[0] + b"\x00"])  # trailing byte
+    with pytest.raises(UsageError):
+        iso_ratio(frag, [Z.encode_element(7) * 2])  # a tuple outside the fragment
+    F = FreeGroup(2)
+    frag = ball(F, F.standard_generators(), 1)
+    with pytest.raises(UsageError, match="runs past the end"):
+        iso_ratio(frag, [b"\x04\x00\x00\x00\xff\xff\xff\x7f"])  # word length 2^31 - 1, no letters
 
 
 def test_iso_requires_expanded_members():

@@ -1,6 +1,8 @@
 """CLI: subcommands, exit codes, deterministic output, file round-trips."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -180,9 +182,30 @@ def test_cover_rejects_malformed_fragment(capsys, tmp_path, mutate):
     assert err.startswith("usage error")
 
 
+def test_cover_names_a_rewired_dart(capsys, tmp_path):
+    from nielsen.explore import ball
+    from nielsen.groups import Integers
+
+    rows = [json.loads(line) for line in ball(Integers(), (1, 1), 2).to_jsonl().splitlines()]
+    rows[0]["adj"][0]["to"] = rows[-1]["v"]
+    path = tmp_path / "frag.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    code, out, err = run_cli(
+        capsys, "cover", "--pi", '{"rule":"project","domain":{"kind":"FreeAbelian","d":2},"e":1}',
+        "--n", "2", "--samples", "10", "--fragment", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("usage error") and "R+:1,2" in err and rows[0]["v"] in err
+
+
 def test_bool_spec_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "growth", "--group", '{"kind":"FreeAbelian","d":true}', "--root", "[[1]]", "--radius", "1",
+    )
+    assert code == 2 and out == "" and err.startswith("usage error")
+    code, out, err = run_cli(
+        capsys, "components", "--group", '{"kind":"FiniteCayley","table":[[false,true],[true,false]],"identity":0}',
+        "--n", "1",
     )
     assert code == 2 and out == "" and err.startswith("usage error")
 
@@ -203,3 +226,50 @@ def test_console_entry_point_runs():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["verified"] is True
+
+
+# sha256 of exports written before the BFS deduplicated on tuples
+GOLDEN_EXPORTS = {
+    ('{"kind":"Integers"}', "[1,1]", "6", "jsonl"):
+        "4be31ad6a255571cc18df8ab5758dc9ce949ca776023343f34d22aef6e08a6d2",
+    ('{"kind":"Heisenberg"}', "[[1,0,0],[0,1,0]]", "3", "jsonl"):
+        "df5d5f1d96365b30f47a5b386596ecfe0383302321b8e3d8751200c766c59fb6",
+    ('{"kind":"FreeGroup","d":2}', '["a","b"]', "3", "jsonl"):
+        "f646f4fb302d439b2f341ca272b072b2a419215f34ca5e3792b94e4dd4478dfe",
+    ('{"kind":"Integers"}', "[1,1]", "6", "dot"):
+        "66f4f4c21cc9c1f4d6555cceec08eea6b2dee9e71504e5f0493ff273cbedd276",
+    ('{"kind":"Heisenberg"}', "[[1,0,0],[0,1,0]]", "3", "dot"):
+        "80d3b7e9f9762ddf8231877f3a64f64cdc1af4dc6241889eda5fbb816818854a",
+    ('{"kind":"FreeGroup","d":2}', '["a","b"]', "3", "dot"):
+        "0f5fd0a567930d252c0a14f77724a12ecd6e487b6a8e4844b6c8f3cbbf670d24",
+}
+
+
+@pytest.mark.parametrize("args", GOLDEN_EXPORTS, ids=lambda a: f"{json.loads(a[0])['kind']}-{a[3]}")
+def test_golden_exports(capsys, args):
+    group, root, radius, fmt = args
+    code, out, _ = run_cli(capsys, "export", "--group", group, "--root", root, "--radius", radius, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EXPORTS[args]
+
+
+def test_stdout_does_not_depend_on_hash_seed():
+    import nielsen
+
+    src = os.path.dirname(os.path.dirname(nielsen.__file__))
+    commands = (
+        ["export", "--group", '{"kind":"FreeGroup","d":2}', "--root", '["a","b"]', "--radius", "2",
+         "--format", "jsonl"],
+        ["growth", "--group", '{"kind":"Heisenberg"}', "--root", "[[1,0,0],[0,1,0]]", "--radius", "3"],
+        ["cheeger", "--group", '{"kind":"Integers"}', "--root", "[1,1]", "--radius", "5",
+         "--strategy", "sweep"],
+    )
+    for argv in commands:
+        outs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-m", "nielsen.cli", *argv],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            outs.add(run.stdout)
+        assert len(outs) == 1, argv[0]

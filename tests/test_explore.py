@@ -18,17 +18,19 @@ from nielsen.groups import (
     BurnsideB23,
     FiniteAbelianExp,
     FiniteCayley,
+    FreeAbelian,
     FreeGroup,
+    Heisenberg,
     InfiniteDihedral,
     Integers,
     cyclic_table,
     dihedral_table,
     quaternion_table,
 )
-from nielsen.moves import I, eval_word
+from nielsen.moves import I, R, eval_word
 
 from conftest import seeded
-from oracles import components_unionfind
+from oracles import ball_by_keys, components_unionfind
 
 Z = Integers()
 D = InfiniteDihedral()
@@ -100,6 +102,44 @@ def test_free_group_ball_with_word_window():
     frag.validate()
 
 
+ORACLE_CASES = {
+    "Z_n2": (Z, (1, 1), 6, {}),
+    "Z_n3": (Z, (1, 0, 0), 3, {}),
+    "Z_window": (Z, (1, 1), 4, {"window": 2}),
+    "Z2": (FreeAbelian(2), ((1, 0), (0, 1)), 3, {}),
+    "D_inf": (D, ((0, 1), (1, 1)), 8, {}),
+    "Heisenberg": (Heisenberg(), ((1, 0, 0), (0, 1, 0)), 3, {}),
+    "F2_window": (FreeGroup(2), ((1,), (2,)), 4, {"window": 3}),
+    "FiniteCayley_D4": (FiniteCayley(dihedral_table(4), 0), None, 12, {}),
+    "B23": (BurnsideB23(), None, 8, {}),
+    "Z5_squared": (FiniteAbelianExp(5, 2), None, 6, {}),
+    "custom_moves": (Z, (1, 0, 0), 5, {"moves": (R(1, 2), R(1, 2, -1), R(3, 1), R(3, 1, -1), I(2))}),
+    "radius_0": (Z, (2, 3), 0, {}),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_ball_matches_per_dart_key_oracle(case):
+    group, root, radius, kwargs = case
+    root = group.standard_generators() if root is None else root
+    fast, slow = ball(group, root, radius, **kwargs), ball_by_keys(group, root, radius, **kwargs)
+    assert fast.keys == slow.keys
+    assert fast.states == slow.states
+    assert fast.depths == slow.depths
+    assert fast.expanded == slow.expanded
+    assert fast.darts == slow.darts
+    assert fast.truncated_at == slow.truncated_at
+    assert fast.index == {s: v for v, s in enumerate(fast.states)}
+
+
+def test_vertex_index_by_tuple():
+    frag = ball(Z, (1, 1), 2)
+    assert frag.vertex_index([1, 0]) == frag.states.index((1, 0))
+    for absent in ((5, 5), ([1], 1)):
+        with pytest.raises(UsageError):
+            frag.vertex_index(absent)
+
+
 # ---------------------------------------------------------------------------
 # exports
 
@@ -109,6 +149,14 @@ def test_jsonl_round_trip():
     clone = fragment_from_jsonl(Z, 2, frag.to_jsonl())
     assert frag.content_equal(clone)
     assert clone.to_jsonl() == frag.to_jsonl()
+
+
+def test_jsonl_import_rejects_repeated_tuple():
+    lines = ball(Z, (1, 1), 1).to_jsonl().splitlines()
+    # a second vertex under a fresh key that repeats the root's tuple
+    twin = lines[0].replace('"depth": 0', '"depth": 1').replace('"v": "', '"v": "00')
+    with pytest.raises(UsageError, match="share a tuple"):
+        fragment_from_jsonl(Z, 2, "\n".join(lines + [twin]) + "\n")
 
 
 def test_dot_output_shape():

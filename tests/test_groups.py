@@ -342,7 +342,8 @@ def test_bool_is_not_an_int():
     # JSON true must not pass as 1, neither in a spec nor inside an element
     for spec in ({"kind": "FreeAbelian", "d": True}, {"kind": "FiniteAbelianExp", "m": True, "d": 1},
                  {"kind": "FiniteAbelianExp", "m": 3, "d": True}, {"kind": "FreeGroup", "d": True},
-                 {"kind": "FiniteCayley", "table": [[0, 1], [1, 0]], "identity": False}):
+                 {"kind": "FiniteCayley", "table": [[0, 1], [1, 0]], "identity": False},
+                 {"kind": "FiniteCayley", "table": [[False, True], [True, False]], "identity": 0}):
         with pytest.raises(UsageError):
             group_from_json(spec)
     for group, elem in ((FreeAbelian(2), (True, 0)), (InfiniteDihedral(), (True, 0)),
