@@ -26,6 +26,10 @@ from .groups import FiniteTable, Group, State
 from .moves import I, Move, R, apply_move, move_inverse, move_set
 
 DEFAULT_VERTEX_CAP = 5_000_000
+# components keeps one int32 label per tuple on a tensor with one axis per
+# entry, and numpy arrays have at most 64 axes
+_LABEL_LIMIT = 2**31
+_MAX_AXES = 64
 
 
 def state_key(group: Group, state: State) -> bytes:
@@ -363,54 +367,58 @@ class ComponentsReport:
 def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> ComponentsReport:
     """Partition all generating n-tuples of a finite group into Nielsen classes.
 
-    Vectorized minimum-label propagation over the full tuple space, numbered
-    in ``itertools.product`` order: every class is labelled by its least
-    position, whose tuple is its representative. Moves preserve the
-    generated subgroup, so labels never leak between the generating set and
-    its complement; the restriction afterwards is exact.
+    Minimum-label propagation over the full tuple space, numbered in
+    ``itertools.product`` order: every class is labelled by its least
+    position, whose tuple is its representative. The labels are one int32
+    array, viewed as a tensor with one axis per entry (axis p is entry
+    p + 1); each round keeps one copy of it to detect the fixed point. No
+    position arrays are built: ``I(j)`` is one take along axis j - 1, and an
+    ``R``/``L`` move with entries (i, j) is |G| takes, one per face on which
+    entry j is fixed to c, where it permutes entry i by a column (R) or row
+    (L) of the multiplication table. Every label stays a position in its own
+    class and the move set is closed under inverses, so the fixed point is
+    the least position of each class whatever the update order. Moves
+    preserve the generated subgroup, so labels never leak between the
+    generating set and its complement; the restriction afterwards is exact.
     """
     if not group.is_finite:
         raise UsageError("components requires a finite group")
     if n < 1:
         raise UsageError("components requires n >= 1")
+    if n > _MAX_AXES:
+        raise UsageError(f"components supports n <= {_MAX_AXES}, one label axis per entry; got n = {n}")
     total = group.order**n
+    if total >= _LABEL_LIMIT:
+        raise ResourceCapError(f"state count {total} exceeds the int32 label limit {_LABEL_LIMIT - 1}")
     if total > cap:
         raise ResourceCapError(f"state count {total} exceeds cap {cap}")
     tab = FiniteTable.of(group)
     gen_idx = np.flatnonzero(tab.generating_mask(n))
     order = tab.order
-    mul = np.array(tab.mul, dtype=np.int64)
-    inv = np.array(tab.inv, dtype=np.int64)
+    mul = np.array(tab.mul, dtype=np.intp)
+    inv = np.array(tab.inv, dtype=np.intp)
+    # row h of perms[kind] sends entry i from g to g*h (R) or h*g (L)
+    perms = {"R": np.ascontiguousarray(mul.T), "L": mul}
 
-    idx = np.arange(total, dtype=np.int64)
-    # entry p is digit n-1-p, the itertools.product enumeration
-    place = [order ** (n - 1 - p) for p in range(n)]
-    digits = [(idx // place[p]) % order for p in range(n)]
-
-    def move_perm(move: Move) -> np.ndarray:
-        if move.kind == "I":
-            j = move.j - 1
-            new = inv[digits[j]]
-            return idx + (new - digits[j]) * place[j]
-        i, j = move.i - 1, move.j - 1
-        h = digits[j] if move.sign > 0 else inv[digits[j]]
-        new = mul[digits[i], h] if move.kind == "R" else mul[h, digits[i]]
-        return idx + (new - digits[i]) * place[i]
-
-    # perms are recomputed each round to bound memory at O(total)
-    labels = idx.copy()
+    flat = np.arange(total, dtype=np.int32)
+    cube = flat.reshape((order,) * n)
     moves = move_set(n)
     while True:
-        before = labels
-        labels = labels.copy()
+        before = flat.copy()
         for move in moves:
-            perm = move_perm(move)
-            np.minimum(labels, labels[perm], out=labels)
-        labels = np.minimum(labels, labels[labels])
-        if np.array_equal(labels, before):
+            if move.kind == "I":
+                np.minimum(cube, np.take(cube, inv, axis=move.j - 1), out=cube)
+                continue
+            i, j = move.i - 1, move.j - 1
+            axis = i if i < j else i - 1
+            for c, h in enumerate(range(order) if move.sign > 0 else inv):
+                face = cube[(slice(None),) * j + (c,)]
+                np.minimum(face, np.take(face, perms[move.kind][h], axis=axis), out=face)
+        np.minimum(flat, flat[flat], out=flat)
+        if np.array_equal(flat, before):
             break
 
-    uniq, inverse, counts = np.unique(labels[gen_idx], return_inverse=True, return_counts=True)
+    uniq, inverse, counts = np.unique(flat[gen_idx], return_inverse=True, return_counts=True)
     return ComponentsReport(
         group=group,
         n=n,

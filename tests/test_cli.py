@@ -219,6 +219,20 @@ def test_tame_cli(capsys):
     assert report["num_components"] == 2 and report["ok"] is True
 
 
+def test_components_beyond_the_label_limits(capsys):
+    code, out, err = run_cli(
+        capsys, "components", "--group", '{"kind":"FiniteCayley","table":[[0]],"identity":0}', "--n", "70",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("usage error") and "n <= 64" in err and "Traceback" not in err
+    code, out, err = run_cli(
+        capsys, "components", "--group", '{"kind":"FiniteAbelianExp","m":2,"d":1}', "--n", "40",
+        "--cap", str(10**13),
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("resource error") and "int32" in err and "Traceback" not in err
+
+
 def test_console_entry_point_runs():
     out = subprocess.run(
         [sys.executable, "-m", "nielsen.cli", "euclid", "--root", "[2,3]"],
@@ -226,6 +240,18 @@ def test_console_entry_point_runs():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["verified"] is True
+
+
+def test_package_runs_as_module(capsys):
+    import nielsen
+
+    argv = ["components", "--group", '{"kind":"FiniteAbelianExp","m":3,"d":1}', "--n", "2"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nielsen.__file__)))
+    run = subprocess.run([sys.executable, "-m", "nielsen", *argv], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and run.stdout == out
+    assert json.loads(out)["sizes"] == [8]
 
 
 # sha256 of exports written before the BFS deduplicated on tuples
@@ -255,6 +281,7 @@ def test_golden_exports(capsys, args):
 
 def test_stdout_does_not_depend_on_hash_seed():
     import nielsen
+    from nielsen.groups import quaternion_table
 
     src = os.path.dirname(os.path.dirname(nielsen.__file__))
     commands = (
@@ -263,6 +290,10 @@ def test_stdout_does_not_depend_on_hash_seed():
         ["growth", "--group", '{"kind":"Heisenberg"}', "--root", "[[1,0,0],[0,1,0]]", "--radius", "3"],
         ["cheeger", "--group", '{"kind":"Integers"}', "--root", "[1,1]", "--radius", "5",
          "--strategy", "sweep"],
+        ["components", "--group", json.dumps({"kind": "FiniteCayley", "table": quaternion_table(), "identity": 0}),
+         "--n", "3"],
+        ["tame", "--group", '{"kind":"FiniteAbelianExp","m":5,"d":2}', "--d", "2"],
+        ["forest", "verify", "--n", "3", "--window", "6"],
     )
     for argv in commands:
         outs = set()

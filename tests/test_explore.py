@@ -211,17 +211,39 @@ def test_components_sizes_sum_to_generating_count():
         assert sum(rep.sizes) == rep.generating_count == direct
 
 
+def assert_components_match_oracle(group, n):
+    rep = components(group, n)
+    count, classes = components_unionfind(group, n)
+    assert rep.generating_count == count
+    assert rep.sizes == [len(c) for c in classes]
+    assert rep.representatives == [c[0] for c in classes]
+    assert [rep.members(k) for k in range(rep.num_components)] == classes
+
+
 def test_components_match_unionfind_oracle():
     cases = [(FiniteCayley(cyclic_table(6), 0), 1), (FiniteCayley(cyclic_table(6), 0), 2)]
     cases += [(g, 2) for g in (FiniteCayley(dihedral_table(3), 0), FiniteCayley(quaternion_table(), 0),
                                BurnsideB23(), FiniteAbelianExp(3, 2))]
+    cases += [(FiniteCayley([[0]], 0), 3), (FiniteAbelianExp(4, 2), 2)]
     for group, n in cases:
-        rep = components(group, n)
-        count, classes = components_unionfind(group, n)
-        assert rep.generating_count == count
-        assert rep.sizes == [len(c) for c in classes]
-        assert rep.representatives == [c[0] for c in classes]
-        assert [rep.members(k) for k in range(rep.num_components)] == classes
+        assert_components_match_oracle(group, n)
+
+
+SMALL_NONABELIAN = {"S3": dihedral_table(3), "Q8": quaternion_table(), "D4": dihedral_table(4)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(SMALL_NONABELIAN)), st.integers(min_value=1, max_value=3), st.data())
+def test_components_match_oracle_on_relabelled_tables(name, n, data):
+    # a random numbering of the elements moves the identity off 0 and
+    # changes the permutation that each face of each move applies
+    table = SMALL_NONABELIAN[name]
+    perm = data.draw(st.permutations(range(len(table))))
+    relabelled = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            relabelled[perm[a]][perm[b]] = perm[ab]
+    assert_components_match_oracle(FiniteCayley(relabelled, perm[0]), n)
 
 
 def test_components_diaconis_graham_grid():
@@ -249,6 +271,13 @@ def test_components_requires_finite_group():
         components(Z, 2)
     with pytest.raises(ResourceCapError):
         components(FiniteCayley(cyclic_table(16), 0), 5, cap=1000)
+    # one label axis per entry, and numpy arrays have at most 64 axes
+    with pytest.raises(UsageError, match="n <= 64"):
+        components(FiniteCayley([[0]], 0), 65)
+    # int32 labels: 2^31 tuples is refused whatever the cap
+    with pytest.raises(ResourceCapError, match="int32"):
+        components(FiniteAbelianExp(2, 1), 31, cap=10**25)
+    assert components(FiniteCayley([[0]], 0), 64).sizes == [1]
 
 
 # ---------------------------------------------------------------------------
