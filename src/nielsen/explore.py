@@ -166,7 +166,11 @@ def _hex_key(obj, lineno: int) -> bytes:
 
 
 def fragment_from_jsonl(group: Group, n: int, text: str, moves: tuple[Move, ...] | None = None) -> GraphFragment:
-    """Read a fragment written by ``to_jsonl``; a malformed line is a UsageError."""
+    """Read a fragment written by ``to_jsonl``; a malformed line is a UsageError.
+
+    Every dart is checked by applying its move, so a dart that does not lead
+    to the vertex of the moved tuple is a UsageError too.
+    """
     moves = move_set(n) if moves is None else moves
     frag = GraphFragment(group=group, n=n, moves=moves, root=(), radius=0, window=None)
     move_pos = {m.text(): k for k, m in enumerate(moves)}
@@ -210,6 +214,12 @@ def fragment_from_jsonl(group: Group, n: int, text: str, moves: tuple[Move, ...]
             out[move_pos[dart["move"]]] = target
         if any(w < 0 for w in out):
             raise UsageError("expanded vertex with incomplete dart list")
+        for k, w in enumerate(out):
+            if apply_move(group, frag.states[v], moves[k], n) != frag.states[w]:
+                raise UsageError(
+                    f"fragment dart {moves[k].text()} of vertex {frag.keys[v].hex()} "
+                    f"does not lead to vertex {frag.keys[w].hex()}"
+                )
         frag.darts[v] = out
     del rows, by_key  # the tuple index is built once the parsed lines are freed, to keep the peak low
     for v, state in enumerate(frag.states):
@@ -392,6 +402,8 @@ def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Component
         raise ResourceCapError(f"state count {total} exceeds the int32 label limit {_LABEL_LIMIT - 1}")
     if total > cap:
         raise ResourceCapError(f"state count {total} exceeds cap {cap}")
+    if group.order**2 > cap:
+        raise ResourceCapError(f"multiplication table of {group.order}^2 entries exceeds cap {cap}")
     tab = FiniteTable.of(group)
     gen_idx = np.flatnonzero(tab.generating_mask(n))
     order = tab.order

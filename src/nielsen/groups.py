@@ -8,22 +8,33 @@ tuple keys elsewhere rely on each element encoding being self-delimiting.
 Supported kinds and element normal forms:
 
 * ``Integers``            -- a plain ``int``
-* ``FreeAbelian(d)``      -- tuple of ``d`` ints
-* ``InfiniteDihedral``    -- pair ``(t, eps)`` of translation part and
-                             reflection bit, product
-                             ``(t1,e1)(t2,e2) = (t1 + (-1)**e1 * t2, e1^e2)``
 * ``FiniteCayley``        -- element index into a validated multiplication
                              table (Latin square, associative, with identity
                              and inverses)
+* ``FreeGroup(d)``        -- freely reduced word as a tuple of nonzero
+                             signed letters in ``+-1..+-d``
+
+and five ``IntVectorGroup`` kinds, whose elements are int tuples of one
+length with each coordinate in Z or in Z/m. The base class owns their
+checks, encoding, JSON form, measure, sampling and enumeration:
+
+* ``FreeAbelian(d)``      -- tuple of ``d`` ints
+* ``FiniteAbelianExp(m,d)`` -- tuple of ``d`` residues mod ``m``
 * ``Heisenberg``          -- integer triple with product
                              ``(x1,y1,z1)(x2,y2,z2) =
                              (x1+x2, y1+y2, z1+z2+x1*y2)``
-* ``FiniteAbelianExp(m,d)`` -- tuple of ``d`` residues mod ``m``
-* ``BurnsideB23``         -- triple over Z/3 with the Heisenberg product
-                             mod 3; the unique 2-generated exponent-3 group
-                             of order 27, checked exhaustively at construction
-* ``FreeGroup(d)``        -- freely reduced word as a tuple of nonzero
-                             signed letters in ``+-1..+-d``
+* ``BurnsideB23``         -- the Heisenberg product mod 3 on residue
+                             triples; the unique 2-generated exponent-3
+                             group, of order 27, checked at construction
+* ``InfiniteDihedral``    -- pair ``(t, eps)`` of translation part and
+                             reflection bit, product
+                             ``(t1,e1)(t2,e2) = (t1 + (-1)**e1 * t2, e1^e2)``
+
+Generation tests: gcd over Z; for the nilpotent integer-vector kinds, a
+unit-lattice test on the image in the abelianization (exact for nilpotent
+groups; for the 3-group B(2,3) it is Burnside's basis theorem); reflection
+plus gcd for the infinite dihedral group; closure on the index form
+``FiniteTable`` for ``FiniteCayley``; Stallings folding for free groups.
 
 All operations are pure functions on immutable values.
 """
@@ -182,19 +193,13 @@ class Group:
         raise UsageError(f"{self.kind} is infinite")
 
     def rank(self) -> int:
-        """Minimal number of generators (finite kinds: brute force)."""
-        if not self.is_finite:
-            raise NotImplementedError
-        all_elems = list(self.elements())
-        for k in range(1, len(all_elems) + 1):
-            for cand in iproduct(all_elems, repeat=k):
-                if self.is_generating(cand):
-                    return k
-        raise AssertionError("unreachable: the full element list generates")
+        """Minimal number of generators."""
+        return len(self.standard_generators())
 
     # -- group-spec JSON plumbing -----------------------------------------------------
     def spec_json(self) -> dict:
-        raise NotImplementedError
+        """The kind JSON; kinds with parameters add them."""
+        return {"kind": self.kind}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Group) and self.spec_json() == other.spec_json()
@@ -204,22 +209,6 @@ class Group:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_json()})"
-
-
-def _closure(group: Group, entries: State) -> set:
-    """Subgroup generated by the entries of a finite group."""
-    seen = set(entries) | {group.identity()}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in entries:
-                for w in (group.mul(g, h), group.mul(h, g)):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-        frontier = nxt
-    return seen
 
 
 @dataclass
@@ -348,38 +337,54 @@ class Integers(Group):
     def standard_generators(self):
         return (1,)
 
-    def spec_json(self):
-        return {"kind": "Integers"}
+
+def _unit_vector(dim: int, k: int, scale: int = 1) -> tuple[int, ...]:
+    return tuple(scale if c == k else 0 for c in range(dim))
 
 
-class FreeAbelian(Group):
-    kind = "FreeAbelian"
+class IntVectorGroup(Group):
+    """A group whose elements are int tuples of one fixed length.
 
-    def __init__(self, d: int):
-        if not _is_int(d) or d < 1:
-            raise UsageError("FreeAbelian rank d must be a positive int")
-        self.d = d
+    Coordinate k ranges over Z when ``moduli[k]`` is None and over the
+    residues ``0 .. moduli[k] - 1`` otherwise, so the group is finite exactly
+    when every coordinate is bounded. A subclass supplies the law and its
+    spec. The generation test and generators here are those of a nilpotent
+    kind whose abelianization keeps the leading ``abelian_coords``
+    coordinates (None: all of them), each reduced mod its modulus; a tuple
+    generates a nilpotent group iff its image generates the abelianization.
+    A kind that is not nilpotent overrides both.
+    """
+
+    abelian_coords: int | None = None
+
+    def __init__(self, moduli: tuple[int | None, ...]):
+        self.moduli = moduli
+        self._unbounded = [k for k, m in enumerate(moduli) if m is None]
+        self._abelian = moduli[: self.abelian_coords]
+
+    @property
+    def is_finite(self):
+        return not self._unbounded
 
     def identity(self):
-        return (0,) * self.d
-
-    def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a):
-        return tuple(-x for x in a)
+        return (0,) * len(self.moduli)
 
     def check_element(self, a):
-        if not (isinstance(a, tuple) and len(a) == self.d and all(_is_int(x) for x in a)):
-            raise UsageError(f"FreeAbelian({self.d}) element must be a tuple of {self.d} ints")
+        if not (
+            isinstance(a, tuple)
+            and len(a) == len(self.moduli)
+            and all(_is_int(x) and (m is None or 0 <= x < m) for x, m in zip(a, self.moduli))
+        ):
+            form = ", ".join("int" if m is None else f"0..{m - 1}" for m in self.moduli)
+            raise UsageError(f"{self.kind} element must be a list [{form}]")
         return a
 
     def encode_element(self, a):
-        return b"".join(encode_int(x) for x in a)
+        return b"".join(map(encode_int, a))
 
     def decode_element(self, buf, offset):
         out = []
-        for _ in range(self.d):
+        for _ in self.moduli:
             v, offset = decode_int(buf, offset)
             out.append(v)
         return tuple(out), offset
@@ -388,62 +393,63 @@ class FreeAbelian(Group):
         return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
 
     def measure(self, a):
-        return max(abs(x) for x in a)
+        return max((abs(a[k]) for k in self._unbounded), default=0)
 
     def random_element(self, rng, size=10):
-        return tuple(rng.randint(-size, size) for _ in range(self.d))
+        return tuple(rng.randint(-size, size) if m is None else rng.randrange(m) for m in self.moduli)
+
+    @property
+    def order(self):
+        return super().order if self._unbounded else math.prod(self.moduli)
+
+    def elements(self):
+        return super().elements() if self._unbounded else iproduct(*map(range, self.moduli))
 
     def _is_generating(self, entries):
-        return lattice_is_full(list(entries), self.d)
+        # the images generate the abelianization iff they span Z^k together
+        # with the rows m * e_i of its bounded coordinates
+        dim = len(self._abelian)
+        rows = [a[:dim] for a in entries]
+        rows.extend(_unit_vector(dim, k, m) for k, m in enumerate(self._abelian) if m is not None)
+        return lattice_is_full(rows, dim)
 
     def standard_generators(self):
-        return tuple(tuple(1 if k == i else 0 for k in range(self.d)) for i in range(self.d))
+        """The unit vectors of the abelian coordinates."""
+        return tuple(_unit_vector(len(self.moduli), k) for k in range(len(self._abelian)))
+
+
+class FreeAbelian(IntVectorGroup):
+    kind = "FreeAbelian"
+
+    def __init__(self, d: int):
+        if not _is_int(d) or d < 1:
+            raise UsageError("FreeAbelian rank d must be a positive int")
+        self.d = d
+        super().__init__((None,) * d)
+
+    def mul(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def inv(self, a):
+        return tuple(-x for x in a)
 
     def spec_json(self):
         return {"kind": "FreeAbelian", "d": self.d}
 
 
-class InfiniteDihedral(Group):
+class InfiniteDihedral(IntVectorGroup):
     """Z semidirect Z/2: (t, eps) with the reflection acting by negation."""
 
     kind = "InfiniteDihedral"
 
-    def identity(self):
-        return (0, 0)
+    def __init__(self):
+        super().__init__((None, 2))
 
     def mul(self, a, b):
         return (a[0] + b[0] if a[1] == 0 else a[0] - b[0], a[1] ^ b[1])
 
     def inv(self, a):
         return (-a[0], 0) if a[1] == 0 else a
-
-    def check_element(self, a):
-        if not (
-            isinstance(a, tuple)
-            and len(a) == 2
-            and _is_int(a[0])
-            and _is_int(a[1])
-            and a[1] in (0, 1)
-        ):
-            raise UsageError("InfiniteDihedral element must be (t, eps) with eps in {0,1}")
-        return (a[0], a[1])
-
-    def encode_element(self, a):
-        return encode_int(a[0]) + encode_int(a[1])
-
-    def decode_element(self, buf, offset):
-        t, offset = decode_int(buf, offset)
-        e, offset = decode_int(buf, offset)
-        return (t, e), offset
-
-    def element_from_json(self, obj):
-        return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
-
-    def measure(self, a):
-        return abs(a[0])
-
-    def random_element(self, rng, size=10):
-        return (rng.randint(-size, size), rng.randint(0, 1))
 
     def _is_generating(self, entries):
         # The subgroup meets the translation part in g*Z where g is the gcd of
@@ -458,9 +464,6 @@ class InfiniteDihedral(Group):
 
     def standard_generators(self):
         return ((1, 0), (0, 1))
-
-    def spec_json(self):
-        return {"kind": "InfiniteDihedral"}
 
 
 class FiniteCayley(Group):
@@ -489,24 +492,25 @@ class FiniteCayley(Group):
         right = tab[:, tab.reshape(-1)].reshape(k, k, k)    # a*(b*c)
         if not (left == right).all():
             raise UsageError("FiniteCayley table is not associative")
-        inv = np.full(k, -1, dtype=np.int64)
+        inv = []
         for a in range(k):
             hits = np.nonzero(tab[a] == identity)[0]
             if len(hits) != 1 or tab[hits[0], a] != identity:
                 raise UsageError("FiniteCayley table lacks two-sided inverses")
-            inv[a] = hits[0]
+            inv.append(int(hits[0]))
         self.table = tab
         self.id_index = identity
-        self._inv = inv
+        # elements are indices already, so the table is its own index form
+        self._index_form = FiniteTable(self, list(range(k)), {a: a for a in range(k)}, tab.tolist(), inv, identity)
 
     def identity(self):
         return self.id_index
 
     def mul(self, a, b):
-        return int(self.table[a, b])
+        return self._index_form.mul[a][b]
 
     def inv(self, a):
-        return int(self._inv[a])
+        return self._index_form.inv[a]
 
     def check_element(self, a):
         if not _is_int(a) or not 0 <= a < self.order:
@@ -526,7 +530,7 @@ class FiniteCayley(Group):
         return rng.randrange(self.order)
 
     def _is_generating(self, entries):
-        return len(_closure(self, entries)) == self.order
+        return len(self._index_form.closure(tuple(entries))) == self.order
 
     def standard_generators(self):
         all_elems = list(self.elements())
@@ -551,65 +555,27 @@ class FiniteCayley(Group):
         }
 
 
-def _heis_mul(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
-
-
-class Heisenberg(Group):
+class Heisenberg(IntVectorGroup):
     """Free nilpotent group of rank 2 and class 2, in Mal'cev coordinates."""
 
     kind = "Heisenberg"
+    abelian_coords = 2
 
-    def identity(self):
-        return (0, 0, 0)
+    def __init__(self):
+        super().__init__((None,) * 3)
 
     def mul(self, a, b):
-        return _heis_mul(a, b)
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
 
     def inv(self, a):
         x, y, z = a
         return (-x, -y, x * y - z)
 
-    def check_element(self, a):
-        if not (isinstance(a, tuple) and len(a) == 3 and all(_is_int(x) for x in a)):
-            raise UsageError("Heisenberg element must be a triple of ints")
-        return a
 
-    def encode_element(self, a):
-        return b"".join(encode_int(x) for x in a)
-
-    def decode_element(self, buf, offset):
-        x, offset = decode_int(buf, offset)
-        y, offset = decode_int(buf, offset)
-        z, offset = decode_int(buf, offset)
-        return (x, y, z), offset
-
-    def element_from_json(self, obj):
-        return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
-
-    def measure(self, a):
-        return max(abs(v) for v in a)
-
-    def random_element(self, rng, size=10):
-        return tuple(rng.randint(-size, size) for _ in range(3))
-
-    def _is_generating(self, entries):
-        # A tuple generates a nilpotent group iff its image generates the
-        # abelianization; here that image is the (x, y) pairs in Z^2.
-        return lattice_is_full([(x, y) for x, y, _ in entries], 2)
-
-    def standard_generators(self):
-        return ((1, 0, 0), (0, 1, 0))
-
-    def spec_json(self):
-        return {"kind": "Heisenberg"}
-
-
-class FiniteAbelianExp(Group):
+class FiniteAbelianExp(IntVectorGroup):
     """(Z/m)^d: the free object of rank d among abelian groups of exponent m."""
 
     kind = "FiniteAbelianExp"
-    is_finite = True
 
     def __init__(self, m: int, d: int):
         if not _is_int(m) or m < 2:
@@ -618,9 +584,7 @@ class FiniteAbelianExp(Group):
             raise UsageError("FiniteAbelianExp rank d must be a positive int")
         self.m = m
         self.d = d
-
-    def identity(self):
-        return (0,) * self.d
+        super().__init__((m,) * d)
 
     def mul(self, a, b):
         return tuple((x + y) % self.m for x, y in zip(a, b))
@@ -628,69 +592,28 @@ class FiniteAbelianExp(Group):
     def inv(self, a):
         return tuple((-x) % self.m for x in a)
 
-    def check_element(self, a):
-        if not (
-            isinstance(a, tuple)
-            and len(a) == self.d
-            and all(_is_int(x) and 0 <= x < self.m for x in a)
-        ):
-            raise UsageError(f"FiniteAbelianExp element must be {self.d} residues mod {self.m}")
-        return a
-
-    def encode_element(self, a):
-        return b"".join(encode_int(x) for x in a)
-
-    def decode_element(self, buf, offset):
-        out = []
-        for _ in range(self.d):
-            v, offset = decode_int(buf, offset)
-            out.append(v)
-        return tuple(out), offset
-
-    def element_from_json(self, obj):
-        return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
-
-    def random_element(self, rng, size=10):
-        return tuple(rng.randrange(self.m) for _ in range(self.d))
-
-    def _is_generating(self, entries):
-        return len(_closure(self, entries)) == self.order
-
-    def standard_generators(self):
-        return tuple(tuple(1 if k == i else 0 for k in range(self.d)) for i in range(self.d))
-
-    @property
-    def order(self):
-        return self.m**self.d
-
-    def elements(self):
-        return iproduct(range(self.m), repeat=self.d)
-
     def spec_json(self):
         return {"kind": "FiniteAbelianExp", "m": self.m, "d": self.d}
 
 
-class BurnsideB23(Group):
-    """The free 2-generated exponent-3 group, realized over Z/3.
+class BurnsideB23(Heisenberg):
+    """The free 2-generated exponent-3 group: the Heisenberg law mod 3.
 
-    Construction self-checks: 27 elements, g*g*g = identity for every g, and
-    the two designated generators generate.
+    It has 27 elements, the order of B(2,3). Construction self-checks, on
+    its index form, that g*g*g = identity for every g and that the two
+    designated generators generate.
     """
 
     kind = "BurnsideB23"
-    is_finite = True
 
     def __init__(self):
-        elems = list(iproduct(range(3), range(3), range(3)))
-        assert len(elems) == 27
-        for g in elems:
-            if self.mul(self.mul(g, g), g) != (0, 0, 0):
-                raise AssertionError(f"exponent-3 law fails at {g}")
-        if len(_closure(self, self.standard_generators())) != 27:
+        IntVectorGroup.__init__(self, (3, 3, 3))
+        tab = FiniteTable.of(self)
+        for g in range(tab.order):
+            if tab.mul[tab.mul[g][g]][g] != tab.id_idx:
+                raise AssertionError(f"exponent-3 law fails at {tab.elements[g]}")
+        if len(tab.closure(tuple(tab.index[g] for g in self.standard_generators()))) != tab.order:
             raise AssertionError("designated generators do not generate")
-
-    def identity(self):
-        return (0, 0, 0)
 
     def mul(self, a, b):
         return ((a[0] + b[0]) % 3, (a[1] + b[1]) % 3, (a[2] + b[2] + a[0] * b[1]) % 3)
@@ -698,46 +621,6 @@ class BurnsideB23(Group):
     def inv(self, a):
         x, y, z = a
         return ((-x) % 3, (-y) % 3, (x * y - z) % 3)
-
-    def check_element(self, a):
-        if not (
-            isinstance(a, tuple)
-            and len(a) == 3
-            and all(_is_int(x) and 0 <= x < 3 for x in a)
-        ):
-            raise UsageError("BurnsideB23 element must be a triple of residues mod 3")
-        return a
-
-    def encode_element(self, a):
-        return b"".join(encode_int(x) for x in a)
-
-    def decode_element(self, buf, offset):
-        x, offset = decode_int(buf, offset)
-        y, offset = decode_int(buf, offset)
-        z, offset = decode_int(buf, offset)
-        return (x, y, z), offset
-
-    def element_from_json(self, obj):
-        return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
-
-    def random_element(self, rng, size=10):
-        return tuple(rng.randrange(3) for _ in range(3))
-
-    def _is_generating(self, entries):
-        return len(_closure(self, entries)) == 27
-
-    def standard_generators(self):
-        return ((1, 0, 0), (0, 1, 0))
-
-    @property
-    def order(self):
-        return 27
-
-    def elements(self):
-        return iproduct(range(3), range(3), range(3))
-
-    def spec_json(self):
-        return {"kind": "BurnsideB23"}
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -830,10 +713,7 @@ class FreeGroup(Group):
             out = self.mul(out, (x,))
         return out
 
-    def _is_generating(self, entries):
-        return self._folds_to_rose(entries)
-
-    def _folds_to_rose(self, words) -> bool:
+    def _is_generating(self, words):
         """Stallings folding: fold the rose of word loops; the tuple generates
         iff the folded core at the basepoint is the one-vertex rose with d loops."""
         parent = [0]
@@ -929,7 +809,7 @@ def group_from_json(obj: dict) -> Group:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError("group JSON must be an object with a 'kind' field")
     kind = obj["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise UsageError(f"unknown group kind {kind!r}; known: {sorted(_KINDS)}")
     cls, params = _KINDS[kind]
     extra = set(obj) - {"kind", *params}

@@ -42,6 +42,23 @@ def components_unionfind(group: Group, n: int) -> tuple[int, list[list[State]]]:
     return sum(gen_mask), list(classes.values())
 
 
+def element_closure(group: Group, entries: State) -> set:
+    """Subgroup of a finite group generated by the entries, grown one
+    product at a time from the group law alone."""
+    seen = set(entries) | {group.identity()}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in entries:
+                for w in (group.mul(g, h), group.mul(h, g)):
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    return seen
+
+
 def brute_force_closed_walks(group: Group, root: State, k_max: int) -> list[int]:
     """Enumerate the tree of move sequences directly (no fragment)."""
     n = len(root)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -187,15 +188,18 @@ def test_cover_names_a_rewired_dart(capsys, tmp_path):
     from nielsen.groups import Integers
 
     rows = [json.loads(line) for line in ball(Integers(), (1, 1), 2).to_jsonl().splitlines()]
-    rows[0]["adj"][0]["to"] = rows[-1]["v"]
+    target = rows[0]["adj"][0]["to"]
     path = tmp_path / "frag.jsonl"
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    code, out, err = run_cli(
-        capsys, "cover", "--pi", '{"rule":"project","domain":{"kind":"FreeAbelian","d":2},"e":1}',
-        "--n", "2", "--samples", "10", "--fragment", str(path),
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("usage error") and "R+:1,2" in err and rows[0]["v"] in err
+    # every wrong target, including ones the lift reaches through other darts
+    for wrong in (row["v"] for row in rows if row["v"] != target):
+        rows[0]["adj"][0]["to"] = wrong
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, out, err = run_cli(
+            capsys, "cover", "--pi", '{"rule":"project","domain":{"kind":"FreeAbelian","d":2},"e":1}',
+            "--n", "2", "--samples", "10", "--fragment", str(path),
+        )
+        assert code == 2 and out == "", wrong
+        assert err.startswith("usage error") and "R+:1,2" in err and rows[0]["v"] in err
 
 
 def test_bool_spec_is_usage_error(capsys):
@@ -233,6 +237,17 @@ def test_components_beyond_the_label_limits(capsys):
     assert err.startswith("resource error") and "int32" in err and "Traceback" not in err
 
 
+def test_components_bounds_the_multiplication_table(capsys):
+    # 4096 tuples, but a table of 4096^2 entries: over the default cap
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "components", "--group", '{"kind":"FiniteAbelianExp","m":2,"d":12}', "--n", "1",
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("resource error") and "multiplication table" in err and "Traceback" not in err
+
+
 def test_console_entry_point_runs():
     out = subprocess.run(
         [sys.executable, "-m", "nielsen.cli", "euclid", "--root", "[2,3]"],
@@ -254,7 +269,8 @@ def test_package_runs_as_module(capsys):
     assert json.loads(out)["sizes"] == [8]
 
 
-# sha256 of exports written before the BFS deduplicated on tuples
+# sha256 of exports written before the BFS deduplicated on tuples (the first
+# six) and before the integer-vector kinds shared one base class (the rest)
 GOLDEN_EXPORTS = {
     ('{"kind":"Integers"}', "[1,1]", "6", "jsonl"):
         "4be31ad6a255571cc18df8ab5758dc9ce949ca776023343f34d22aef6e08a6d2",
@@ -268,6 +284,14 @@ GOLDEN_EXPORTS = {
         "80d3b7e9f9762ddf8231877f3a64f64cdc1af4dc6241889eda5fbb816818854a",
     ('{"kind":"FreeGroup","d":2}', '["a","b"]', "3", "dot"):
         "0f5fd0a567930d252c0a14f77724a12ecd6e487b6a8e4844b6c8f3cbbf670d24",
+    ('{"kind":"InfiniteDihedral"}', "[[0,1],[1,1]]", "6", "jsonl"):
+        "7320d6d37542ac384b1a98bf3dab38480ea5a422817c6c578dafd72493d102cb",
+    ('{"kind":"FreeAbelian","d":2}', "[[1,0],[0,1]]", "3", "jsonl"):
+        "0362daef52459d8c1cd632ac8394499c8fda2a3897e9b1d12ee2873ab90223f5",
+    ('{"kind":"FiniteAbelianExp","m":3,"d":2}', "[[1,0],[0,1]]", "4", "jsonl"):
+        "a9702acc2184685cc399d5584210262173df751233aeb2275d313210fe7ba07f",
+    ('{"kind":"BurnsideB23"}', "[[1,0,0],[0,1,0]]", "3", "jsonl"):
+        "f410f169e089680a62ccc578b8545ab69c16345058ec88e1b57261034a30b5c1",
 }
 
 

@@ -1,6 +1,7 @@
 """Group kernel: laws, normal forms, serialization, generation tests."""
 
 import math
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,7 @@ from nielsen.groups import (
 )
 
 from conftest import seeded
+from oracles import element_closure
 
 ints = st.integers(min_value=-50, max_value=50)
 
@@ -249,6 +251,23 @@ def test_burnside_invariants():
             assert B.is_generating((a, b)) == oracle
 
 
+GENERATION_GRID = [(FiniteAbelianExp(m, d), n) for m, d in ((2, 1), (4, 2), (6, 1), (2, 3), (9, 1), (6, 2))
+                   for n in (1, 2, 3)]
+GENERATION_GRID += [(BurnsideB23(), n) for n in (1, 2, 3)]
+GENERATION_GRID += [(FiniteCayley(dihedral_table(3), 0), 2), (FiniteCayley(quaternion_table(), 0), 2)]
+
+
+@pytest.mark.parametrize("group, n", GENERATION_GRID,
+                         ids=[f"{g.kind}{g.order}-n{n}" for g, n in GENERATION_GRID])
+def test_generation_matches_element_closure(group, n):
+    generates = {}  # the generated subgroup depends only on the set of entries
+    for t in iproduct(group.elements(), repeat=n):
+        entries = frozenset(t)
+        if entries not in generates:
+            generates[entries] = len(element_closure(group, t)) == group.order
+        assert group.is_generating(t) == generates[entries], t
+
+
 def test_free_group_words():
     F = FreeGroup(2)
     ab = F.word_from_str("ab")
@@ -352,6 +371,33 @@ def test_bool_is_not_an_int():
                         (FiniteCayley(cyclic_table(2), 0), True), (FreeGroup(2), (True,))):
         with pytest.raises(UsageError):
             group.check_element(elem)
+
+
+JSON_LEAVES = st.one_of(st.booleans(), st.none(), st.integers(-4, 12), st.floats(), st.text(max_size=3))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+INT_VECTOR_GROUPS = (FreeAbelian(2), FreeAbelian(3), FiniteAbelianExp(3, 2), FiniteAbelianExp(2, 3),
+                     Heisenberg(), BurnsideB23(), InfiniteDihedral())
+
+
+@given(
+    st.one_of(st.sampled_from([g.kind for g in INT_VECTOR_GROUPS]), JSON_VALUES),
+    st.dictionaries(st.sampled_from(["m", "d", "table"]), JSON_VALUES, max_size=3),
+    st.sampled_from(INT_VECTOR_GROUPS),
+    st.one_of(JSON_VALUES, st.lists(st.integers(-4, 12), max_size=4)),
+)
+def test_spec_and_element_parsers_raise_only_usage_errors(kind, params, group, element):
+    # bools, floats, strings, None, nested lists, wrong lengths, residues out
+    # of range and reflection bits outside {0, 1} are rejected, never crash
+    try:
+        group = group_from_json({"kind": kind, **params})
+    except UsageError:
+        pass
+    try:
+        g = group.element_from_json(element)
+    except UsageError:
+        return
+    assert group.check_element(g) == g
+    assert group.decode_element(group.encode_element(g), 0)[0] == g
 
 
 def test_table_builders_are_groups():
