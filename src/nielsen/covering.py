@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import UsageError, VerificationError
 from .explore import GraphFragment
 from .groups import (
@@ -86,6 +88,8 @@ def projection(domain: Group, e: int) -> Epimorphism:
         d = domain.d
     else:
         raise UsageError("project rule needs an Integers or FreeAbelian domain")
+    if not isinstance(e, int) or isinstance(e, bool):
+        raise UsageError(f"projection target rank e must be an int, got {e!r}")
     if not 1 <= e <= d:
         raise UsageError(f"projection target rank e={e} must satisfy 1 <= e <= {d}")
     if e == 1:
@@ -124,38 +128,32 @@ def abelianization(domain: Group | None = None) -> Epimorphism:
 
 
 def finite_quotient(domain: Group, normal: list[int]) -> Epimorphism:
+    """The quotient by a listed normal subgroup N, checked and built on the
+    domain's table array: closure, inverses and conjugates are gathers, and
+    the cosets gN are numbered in the order of their least elements."""
     if not isinstance(domain, FiniteCayley):
         raise UsageError("finite_quotient rule needs a FiniteCayley domain")
-    sub = sorted(set(normal))
-    for x in sub:
-        domain.check_element(x)
-    subset = set(sub)
-    if domain.id_index not in subset:
+    if not isinstance(normal, list):
+        raise UsageError("finite_quotient 'normal' must be a list of element indices")
+    sub = sorted({domain.check_element(x) for x in normal})
+    tab = domain.table
+    inv = np.argmax(tab == domain.id_index, axis=1)
+    member = np.zeros(domain.order, dtype=bool)
+    member[sub] = True
+    if not member[domain.id_index]:
         raise UsageError("normal subgroup must contain the identity")
-    for a in sub:
-        if domain.inv(a) not in subset:
-            raise UsageError("listed subset is not closed under inverses")
-        for b in sub:
-            if domain.mul(a, b) not in subset:
-                raise UsageError("listed subset is not closed under multiplication")
-    for g in domain.elements():
-        gi = domain.inv(g)
-        for x in sub:
-            if domain.mul(domain.mul(g, x), gi) not in subset:
-                raise UsageError("listed subgroup is not normal")
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for g in domain.elements():
-        if g in coset_of:
-            continue
-        members = sorted(domain.mul(g, x) for x in sub)
-        rep_pos = len(reps)
-        reps.append(members[0])
-        for mbr in members:
-            coset_of[mbr] = rep_pos
-    k = len(reps)
-    table = [[coset_of[domain.mul(reps[a], reps[b])] for b in range(k)] for a in range(k)]
-    codomain = FiniteCayley(table, coset_of[domain.id_index])
+    # the first element of N, in increasing order, with its inverse or a
+    # product outside N names the failure
+    bad_inv = ~member[inv[sub]]
+    bad = bad_inv | ~member[tab[np.ix_(sub, sub)]].all(axis=1)
+    if bad.any():
+        broken = "inverses" if bad_inv[bad.argmax()] else "multiplication"
+        raise UsageError(f"listed subset is not closed under {broken}")
+    if not member[tab[tab[:, sub], inv[:, None]]].all():
+        raise UsageError("listed subgroup is not normal")
+    reps, coset = np.unique(tab[:, sub].min(axis=1), return_inverse=True)
+    coset_of = coset.tolist()
+    codomain = FiniteCayley(coset[tab[np.ix_(reps, reps)]].tolist(), coset_of[domain.id_index])
     return Epimorphism(
         "finite_quotient", domain, codomain, lambda g: coset_of[g], {"normal": sub}
     )
@@ -245,6 +243,8 @@ def verify_star_bijection(
     """
     moves = move_set(n)
     if tuples is None:
+        if samples < 0:
+            raise UsageError(f"samples must be >= 0, got {samples}")
         rng = random.Random(seed)
         tuples = [random_generating_tuple(epi.domain, n, rng) for _ in range(samples)]
     report = StarReport(checked=len(tuples), moves=len(moves))

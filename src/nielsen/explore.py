@@ -374,6 +374,19 @@ class ComponentsReport:
         return [tuple(self.table.elements[k] for k in t) for t in idx]
 
 
+def check_finite_sizes(order: int, n: int, cap: int) -> int:
+    """The number |G|^n of n-tuples, once it fits int32 labels and the cap
+    and the |G|^2 multiplication table fits the cap; ResourceCapError if not."""
+    total = order**n
+    if total >= _LABEL_LIMIT:
+        raise ResourceCapError(f"state count {total} exceeds the int32 label limit {_LABEL_LIMIT - 1}")
+    if total > cap:
+        raise ResourceCapError(f"state count {total} exceeds cap {cap}")
+    if order**2 > cap:
+        raise ResourceCapError(f"multiplication table of {order}^2 entries exceeds cap {cap}")
+    return total
+
+
 def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> ComponentsReport:
     """Partition all generating n-tuples of a finite group into Nielsen classes.
 
@@ -397,13 +410,7 @@ def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Component
         raise UsageError("components requires n >= 1")
     if n > _MAX_AXES:
         raise UsageError(f"components supports n <= {_MAX_AXES}, one label axis per entry; got n = {n}")
-    total = group.order**n
-    if total >= _LABEL_LIMIT:
-        raise ResourceCapError(f"state count {total} exceeds the int32 label limit {_LABEL_LIMIT - 1}")
-    if total > cap:
-        raise ResourceCapError(f"state count {total} exceeds cap {cap}")
-    if group.order**2 > cap:
-        raise ResourceCapError(f"multiplication table of {group.order}^2 entries exceeds cap {cap}")
+    total = check_finite_sizes(group.order, n, cap)
     tab = FiniteTable.of(group)
     gen_idx = np.flatnonzero(tab.generating_mask(n))
     order = tab.order

@@ -44,14 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
 from .errors import UsageError
-
-if TYPE_CHECKING:
-    from .moves import Move
 
 Element = Any
 State = tuple  # ordered tuple of elements; the vertex type of a Nielsen graph
@@ -253,15 +250,6 @@ class FiniteTable:
                             nxt.append(c)
             frontier = nxt
         return seen
-
-    def apply_move_idx(self, state: tuple[int, ...], move: "Move") -> tuple[int, ...]:
-        if move.kind == "I":
-            j = move.j - 1
-            return state[:j] + (self.inv[state[j]],) + state[j + 1 :]
-        i, j = move.i - 1, move.j - 1
-        h = state[j] if move.sign > 0 else self.inv[state[j]]
-        new = self.mul[state[i]][h] if move.kind == "R" else self.mul[h][state[i]]
-        return state[:i] + (new,) + state[i + 1 :]
 
     def index_tuples(self, positions, n: int) -> list[tuple[int, ...]]:
         """The index n-tuples at the given enumeration positions."""

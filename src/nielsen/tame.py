@@ -3,19 +3,27 @@
 For a finite relatively free group of rank d, the generating d-tuples are in
 bijection with the automorphisms: each tuple is the image of a designated
 base tuple under exactly one automorphism. The moves act on tuples, hence
-induce automorphisms; the subgroup they generate acts on each Nielsen-class
+induce automorphisms; the subgroup they generate acts on each Nielsen class
 and every class is its Cayley graph with respect to the move labels. This
 module enumerates both sides exhaustively and checks the match.
+
+Aut(G) is one (A, |G|) array: row k sends the base to the generating tuple
+at the k-th enumeration position, so phi o psi needs phi only at psi(base),
+a subgroup is a row mask grown by BFS, and moves act on whole index columns
+through ``moves.apply_move``. Every step is a gather.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
-from .errors import UsageError, VerificationError
-from .explore import ComponentsReport, components
+import numpy as np
+
+from .errors import ResourceCapError, UsageError, VerificationError
+from .explore import DEFAULT_VERTEX_CAP, ComponentsReport, check_finite_sizes, components
 from .groups import FiniteTable, Group, State
-from .moves import Move, move_set
+from .moves import Move, apply_move, move_set
 
 
 class NotRelativelyFreeError(UsageError):
@@ -36,79 +44,47 @@ class NotRelativelyFreeError(UsageError):
 
 @dataclass
 class AutAction:
-    """Aut(G) as permutations of element indices, tied to generating d-tuples."""
+    """Aut(G) as one array of element-index permutations, tied to generating d-tuples."""
 
     table: FiniteTable
+    law: SimpleNamespace                # mul/inv on element-index arrays, for apply_move
     d: int
     base: tuple[int, ...]
-    tuples: list[tuple[int, ...]]       # all generating d-tuples, enumeration order
-    perms: list[tuple[int, ...]]        # perms[k] is the automorphism sending base to tuples[k]
-    by_tuple: dict[tuple[int, ...], int]
-    tame_flags: list[bool] | None = None
+    positions: np.ndarray               # of the generating d-tuples, increasing
+    perms: np.ndarray                   # (A, |G|): row k sends base to the tuple at positions[k]
+    tame_flags: np.ndarray | None = None  # row mask of the tame subgroup, set by tame_subgroup
 
     @property
     def order(self) -> int:
-        return len(self.perms)
+        return len(self.positions)
 
-    def aut_sending(self, src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
-        """The unique automorphism with phi(src) = dst, for generating tuples."""
-        inv_src = self.perm_inverse(self.perms[self.by_tuple[src]])
-        phi_dst = self.perms[self.by_tuple[dst]]
-        return self.compose(phi_dst, inv_src)
+    def rows(self, cols) -> np.ndarray:
+        """Rows sending base to d index columns (or one tuple); -1 off the generating tuples."""
+        pos = np.ravel_multi_index(cols, (self.table.order,) * self.d)
+        k = np.minimum(np.searchsorted(self.positions, pos), self.order - 1)
+        return np.where(self.positions[k] == pos, k, -1)
 
-    @staticmethod
-    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        """(p o q)(x) = p(q(x))."""
-        return tuple(p[x] for x in q)
+    def after(self, rows, inner) -> np.ndarray:
+        """Rows of phi o psi for each row phi, where psi(base) = ``inner``."""
+        return self.rows(self.perms[np.asarray(rows)[None, :], np.asarray(inner)[:, None]])
 
-    @staticmethod
-    def perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(p)
-        for k, v in enumerate(p):
-            out[v] = k
-        return tuple(out)
-
-
-def _extend_to_automorphism(tab: FiniteTable, base: tuple[int, ...], target: tuple[int, ...]):
-    """Extend base -> target to an automorphism, or return None.
-
-    phi is built along a BFS of right multiplications by base entries, then
-    checked on all (element, generator) products; that suffices, since
-    phi(g * b_k) = phi(g) * t_k for all g, k propagates to all products.
-    """
-    order = tab.order
-    phi = [-1] * order
-    phi[tab.id_idx] = tab.id_idx
-    queue = [tab.id_idx]
-    qpos = 0
-    while qpos < len(queue):
-        g = queue[qpos]
-        qpos += 1
-        for bk, tk in zip(base, target):
-            h = tab.mul[g][bk]
-            if phi[h] < 0:
-                phi[h] = tab.mul[phi[g]][tk]
-                queue.append(h)
-    if qpos != order:
-        return None  # base does not generate; caller filters this out
-    for g in range(order):
-        for bk, tk in zip(base, target):
-            if phi[tab.mul[g][bk]] != tab.mul[phi[g]][tk]:
-                return None
-    if len(set(phi)) != order:
-        return None
-    return tuple(phi)
+    def carrying(self, src: int, dst) -> np.ndarray:
+        """Rows of phi_dst o phi_src^-1, carrying the tuple of row ``src`` to those of ``dst``."""
+        return self.after(dst, np.argsort(self.perms[src])[list(self.base)])
 
 
 def aut_group(group: Group, d: int, base: State | None = None) -> AutAction:
     """All automorphisms of a finite relatively free group of rank d.
 
-    Enumerates generating d-tuples and extends each to an automorphism via
-    the designated base tuple; if any generating tuple fails to extend the
+    Extends base -> t for every generating d-tuple t at once, one gather per
+    edge of a BFS tree of the Cayley graph of G with respect to the base,
+    and checks each map to be a bijective homomorphism; if any is not, the
     group is not relatively free of rank d and NotRelativelyFreeError
-    reports the discrepancy.
+    reports the discrepancy. The base length and every array size are
+    checked against the vertex cap before anything is built.
     """
-    tab = FiniteTable.of(group)
+    if not group.is_finite:
+        raise UsageError(f"{group.kind} is not a finite group")
     if base is None:
         base_vals = group.standard_generators()
         if len(base_vals) != d:
@@ -119,23 +95,42 @@ def aut_group(group: Group, d: int, base: State | None = None) -> AutAction:
         base_vals = tuple(group.check_element(g) for g in base)
         if len(base_vals) != d:
             raise UsageError("base tuple length must equal d")
+    check_finite_sizes(group.order, d, DEFAULT_VERTEX_CAP)
+    tab = FiniteTable.of(group)
     base_idx = tuple(tab.index[g] for g in base_vals)
     if len(tab.closure(base_idx)) != tab.order:
         raise UsageError("base tuple does not generate the group")
 
-    tuples = tab.index_tuples(tab.generating_mask(d).nonzero()[0], d)
-    perms = []
-    failures = 0
-    for cand in tuples:
-        phi = _extend_to_automorphism(tab, base_idx, cand)
-        if phi is None:
-            failures += 1
-        else:
-            perms.append(phi)
-    if failures:
-        raise NotRelativelyFreeError(group, d, len(tuples), len(tuples) - failures)
-    by_tuple = {t: k for k, t in enumerate(tuples)}
-    return AutAction(table=tab, d=d, base=base_idx, tuples=tuples, perms=perms, by_tuple=by_tuple)
+    positions = np.flatnonzero(tab.generating_mask(d))
+    if len(positions) * tab.order > DEFAULT_VERTEX_CAP:
+        raise ResourceCapError(
+            f"automorphism array of {len(positions)} x {tab.order} entries exceeds cap {DEFAULT_VERTEX_CAP}"
+        )
+    mul, inv = np.array(tab.mul, dtype=np.intp), np.array(tab.inv, dtype=np.intp)
+    law = SimpleNamespace(mul=lambda a, b: mul[a, b], inv=inv.__getitem__)
+    targets = np.unravel_index(positions, (tab.order,) * d)
+    # phi(g * b_k) = phi(g) * t_k along the tree (the base generates, so it
+    # spans G); checking it at every g * b_k makes phi a homomorphism
+    perms = np.empty((len(positions), tab.order), dtype=np.intp, order="F")
+    perms[:, tab.id_idx] = tab.id_idx
+    queue = [tab.id_idx]
+    reached = {tab.id_idx}
+    for g in queue:
+        for bk, tk in zip(base_idx, targets):
+            h = tab.mul[g][bk]
+            if h not in reached:
+                reached.add(h)
+                queue.append(h)
+                perms[:, h] = mul[perms[:, g], tk]
+    ok = np.ones(len(positions), dtype=bool)
+    for bk, tk in zip(base_idx, targets):
+        ok &= (perms[:, mul[:, bk]] == mul[perms, tk[:, None]]).all(axis=1)
+    hit = np.zeros(perms.shape, dtype=bool)
+    np.put_along_axis(hit, perms, True, axis=1)
+    ok &= hit.all(axis=1)
+    if not ok.all():
+        raise NotRelativelyFreeError(group, d, len(positions), int(ok.sum()))
+    return AutAction(table=tab, law=law, d=d, base=base_idx, positions=positions, perms=perms)
 
 
 @dataclass
@@ -145,55 +140,45 @@ class TameReport:
     index: int
     generator_labels: list[str]
 
-    def to_json(self) -> dict:
-        return {
-            "aut_order": self.aut_order,
-            "tame_order": self.tame_order,
-            "index": self.index,
-            "generators": self.generator_labels,
-        }
 
-
-def move_automorphisms(act: AutAction, base: tuple[int, ...] | None = None) -> dict[Move, tuple[int, ...]]:
-    """The automorphism induced by each move: the one carrying base to base.move."""
+def move_automorphisms(act: AutAction, base: tuple[int, ...] | None = None) -> dict[Move, int]:
+    """The row of the automorphism induced by each move: the one carrying
+    base (a generating index tuple) to base.move."""
     base = act.base if base is None else base
-    out = {}
-    for mv in move_set(act.d):
-        target = act.table.apply_move_idx(base, mv)
-        k = act.by_tuple.get(target)
-        if k is None:
-            raise VerificationError(f"move image {target} of the base is not a generating tuple")
-        out[mv] = act.aut_sending(base, target)
-    return out
+    moves = move_set(act.d)
+    targets = np.array([apply_move(act.law, base, mv) for mv in moves]).T
+    rows = act.rows(targets)
+    bad = np.flatnonzero(rows < 0)
+    if bad.size:
+        target = tuple(targets[:, bad[0]].tolist())
+        raise VerificationError(f"move image {target} of the base is not a generating tuple")
+    return dict(zip(moves, act.carrying(int(act.rows(base)), rows).tolist()))
 
 
-def subgroup_closure(generators: list[tuple[int, ...]], identity: tuple[int, ...]) -> set[tuple[int, ...]]:
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = AutAction.compose(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
+def _closure(act: AutAction, gens) -> np.ndarray:
+    """Row mask of the subgroup generated by the rows ``gens``."""
+    member = np.zeros(act.order, dtype=bool)
+    frontier = act.rows(act.base).reshape(1)
+    member[frontier] = True
+    inners = [act.perms[g, list(act.base)] for g in gens]
+    while frontier.size:
+        reached = np.unique(np.concatenate([act.after(frontier, inner) for inner in inners]))
+        frontier = reached[~member[reached]]
+        member[frontier] = True
+    return member
 
 
 def tame_subgroup(act: AutAction) -> TameReport:
     """Closure of the move-induced automorphisms, with its index in Aut(G)."""
     gens = move_automorphisms(act)
-    identity = tuple(range(act.table.order))
-    members = subgroup_closure(list(gens.values()), identity)
-    act.tame_flags = [p in members for p in act.perms]
-    if act.order % len(members) != 0:
+    act.tame_flags = _closure(act, gens.values())
+    tame_order = int(act.tame_flags.sum())
+    if act.order % tame_order != 0:
         raise VerificationError("tame subgroup order does not divide Aut order")
     return TameReport(
         aut_order=act.order,
-        tame_order=len(members),
-        index=act.order // len(members),
+        tame_order=tame_order,
+        index=act.order // tame_order,
         generator_labels=[m.text() for m in gens],
     )
 
@@ -220,18 +205,8 @@ class ComponentStructureReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group.spec_json(),
-            "d": self.d,
-            "aut_order": self.aut_order,
-            "tame_order": self.tame_order,
-            "index": self.index,
-            "num_components": self.num_components,
-            "component_sizes": self.component_sizes,
-            "components_isomorphic": self.components_isomorphic,
-            "cayley_match": self.cayley_match,
-            "ok": self.ok,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**out, "group": self.group.spec_json(), "ok": self.ok}
 
 
 def verify_component_structure(group: Group, d: int) -> ComponentStructureReport:
@@ -241,56 +216,49 @@ def verify_component_structure(group: Group, d: int) -> ComponentStructureReport
     Checks: the number of classes equals the index of the tame subgroup;
     every class has its size; each class maps label-preservingly onto the
     Cayley graph of the tame subgroup computed at that class's
-    representative; and the automorphism action carries classes onto each
-    other. Any failure raises VerificationError (the statements are
+    representative; and the automorphism action carries class 0 onto every
+    other class. Any failure raises VerificationError (the statements are
     theorems for relatively free groups).
     """
     act = aut_group(group, d)
     tame = tame_subgroup(act)
     comps: ComponentsReport = components(group, d)
-    tab = act.table
-
     if comps.generating_count != act.order:
         raise VerificationError("generating-tuple count does not match Aut order")
 
-    sizes = comps.sizes
-    num = comps.num_components
+    dims = (act.table.order,) * d
+    # each class increasing, so its first position is its representative
+    classes = np.split(comps.positions, np.cumsum(comps.sizes)[:-1])
+    rep_rows = []
     cayley_match = True
-    for comp_pos, rep in enumerate(comps.representatives):
-        rep_idx = tuple(tab.index[g] for g in rep)
-        gens = move_automorphisms(act, base=rep_idx)
-        identity = tuple(range(tab.order))
-        t_local = subgroup_closure(list(gens.values()), identity)
-        if len(t_local) != tame.tame_order:
+    for cls in classes:
+        cols = np.unravel_index(cls, dims)
+        gens = move_automorphisms(act, base=tuple(int(c[0]) for c in cols))
+        t_local = _closure(act, gens.values())
+        if t_local.sum() != tame.tame_order:
             raise VerificationError("conjugate tame subgroup has a different order")
-        members = [tuple(tab.index[g] for g in s) for s in comps.members(comp_pos)]
-        by_rep_image = {tuple(p[b] for b in rep_idx): p for p in act.perms}
-        beta = {}
-        for t in members:
-            phi = by_rep_image.get(t)
-            if phi is None:
-                raise VerificationError("component vertex is not an automorphism image of its base")
-            beta[t] = phi
-        if set(beta.values()) != t_local or len(beta) != len(t_local):
+        rows = act.rows(cols)
+        if (rows < 0).any():
+            raise VerificationError("component vertex is not an automorphism image of its base")
+        rep_rows.append(int(rows[0]))
+        # beta[k] carries the representative to member k; the class is the
+        # Cayley graph iff beta is onto t_local and turns moves into alpha
+        beta = act.carrying(rep_rows[-1], rows)
+        if not np.array_equal(np.sort(beta), np.flatnonzero(t_local)):
             cayley_match = False
-        for t in members:
-            for mv, alpha in gens.items():
-                moved = tab.apply_move_idx(t, mv)
-                if beta.get(moved) != AutAction.compose(beta[t], alpha):
-                    cayley_match = False
+        for mv, alpha in gens.items():
+            moved = np.ravel_multi_index(apply_move(act.law, cols, mv), dims)
+            at = np.minimum(np.searchsorted(cls, moved), len(cls) - 1)
+            expected = act.after(beta, act.perms[alpha, list(act.base)])
+            if not (np.array_equal(cls[at], moved) and np.array_equal(beta[at], expected)):
+                cayley_match = False
 
     components_isomorphic = True
-    if num > 1:
-        first = [tuple(tab.index[g] for g in s) for s in comps.members(0)]
-        first_set = set(first)
-        rep0 = tuple(tab.index[g] for g in comps.representatives[0])
-        for comp_pos in range(1, num):
-            repk = tuple(tab.index[g] for g in comps.representatives[comp_pos])
-            gamma = act.aut_sending(rep0, repk)
-            image = {tuple(gamma[x] for x in t) for t in first_set}
-            target = {tuple(tab.index[g] for g in s) for s in comps.members(comp_pos)}
-            if image != target:
-                components_isomorphic = False
+    first = np.unravel_index(classes[0], dims)
+    for cls, row in zip(classes[1:], rep_rows[1:]):
+        gamma = act.perms[act.carrying(rep_rows[0], [row])[0]]
+        if not np.array_equal(np.sort(np.ravel_multi_index(tuple(gamma[c] for c in first), dims)), cls):
+            components_isomorphic = False
 
     return ComponentStructureReport(
         group=group,
@@ -298,8 +266,8 @@ def verify_component_structure(group: Group, d: int) -> ComponentStructureReport
         aut_order=act.order,
         tame_order=tame.tame_order,
         index=tame.index,
-        num_components=num,
-        component_sizes=sorted(sizes, reverse=True),
+        num_components=comps.num_components,
+        component_sizes=sorted(comps.sizes, reverse=True),
         components_isomorphic=components_isomorphic,
         cayley_match=cayley_match,
     )

@@ -1,13 +1,15 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
-``apply_move``, the key encoding and the fragment record."""
+the list table of ``FiniteTable.of``, ``apply_move``, the key encoding, the
+fragment record and the error types."""
 
 from itertools import product as iproduct
 
 from nielsen.errors import ResourceCapError, UsageError
 from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
-from nielsen.groups import Group, State
+from nielsen.groups import FiniteTable, Group, State
 from nielsen.moves import Move, apply_move, move_inverse, move_set
+from nielsen.tame import NotRelativelyFreeError
 
 
 def components_unionfind(group: Group, n: int) -> tuple[int, list[list[State]]]:
@@ -152,3 +154,135 @@ def ball_by_keys(
         if not layer:
             break
     return frag
+
+
+class _ListLaw:
+    """The list multiplication table of a FiniteTable as a law on element
+    indices, for ``apply_move``."""
+
+    def __init__(self, tab: FiniteTable):
+        self.tab = tab
+
+    def mul(self, a, b):
+        return self.tab.mul[a][b]
+
+    def inv(self, a):
+        return self.tab.inv[a]
+
+
+def _extend_by_bfs(tab: FiniteTable, base: tuple, target: tuple):
+    """The map base -> target extended along right multiplications, or None
+    when it is not a bijective homomorphism."""
+    phi = [-1] * tab.order
+    phi[tab.id_idx] = tab.id_idx
+    queue = [tab.id_idx]
+    for g in queue:
+        for bk, tk in zip(base, target):
+            h = tab.mul[g][bk]
+            if phi[h] < 0:
+                phi[h] = tab.mul[phi[g]][tk]
+                queue.append(h)
+    if len(queue) != tab.order:
+        return None
+    for g in range(tab.order):
+        for bk, tk in zip(base, target):
+            if phi[tab.mul[g][bk]] != tab.mul[phi[g]][tk]:
+                return None
+    return tuple(phi) if len(set(phi)) == tab.order else None
+
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """(p o q)(x) = p(q(x))."""
+    return tuple(p[x] for x in q)
+
+
+def _perm_inverse(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for k, v in enumerate(p):
+        out[v] = k
+    return tuple(out)
+
+
+def _subgroup(generators: list, identity: tuple) -> set:
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in generators:
+                q = _compose(p, g)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def tame_reference(group: Group, d: int) -> dict:
+    """The tame analysis of ``nielsen.tame`` on Python tuples.
+
+    One BFS extension per generating d-tuple (found by ``element_closure``),
+    permutations as tuples, subgroups as tuple sets, moves by ``apply_move``
+    on the list table and the Nielsen classes from ``components_unionfind``.
+    Returns the automorphisms in enumeration order (``perms``), their tame
+    flags and the ``verify_component_structure`` report as JSON.
+    """
+    tab = FiniteTable.of(group)
+    law = _ListLaw(tab)
+    base = tuple(tab.index[g] for g in group.standard_generators())
+    assert len(base) == d
+    tuples = [t for t in iproduct(range(tab.order), repeat=d)
+              if len(element_closure(group, tuple(tab.elements[k] for k in t))) == tab.order]
+    perms = [p for p in (_extend_by_bfs(tab, base, t) for t in tuples) if p is not None]
+    if len(perms) != len(tuples):
+        raise NotRelativelyFreeError(group, d, len(tuples), len(perms))
+    by_tuple = dict(zip(tuples, perms))
+    identity = tuple(range(tab.order))
+
+    def sending(src, dst):
+        return _compose(by_tuple[dst], _perm_inverse(by_tuple[src]))
+
+    def move_auts(src):
+        return {mv: sending(src, apply_move(law, src, mv)) for mv in move_set(d)}
+
+    gens = move_auts(base)
+    tame = _subgroup(list(gens.values()), identity)
+    count, classes = components_unionfind(group, d)
+    assert count == len(perms)
+    classes = [[tuple(tab.index[g] for g in s) for s in cls] for cls in classes]
+    cayley_match = True
+    for members in classes:
+        rep = members[0]
+        local = move_auts(rep)
+        t_local = _subgroup(list(local.values()), identity)
+        assert len(t_local) == len(tame)
+        beta = {t: sending(rep, t) for t in members}
+        if set(beta.values()) != t_local or len(beta) != len(t_local):
+            cayley_match = False
+        for t in members:
+            for mv, alpha in local.items():
+                if beta.get(apply_move(law, t, mv)) != _compose(beta[t], alpha):
+                    cayley_match = False
+    isomorphic = all(
+        {tuple(gamma[x] for x in t) for t in classes[0]} == set(members)
+        for members in classes[1:]
+        for gamma in [sending(classes[0][0], members[0])]
+    )
+    index = len(perms) // len(tame)
+    sizes = sorted((len(c) for c in classes), reverse=True)
+    return {
+        "perms": perms,
+        "tame_flags": [p in tame for p in perms],
+        "report": {
+            "group": group.spec_json(),
+            "d": d,
+            "aut_order": len(perms),
+            "tame_order": len(tame),
+            "index": index,
+            "num_components": len(classes),
+            "component_sizes": sizes,
+            "components_isomorphic": isomorphic,
+            "cayley_match": cayley_match,
+            "ok": len(classes) == index and all(s == len(tame) for s in sizes) and isomorphic and cayley_match,
+        },
+    }

@@ -223,6 +223,25 @@ def test_tame_cli(capsys):
     assert report["num_components"] == 2 and report["ok"] is True
 
 
+def test_tame_checks_sizes_before_building_a_table(capsys, monkeypatch):
+    from nielsen.groups import FiniteTable
+
+    def refuse(group):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(FiniteTable, "of", refuse)
+    code, out, err = run_cli(
+        capsys, "tame", "--group", '{"kind":"FiniteAbelianExp","m":2,"d":11}', "--d", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "usage error: default base tuple has length 11; pass an explicit generating 1-tuple\n"
+    code, out, err = run_cli(
+        capsys, "tame", "--group", '{"kind":"FiniteAbelianExp","m":2,"d":12}', "--d", "12",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("resource error") and "Traceback" not in err
+
+
 def test_components_beyond_the_label_limits(capsys):
     code, out, err = run_cli(
         capsys, "components", "--group", '{"kind":"FiniteCayley","table":[[0]],"identity":0}', "--n", "70",

@@ -26,6 +26,7 @@ from nielsen.groups import (
     Heisenberg,
     InfiniteDihedral,
     Integers,
+    cyclic_table,
     dihedral_table,
 )
 from nielsen.moves import eval_word, move_set
@@ -74,6 +75,36 @@ def test_finite_quotient_validation():
         finite_quotient(D6, [0, 1])  # <flip> of order 2 is not normal in S_3
     with pytest.raises(UsageError):
         finite_quotient(D6, [0, 2])  # not closed under multiplication
+
+
+def test_epimorphism_fields_are_validated():
+    s3 = {"kind": "FiniteCayley", "table": dihedral_table(3), "identity": 0}
+    for normal in (5, None, [[0]], [True, 2, 4], [0, 2, 4.0]):
+        with pytest.raises(UsageError, match="finite_quotient 'normal'|FiniteCayley element"):
+            epimorphism_from_json({"rule": "finite_quotient", "domain": s3, "normal": normal})
+    for e in (True, 1.0, "1", None):
+        with pytest.raises(UsageError, match="projection target rank e must be an int"):
+            epimorphism_from_json({"rule": "project", "domain": {"kind": "FreeAbelian", "d": 2}, "e": e})
+    with pytest.raises(UsageError, match="samples must be >= 0"):
+        verify_star_bijection(identity_epi(Integers()), 2, samples=-1)
+
+
+def test_finite_quotient_keeps_its_messages():
+    # the messages of the element-level checks, which went through N in
+    # increasing order, each element's inverse before its products; in S_3
+    # rotations are at even indices and flips at odd ones
+    D6 = FiniteCayley(dihedral_table(3), 0)
+    for subset, text in (([], "must contain the identity"),
+                         ([0, 2], "not closed under inverses"),
+                         ([2, 1, 0], "not closed under multiplication"),  # 1 * 2 is a flip; 2^-1 = 4
+                         ([0, 1, 3], "not closed under multiplication"),
+                         ([0, 1], "not normal")):
+        with pytest.raises(UsageError, match=text):
+            finite_quotient(D6, subset)
+    pi = finite_quotient(FiniteCayley(cyclic_table(6), 0), [3, 0, 0])
+    assert pi.params == {"normal": [0, 3]}
+    assert pi.codomain.table.tolist() == cyclic_table(3)
+    assert [pi.apply(g) for g in range(6)] == [0, 1, 2, 0, 1, 2]
 
 
 def test_projection_of_rank1_is_integers():

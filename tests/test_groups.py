@@ -4,9 +4,10 @@ import math
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nielsen.covering import epimorphism_from_json
 from nielsen.errors import UsageError
 from nielsen.groups import (
     BurnsideB23,
@@ -398,6 +399,39 @@ def test_spec_and_element_parsers_raise_only_usage_errors(kind, params, group, e
         return
     assert group.check_element(g) == g
     assert group.decode_element(group.encode_element(g), 0)[0] == g
+
+
+INTEGER_DOMAINS = [{"kind": "Integers"}, {"kind": "FreeAbelian", "d": 2}, {"kind": "FreeAbelian", "d": 3}]
+TABLE_DOMAINS = [FiniteCayley(dihedral_table(3), 0).spec_json(), FiniteCayley(cyclic_table(6), 0).spec_json()]
+RULE_CASES = (  # each rule with the domains it accepts, and its one field
+    [("project", g, "e") for g in INTEGER_DOMAINS] + [("mod", g, "m") for g in INTEGER_DOMAINS]
+    + [("finite_quotient", g, "normal") for g in TABLE_DOMAINS]
+    + [("identity", {"kind": "Heisenberg"}, None), ("reflection", {"kind": "InfiniteDihedral"}, None),
+       ("abelianize", {"kind": "Heisenberg"}, None)]
+)
+FIELD_VALUES = st.one_of(st.booleans(), st.floats(), st.integers(-4, 12), st.none(), st.text(max_size=2),
+                         st.lists(st.integers(-1, 6), max_size=6), JSON_VALUES)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.sampled_from(RULE_CASES), st.tuples(JSON_VALUES, JSON_VALUES, st.sampled_from(["e", "m", None]))),
+    FIELD_VALUES,
+    st.dictionaries(st.sampled_from(["e", "m", "normal"]), JSON_VALUES, max_size=1),
+)
+def test_epimorphism_parser_raises_only_usage_errors(case, value, extra):
+    # a non-list or nested 'normal', a bool or float 'e' or 'm', a subset
+    # that is no normal subgroup, a mismatched domain: each a usage error,
+    # never a crash
+    rule, domain, key = case
+    obj = {"rule": rule, "domain": domain, **({key: value} if key else {}), **extra}
+    try:
+        epi = epimorphism_from_json(obj)
+    except UsageError:
+        return
+    for param in epi.params.values():  # echoed as parsed: no bool or float passes as an int
+        assert all(type(x) is int for x in (param if isinstance(param, list) else [param]))
+    assert epimorphism_from_json(epi.to_json()).to_json() == epi.to_json()
 
 
 def test_table_builders_are_groups():
