@@ -144,58 +144,43 @@ def spectral_estimate(
     return SpectralEstimate(k=k, a_k=a_k, m=m, rho_hat=rho)
 
 
-def ball_family(frag: GraphFragment) -> list[tuple[int, list[int]]]:
-    """All BFS balls of the fragment whose members are fully expanded."""
-    max_depth = max(frag.depths)
-    out = []
-    for r in range(max_depth + 1):
-        idxs = frag.ball_indices(r)
-        if all(frag.expanded[v] for v in idxs):
-            out.append((r, idxs))
-    return out
-
-
 def cheeger_search(frag: GraphFragment, strategy: str = "balls") -> IsoReport:
     """Minimize |boundary|/|S| over a family of candidate sets.
 
-    A finite search yields an upper bound on the isoperimetric constant
-    only; the report's description says which set attained it.
+    Both families are prefixes of the (depth, key) order that end before
+    the first unexpanded vertex: ``sweep`` takes every such prefix, ``balls``
+    those that end a BFS layer (the fully expanded balls). The cut is
+    counted incrementally; dart symmetry makes each count equal
+    ``iso_ratio``'s. A finite search yields an upper bound on the
+    isoperimetric constant only; the report's description says which set
+    attained it.
     """
-    if strategy == "balls":
-        candidates = ball_family(frag)
-        if not candidates:
+    if strategy not in ("balls", "sweep"):
+        raise UsageError(f"unknown strategy {strategy!r}; use 'balls' or 'sweep'")
+    order = sorted(range(len(frag)), key=lambda v: (frag.depths[v], frag.keys[v]))
+    in_set = [False] * len(frag)
+    boundary = 0
+    best: IsoReport | None = None
+    for size, v in enumerate(order, start=1):
+        if not frag.expanded[v]:
+            break
+        in_set[v] = True
+        for w in frag.darts[v]:
+            if w == v:
+                continue
+            boundary += -1 if in_set[w] else 1
+        if strategy == "balls":
+            r = frag.depths[v]
+            if size < len(order) and frag.depths[order[size]] == r:
+                continue
+            description = f"ball r={r} (upper bound on h)"
+        else:
+            description = f"sweep prefix of {size} vertices (upper bound on h)"
+        ratio = Fraction(boundary, size)
+        if best is None or ratio < best.ratio:
+            best = IsoReport(size=size, boundary=boundary, ratio=ratio, description=description)
+    if best is None:
+        if strategy == "balls":
             raise UsageError("no fully expanded ball available")
-        best = None
-        for r, idxs in candidates:
-            rep = iso_ratio(frag, idxs, description=f"ball r={r} (upper bound on h)")
-            if best is None or rep.ratio < best.ratio:
-                best = rep
-        return best
-    if strategy == "sweep":
-        order = sorted(range(len(frag)), key=lambda v: (frag.depths[v], frag.keys[v]))
-        in_set = [False] * len(frag)
-        boundary = 0
-        best: IsoReport | None = None
-        size = 0
-        for v in order:
-            if not frag.expanded[v]:
-                break
-            in_set[v] = True
-            size += 1
-            for w in frag.darts[v]:
-                if w == v:
-                    continue
-                boundary += -1 if in_set[w] else 1
-            ratio = Fraction(boundary, size)
-            if best is None or ratio < best.ratio:
-                best = IsoReport(
-                    size=size,
-                    boundary=boundary,
-                    ratio=ratio,
-                    description=f"sweep prefix of {size} vertices (upper bound on h)",
-                )
-        if best is None:
-            raise UsageError("no expanded vertices available for the sweep")
-        return best
-    raise UsageError(f"unknown strategy {strategy!r}; use 'balls' or 'sweep'")
-
+        raise UsageError("no expanded vertices available for the sweep")
+    return best

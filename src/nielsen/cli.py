@@ -2,8 +2,8 @@
 
 Reports are deterministic: identical invocations produce byte-identical
 stdout (no timestamps; the tool version is pinned in the ``tool`` field).
-Exit codes: 0 success, 2 usage error, 3 resource cap exceeded, 1 internal
-verification failure.
+Exit codes: 0 success, 2 usage error or unusable file, 3 resource cap
+exceeded, 1 internal verification failure.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default=None,
                    help="sign pattern like '+-0': export that component instead "
                         "(write --pattern=-+ for patterns starting with '-')")
-    p.add_argument("--format", choices=["dot"], default="dot")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("cover", help="verify covering-map properties of an epimorphism")
@@ -250,8 +249,12 @@ def run(argv) -> int:
             "unreached": None,
         }
         if args.fragment is not None:
-            with open(args.fragment) as fh:
-                frag = fragment_from_jsonl(epi.codomain, args.n, fh.read())
+            try:
+                with open(args.fragment, encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as e:
+                raise UsageError(f"fragment {args.fragment!r} is not UTF-8 text: {e}") from None
+            frag = fragment_from_jsonl(epi.codomain, args.n, text)
             if args.seed_tuple is not None:
                 seed_tuple = tuple(epi.domain.element_from_json(e) for e in args.seed_tuple)
             else:
@@ -288,7 +291,7 @@ def main(argv=None) -> int:
         return 1
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,6 +23,9 @@ rules keep exactly one of them:
   rest are deleted (reason ``lex_loser``). Two distinct edges into z never
   share (i, j), so the source never has to break ties.
 
+The kept edges therefore form a parent map: each non-root vertex has exactly
+one parent (``parent_edge``), and the root has none.
+
 Since every in-edge source of an in-window target is itself in-window, all
 decisions here are exact, never approximations; in particular the forest
 degree of every in-window vertex is exactly computable even when some kept
@@ -32,13 +35,17 @@ edges point outside the window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import combinations, product as iproduct
 
 from .errors import ResourceCapError, UsageError, VerificationError
 from .moves import Move, R
 
 Reason = str  # 'kept' | 'dup_of_12' | 'dup_of_21' | 'lex_loser' | 'none'
+
+# bound on the tuples one window scan (verify_forest, component_dot) enumerates
+STATE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,13 @@ class ForestSpec:
     def root(self) -> tuple[int, ...]:
         return tuple(-1 if k in self.neg else 0 if k in self.zero else 1 for k in range(1, self.n + 1))
 
+    @cached_property
+    def free(self) -> tuple[int, ...]:
+        """Coordinates outside the zero set, increasing."""
+        return tuple(k for k in range(1, self.n + 1) if k not in self.zero)
+
     def distinguished_pair(self) -> tuple[int, int]:
-        free = [k for k in range(1, self.n + 1) if k not in self.zero]
-        return free[0], free[1]
+        return self.free[:2]
 
     def to_image(self, state: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(-x if k + 1 in self.neg else x for k, x in enumerate(state))
@@ -79,13 +90,8 @@ class ForestSpec:
     from_image = to_image  # negation is an involution
 
     def contains(self, state: tuple[int, ...]) -> bool:
-        if len(state) != self.n or math.gcd(*state) != 1:
-            return False
-        for k, x in enumerate(state, start=1):
-            want = -1 if k in self.neg else 0 if k in self.zero else 1
-            if (x > 0) - (x < 0) != want:
-                return False
-        return True
+        """gcd 1 and the root's signs."""
+        return math.gcd(*state) == 1 and tuple((x > 0) - (x < 0) for x in state) == self.root()
 
     def ambient_move(self, i: int, j: int) -> Move:
         """The N_n(Z) move realizing image edge (i, j) on real coordinates."""
@@ -129,10 +135,14 @@ class ForestEdge:
     reason: Reason
 
 
+def _step(x: tuple[int, ...], i: int, j: int, sign: int) -> tuple[int, ...]:
+    """x with x_i <- x_i + sign * x_j (1-based i, j)."""
+    return x[: i - 1] + (x[i - 1] + sign * x[j - 1],) + x[i:]
+
+
 def _keeper(spec: ForestSpec, z_img: tuple[int, ...]) -> tuple[int, int] | None:
     """The one in-edge of an image vertex that the rules keep, or None at a root."""
-    free = [k for k in range(1, spec.n + 1) if k not in spec.zero]
-    ins = [(i, j) for i in free for j in free if i != j and z_img[i - 1] > z_img[j - 1]]
+    ins = [(i, j) for i in spec.free for j in spec.free if z_img[i - 1] > z_img[j - 1]]
     if not ins:
         return None
     i1, j1 = spec.distinguished_pair()
@@ -143,6 +153,22 @@ def _keeper(spec: ForestSpec, z_img: tuple[int, ...]) -> tuple[int, int] | None:
     return max(ins)
 
 
+def _kept_pairs(spec: ForestSpec, x_img: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Image pairs (i, j) whose out-edge x_i <- x_i + x_j at x_img is kept."""
+    return [
+        (i, j)
+        for i in spec.free
+        for j in spec.free
+        if i != j and _keeper(spec, _step(x_img, i, j, 1)) == (i, j)
+    ]
+
+
+def _image_of(spec: ForestSpec, state: tuple[int, ...]) -> tuple[int, ...]:
+    if not spec.contains(state):
+        raise UsageError(f"{state!r} is not a vertex of component {spec.pattern()}")
+    return spec.to_image(state)
+
+
 def edge_status(spec: ForestSpec, source: tuple[int, ...], i: int, j: int) -> ForestEdge:
     """Kept/deleted status of the candidate image edge (i, j) at a real vertex.
 
@@ -151,8 +177,7 @@ def edge_status(spec: ForestSpec, source: tuple[int, ...], i: int, j: int) -> Fo
     """
     if not (1 <= i <= spec.n and 1 <= j <= spec.n) or i == j:
         raise UsageError(f"edge indices ({i},{j}) invalid for n={spec.n}")
-    if not spec.contains(source):
-        raise UsageError(f"{source!r} is not a vertex of component {spec.pattern()}")
+    x = _image_of(spec, source)
     if j in spec.zero:
         # x_i <- x_i + 0 fixes the tuple: a loop, structurally excluded
         return ForestEdge(source, i, j, False, "none")
@@ -160,9 +185,7 @@ def edge_status(spec: ForestSpec, source: tuple[int, ...], i: int, j: int) -> Fo
         raise UsageError(
             f"edge ({i},{j}) leaves component {spec.pattern()}: endpoints lie in different components"
         )
-    x = spec.to_image(source)
-    z = x[: i - 1] + (x[i - 1] + x[j - 1],) + x[i:]
-    keep = _keeper(spec, z)
+    keep = _keeper(spec, _step(x, i, j, 1))
     if keep == (i, j):
         return ForestEdge(source, i, j, True, "kept")
     i1, j1 = spec.distinguished_pair()
@@ -177,16 +200,12 @@ def _image_parent(spec: ForestSpec, z_img: tuple[int, ...]) -> tuple[tuple[int, 
     keep = _keeper(spec, z_img)
     if keep is None:
         return None
-    i, j = keep
-    src = z_img[: i - 1] + (z_img[i - 1] - z_img[j - 1],) + z_img[i:]
-    return src, keep
+    return _step(z_img, *keep, -1), keep
 
 
 def parent_edge(spec: ForestSpec, state: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int]] | None:
     """Kept in-edge of a real vertex: (parent real tuple, image (i, j)); None at the root."""
-    if not spec.contains(state):
-        raise UsageError(f"{state!r} is not a vertex of component {spec.pattern()}")
-    hit = _image_parent(spec, spec.to_image(state))
+    hit = _image_parent(spec, _image_of(spec, state))
     if hit is None:
         return None
     src, pair = hit
@@ -195,23 +214,12 @@ def parent_edge(spec: ForestSpec, state: tuple[int, ...]) -> tuple[tuple[int, ..
 
 def kept_out_edges(spec: ForestSpec, state: tuple[int, ...]) -> list[ForestEdge]:
     """All kept forest edges out of a real vertex (targets may exceed the window)."""
-    out = []
-    for i in range(1, spec.n + 1):
-        if i in spec.zero:
-            continue
-        for j in range(1, spec.n + 1):
-            if j == i or j in spec.zero:
-                continue
-            e = edge_status(spec, state, i, j)
-            if e.in_forest:
-                out.append(e)
-    return out
+    return [ForestEdge(state, i, j, True, "kept") for i, j in _kept_pairs(spec, _image_of(spec, state))]
 
 
 def forest_degree(spec: ForestSpec, state: tuple[int, ...]) -> int:
     """Exact forest degree: one parent edge (off the root) plus kept out-edges."""
-    parent = parent_edge(spec, state)
-    return len(kept_out_edges(spec, state)) + (0 if parent is None else 1)
+    return len(kept_out_edges(spec, state)) + (parent_edge(spec, state) is not None)
 
 
 @dataclass
@@ -227,17 +235,7 @@ class ForestReport:
     vertices_checked: int
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "window": self.window,
-            "acyclic": self.acyclic,
-            "coverage_ok": self.coverage_ok,
-            "descent_ok": self.descent_ok,
-            "min_interior_degree": self.min_interior_degree,
-            "root_degrees": dict(sorted(self.root_degrees.items())),
-            "components_checked": self.components_checked,
-            "vertices_checked": self.vertices_checked,
-        }
+        return {**asdict(self), "root_degrees": dict(sorted(self.root_degrees.items()))}
 
 
 def _zero_sets(n: int):
@@ -246,37 +244,40 @@ def _zero_sets(n: int):
         yield from (frozenset(c) for c in combinations(coords, size))
 
 
-def _image_vertices(n: int, zero: frozenset[int], window: int):
-    free = [k for k in range(1, n + 1) if k not in zero]
-    for vals in iproduct(range(1, window + 1), repeat=len(free)):
+def _image_vertices(spec: ForestSpec):
+    """Positive-image vertices of the spec's zero set inside its window."""
+    for vals in iproduct(range(1, spec.window + 1), repeat=len(spec.free)):
         if math.gcd(*vals) != 1:
             continue
-        x = [0] * n
-        for k, v in zip(free, vals):
+        x = [0] * spec.n
+        for k, v in zip(spec.free, vals):
             x[k - 1] = v
         yield tuple(x)
 
 
-def verify_forest(n: int, window: int, state_cap: int = 2_000_000) -> ForestReport:
+def verify_forest(n: int, window: int) -> ForestReport:
     """Exhaustive window verification of the forest construction.
 
     Over all vertices with max |coordinate| <= window this checks, per
     component: (a) the kept-edge graph is acyclic, (b) every non-root vertex
     has forest degree >= 3 and the root has none of its in-edges kept,
     (c) every gcd-1 tuple in the window belongs to a component or is a
-    signed standard basis vector, (d) iterating the parent step strictly
-    decreases the coordinate sum until the root is reached.
+    signed standard basis vector, (d) every parent step stays in the window
+    and strictly decreases the coordinate sum.
 
     Edge rules depend only on the zero set, and sign components are carried
     onto the all-positive image by construction, so (a), (b), (d) are
-    verified once per zero set on image vertices.
+    verified once per zero set on image vertices. The kept edges there form
+    one parent map (each non-root keeps exactly one in-edge), so an
+    undirected cycle of kept edges is a directed parent cycle: (a) is one
+    memoized walk along parents.
     """
     if n not in (2, 3):
         raise UsageError("verify_forest supports n in {2, 3}")
     if window < 2:
         raise UsageError("window too small to contain any interior vertex; need window >= 2")
-    if (2 * window + 1) ** n > state_cap:
-        raise ResourceCapError(f"window scan of {(2 * window + 1) ** n} states exceeds cap {state_cap}")
+    if (2 * window + 1) ** n > STATE_CAP:
+        raise ResourceCapError(f"window scan of {(2 * window + 1) ** n} states exceeds cap {STATE_CAP}")
 
     acyclic = True
     descent_ok = True
@@ -287,93 +288,50 @@ def verify_forest(n: int, window: int, state_cap: int = 2_000_000) -> ForestRepo
     for zero in _zero_sets(n):
         spec = ForestSpec(n=n, neg=frozenset(), zero=zero, window=window)
         root = spec.root()
-        verts = list(_image_vertices(n, zero, window))
-        vertices_checked += len(verts)
-        pos = {v: k for k, v in enumerate(verts)}
-
-        # exact degrees and unique parents
-        parent_uf = list(range(len(verts)))
-
-        def find(v):
-            while parent_uf[v] != v:
-                parent_uf[v] = parent_uf[parent_uf[v]]
-                v = parent_uf[v]
-            return v
-
-        for v in verts:
+        parent: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+        for v in _image_vertices(spec):
             hit = _image_parent(spec, v)
+            deg = len(_kept_pairs(spec, v))
             if v == root:
                 if hit is not None:
                     raise VerificationError(f"root {root} of {spec.pattern()} has a kept in-edge")
-            else:
-                if hit is None:
-                    raise VerificationError(f"non-root {v} in {spec.pattern()} has no kept in-edge")
-                src, _ = hit
-                if sum(src) >= sum(v):
-                    descent_ok = False
-                if src not in pos:
-                    raise VerificationError("in-window vertex with out-of-window parent")
-                a, b = find(pos[src]), find(pos[v])
-                if a == b:
-                    acyclic = False
-                else:
-                    parent_uf[b] = a
-                kept_out = sum(
-                    1
-                    for i in range(1, n + 1)
-                    if i not in zero
-                    for j in range(1, n + 1)
-                    if j != i and j not in zero
-                    and _keeper(spec, v[: i - 1] + (v[i - 1] + v[j - 1],) + v[i:]) == (i, j)
-                )
-                deg = kept_out + 1
-                if min_interior is None or deg < min_interior:
-                    min_interior = deg
-        root_out = sum(
-            1
-            for i in range(1, n + 1)
-            if i not in zero
-            for j in range(1, n + 1)
-            if j != i and j not in zero
-            and _keeper(spec, root[: i - 1] + (root[i - 1] + root[j - 1],) + root[i:]) == (i, j)
-        )
-        per_zero_root_degree[zero] = root_out
+                per_zero_root_degree[zero] = deg
+                parent[v] = None
+                continue
+            if hit is None:
+                raise VerificationError(f"non-root {v} in {spec.pattern()} has no kept in-edge")
+            src = parent[v] = hit[0]
+            if sum(src) >= sum(v):
+                descent_ok = False
+            if not (spec.contains(src) and max(src) <= window):
+                raise VerificationError("in-window vertex with out-of-window parent")
+            if min_interior is None or deg + 1 < min_interior:
+                min_interior = deg + 1
+        vertices_checked += len(parent)
 
-    # descent chains terminate at the root: walk them with memoization
-    for zero in _zero_sets(n):
-        spec = ForestSpec(n=n, neg=frozenset(), zero=zero, window=window)
-        root = spec.root()
-        settled: set[tuple[int, ...]] = {root}
-        for v in _image_vertices(n, zero, window):
-            chain = []
-            cur = v
-            while cur not in settled:
-                chain.append(cur)
-                hit = _image_parent(spec, cur)
-                if hit is None or sum(hit[0]) >= sum(cur):
-                    descent_ok = False
-                    break
-                cur = hit[0]
-            settled.update(chain)
+        # walk each vertex up to a settled one; meeting the chain again is a cycle
+        settled = {root}
+        for v in parent:
+            chain = set()
+            while v not in settled and v not in chain:
+                chain.add(v)
+                v = parent[v]
+            if v in chain:
+                acyclic = False
+            settled |= chain
 
     # coverage over real tuples in the window
     coverage_ok = True
     components_seen: set[tuple[frozenset[int], frozenset[int]]] = set()
-    basis = set()
-    for k in range(n):
-        for s in (1, -1):
-            basis.add(tuple(s if p == k else 0 for p in range(n)))
+    basis = {tuple(s if p == k else 0 for p in range(n)) for k in range(n) for s in (1, -1)}
     for x in iproduct(range(-window, window + 1), repeat=n):
-        if all(v == 0 for v in x) or math.gcd(*x) != 1:
+        if math.gcd(*x) != 1:
             continue
         comp = component_of(x)
-        if comp is None:
-            if x not in basis:
-                coverage_ok = False
-        else:
+        if (comp is None) != (x in basis):
+            coverage_ok = False
+        if comp is not None:
             components_seen.add(comp)
-            if x in basis:
-                coverage_ok = False
 
     root_degrees = {}
     for neg, zero in sorted(components_seen, key=lambda ab: (sorted(ab[1]), sorted(ab[0]))):
@@ -394,11 +352,16 @@ def verify_forest(n: int, window: int, state_cap: int = 2_000_000) -> ForestRepo
 
 
 def component_dot(spec: ForestSpec) -> str:
-    """DOT rendering of one component restricted to the window, root doubled."""
+    """DOT rendering of one component restricted to the window, root doubled.
+
+    The edges drawn are the parent edges of the window's non-root vertices:
+    a parent has no larger coordinates, so it is in the window too.
+    """
     from . import __version__
 
-    img_verts = list(_image_vertices(spec.n, spec.zero, spec.window))
-    verts = sorted(spec.from_image(v) for v in img_verts)
+    if spec.window ** len(spec.free) > STATE_CAP:
+        raise ResourceCapError(f"window scan of {spec.window ** len(spec.free)} states exceeds cap {STATE_CAP}")
+    img_verts = list(_image_vertices(spec))
     root = spec.root()
     lines = ["graph forest_component {"]
     lines.append(f"  // pattern: {spec.pattern()}, window: {spec.window}, n: {spec.n}")
@@ -407,16 +370,16 @@ def component_dot(spec: ForestSpec) -> str:
     def node_id(v):
         return '"' + ",".join(str(x) for x in v) + '"'
 
-    for v in verts:
+    for v in sorted(spec.from_image(v) for v in img_verts):
         extra = ", peripheries=2" if v == root else ""
         lines.append(f'  {node_id(v)} [label="{tuple(v)}"{extra}];')
-    vert_set = set(verts)
-    for v in verts:
-        for e in kept_out_edges(spec, v):
-            img = spec.to_image(v)
-            tgt_img = img[: e.i - 1] + (img[e.i - 1] + img[e.j - 1],) + img[e.i :]
-            tgt = spec.from_image(tgt_img)
-            if tgt in vert_set:
-                lines.append(f'  {node_id(v)} -- {node_id(tgt)} [label="{spec.ambient_move(e.i, e.j).text()}"];')
+    edges = []
+    for z in img_verts:
+        hit = _image_parent(spec, z)
+        if hit is not None:
+            src, (i, j) = hit
+            edges.append((spec.from_image(src), i, j, spec.from_image(z)))
+    for src, i, j, tgt in sorted(edges):
+        lines.append(f'  {node_id(src)} -- {node_id(tgt)} [label="{spec.ambient_move(i, j).text()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -122,9 +122,12 @@ def aut_group(group: Group, d: int, base: State | None = None) -> AutAction:
                 reached.add(h)
                 queue.append(h)
                 perms[:, h] = mul[perms[:, g], tk]
+    # one contiguous column of the Fortran-ordered perms at a time keeps the
+    # peak near one (A, |G|) array
     ok = np.ones(len(positions), dtype=bool)
     for bk, tk in zip(base_idx, targets):
-        ok &= (perms[:, mul[:, bk]] == mul[perms, tk[:, None]]).all(axis=1)
+        for g in range(tab.order):
+            ok &= perms[:, tab.mul[g][bk]] == mul[perms[:, g], tk]
     hit = np.zeros(perms.shape, dtype=bool)
     np.put_along_axis(hit, perms, True, axis=1)
     ok &= hit.all(axis=1)

@@ -1,11 +1,14 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
 the list table of ``FiniteTable.of``, ``apply_move``, the key encoding, the
-fragment record and the error types."""
+fragment record, the forest's edge rule and report record, and the error
+types."""
 
+import math
 from itertools import product as iproduct
 
-from nielsen.errors import ResourceCapError, UsageError
+from nielsen import forest
+from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
 from nielsen.groups import FiniteTable, Group, State
 from nielsen.moves import Move, apply_move, move_inverse, move_set
@@ -286,3 +289,143 @@ def tame_reference(group: Group, d: int) -> dict:
             "ok": len(classes) == index and all(s == len(tame) for s in sizes) and isomorphic and cayley_match,
         },
     }
+
+
+def _forest_image_vertices(n: int, zero: frozenset[int], window: int):
+    free = [k for k in range(1, n + 1) if k not in zero]
+    for vals in iproduct(range(1, window + 1), repeat=len(free)):
+        if math.gcd(*vals) != 1:
+            continue
+        x = [0] * n
+        for k, v in zip(free, vals):
+            x[k - 1] = v
+        yield tuple(x)
+
+
+def verify_forest_reference(n: int, window: int, state_cap: int = 2_000_000) -> forest.ForestReport:
+    """``forest.verify_forest`` with a union-find for acyclicity and a second
+    pass that walks every descent chain to the root.
+
+    The edge rule is read through the module (``forest._image_parent`` and
+    ``forest._keeper``), so a patched rule reaches both implementations.
+    """
+    if n not in (2, 3):
+        raise UsageError("verify_forest supports n in {2, 3}")
+    if window < 2:
+        raise UsageError("window too small to contain any interior vertex; need window >= 2")
+    if (2 * window + 1) ** n > state_cap:
+        raise ResourceCapError(f"window scan of {(2 * window + 1) ** n} states exceeds cap {state_cap}")
+
+    acyclic = True
+    descent_ok = True
+    min_interior: int | None = None
+    vertices_checked = 0
+
+    per_zero_root_degree: dict[frozenset[int], int] = {}
+    for zero in forest._zero_sets(n):
+        spec = forest.ForestSpec(n=n, neg=frozenset(), zero=zero, window=window)
+        root = spec.root()
+        verts = list(_forest_image_vertices(n, zero, window))
+        vertices_checked += len(verts)
+        pos = {v: k for k, v in enumerate(verts)}
+
+        # exact degrees and unique parents
+        parent_uf = list(range(len(verts)))
+
+        def find(v):
+            while parent_uf[v] != v:
+                parent_uf[v] = parent_uf[parent_uf[v]]
+                v = parent_uf[v]
+            return v
+
+        for v in verts:
+            hit = forest._image_parent(spec, v)
+            if v == root:
+                if hit is not None:
+                    raise VerificationError(f"root {root} of {spec.pattern()} has a kept in-edge")
+            else:
+                if hit is None:
+                    raise VerificationError(f"non-root {v} in {spec.pattern()} has no kept in-edge")
+                src, _ = hit
+                if sum(src) >= sum(v):
+                    descent_ok = False
+                if src not in pos:
+                    raise VerificationError("in-window vertex with out-of-window parent")
+                a, b = find(pos[src]), find(pos[v])
+                if a == b:
+                    acyclic = False
+                else:
+                    parent_uf[b] = a
+                kept_out = sum(
+                    1
+                    for i in range(1, n + 1)
+                    if i not in zero
+                    for j in range(1, n + 1)
+                    if j != i and j not in zero
+                    and forest._keeper(spec, v[: i - 1] + (v[i - 1] + v[j - 1],) + v[i:]) == (i, j)
+                )
+                deg = kept_out + 1
+                if min_interior is None or deg < min_interior:
+                    min_interior = deg
+        root_out = sum(
+            1
+            for i in range(1, n + 1)
+            if i not in zero
+            for j in range(1, n + 1)
+            if j != i and j not in zero
+            and forest._keeper(spec, root[: i - 1] + (root[i - 1] + root[j - 1],) + root[i:]) == (i, j)
+        )
+        per_zero_root_degree[zero] = root_out
+
+    # descent chains terminate at the root: walk them with memoization
+    for zero in forest._zero_sets(n):
+        spec = forest.ForestSpec(n=n, neg=frozenset(), zero=zero, window=window)
+        root = spec.root()
+        settled: set[tuple[int, ...]] = {root}
+        for v in _forest_image_vertices(n, zero, window):
+            chain = []
+            cur = v
+            while cur not in settled:
+                chain.append(cur)
+                hit = forest._image_parent(spec, cur)
+                if hit is None or sum(hit[0]) >= sum(cur):
+                    descent_ok = False
+                    break
+                cur = hit[0]
+            settled.update(chain)
+
+    # coverage over real tuples in the window
+    coverage_ok = True
+    components_seen: set[tuple[frozenset[int], frozenset[int]]] = set()
+    basis = set()
+    for k in range(n):
+        for s in (1, -1):
+            basis.add(tuple(s if p == k else 0 for p in range(n)))
+    for x in iproduct(range(-window, window + 1), repeat=n):
+        if all(v == 0 for v in x) or math.gcd(*x) != 1:
+            continue
+        comp = forest.component_of(x)
+        if comp is None:
+            if x not in basis:
+                coverage_ok = False
+        else:
+            components_seen.add(comp)
+            if x in basis:
+                coverage_ok = False
+
+    root_degrees = {}
+    for neg, zero in sorted(components_seen, key=lambda ab: (sorted(ab[1]), sorted(ab[0]))):
+        spec = forest.ForestSpec(n=n, neg=neg, zero=zero, window=window)
+        root_degrees[spec.pattern()] = per_zero_root_degree[zero]
+
+    return forest.ForestReport(
+        n=n,
+        window=window,
+        acyclic=acyclic,
+        coverage_ok=coverage_ok,
+        descent_ok=descent_ok,
+        min_interior_degree=min_interior,
+        root_degrees=root_degrees,
+        components_checked=len(components_seen),
+        vertices_checked=vertices_checked,
+    )

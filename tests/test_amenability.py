@@ -12,7 +12,15 @@ from nielsen.amenability import (
 )
 from nielsen.errors import UsageError
 from nielsen.explore import ball
-from nielsen.groups import FiniteAbelianExp, FreeGroup, InfiniteDihedral, Integers
+from nielsen.groups import (
+    BurnsideB23,
+    FiniteAbelianExp,
+    FiniteCayley,
+    FreeGroup,
+    InfiniteDihedral,
+    Integers,
+    dihedral_table,
+)
 from oracles import brute_force_closed_walks
 
 Z = Integers()
@@ -115,6 +123,26 @@ def test_cheeger_search_balls():
     assert small.ratio < big.ratio  # linear growth: ratios decay toward 0
     assert small.ratio < Fraction(1, 5)
     assert "upper bound" in small.description
+
+
+@pytest.mark.parametrize(
+    "group,root",
+    [(FiniteCayley(dihedral_table(4), 0), (2, 1)), (BurnsideB23(), ((1, 0, 0), (0, 1, 0)))],
+    ids=["D4", "B23"],
+)
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_cheeger_balls_match_iso_ratio(group, root, radius):
+    # the D4 fragments have loops and multi-edges, which the incremental cut
+    # count must handle exactly as the direct recount does
+    frag = ball(group, root, radius)
+    best = None
+    for r in range(max(frag.depths) + 1):
+        idxs = frag.ball_indices(r)
+        if all(frag.expanded[v] for v in idxs):
+            rep = iso_ratio(frag, idxs, description=f"ball r={r} (upper bound on h)")
+            if best is None or rep.ratio < best.ratio:
+                best = rep
+    assert cheeger_search(frag, "balls") == best
 
 
 def test_cheeger_search_sweep():

@@ -202,6 +202,34 @@ def test_cover_names_a_rewired_dart(capsys, tmp_path):
         assert err.startswith("usage error") and "R+:1,2" in err and rows[0]["v"] in err
 
 
+@pytest.mark.parametrize("kind", ["not_utf8", "missing", "directory"])
+def test_cover_fragment_file_errors_exit_2(tmp_path, kind):
+    import nielsen
+
+    path = tmp_path / "frag.jsonl"
+    if kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe")
+    elif kind == "directory":
+        path.mkdir()
+    src = os.path.dirname(os.path.dirname(nielsen.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "nielsen", "cover", "--pi", '{"rule":"identity","domain":{"kind":"Integers"}}',
+         "--n", "2", "--samples", "1", "--fragment", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("usage error" if kind == "not_utf8" else "i/o error")
+
+
+def test_export_into_missing_directory_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "export", "--group", '{"kind":"Integers"}', "--root", "[1,1]", "--radius", "1",
+        "--format", "jsonl", "--output", str(tmp_path / "no" / "such.jsonl"),
+    )
+    assert code == 2 and out == "" and err.startswith("i/o error")
+
+
 def test_bool_spec_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "growth", "--group", '{"kind":"FreeAbelian","d":true}', "--root", "[[1]]", "--radius", "1",

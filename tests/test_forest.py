@@ -1,9 +1,13 @@
 """Forest construction in N_n(Z): sign components, edge rules, window checks."""
 
+import hashlib
+import time
 from fractions import Fraction
 
 import pytest
 
+from nielsen import forest
+from nielsen.cli import main
 from nielsen.errors import UsageError
 from nielsen.forest import (
     ForestSpec,
@@ -18,6 +22,7 @@ from nielsen.forest import (
 )
 from nielsen.groups import Integers
 from nielsen.moves import R
+from oracles import verify_forest_reference
 
 
 def test_component_classification():
@@ -266,3 +271,60 @@ def test_edge_rules_match_literal_oracle(n, zero, window):
     oracle = _literal_deletion_oracle(n, zero, window)
     for (src, i, j), expect in oracle.items():
         assert edge_status(spec, src, i, j).in_forest == expect, (src, i, j)
+
+
+# sha256 of stdout recorded before the forest became one parent map
+GOLDEN_FOREST = {
+    ("verify", "--n", "2", "--window", "30"):
+        "d3835ad0f9204d1d7b4b5a3f7438b729e831d9b813f1721fbd6b06fdb061dc95",
+    ("verify", "--n", "3", "--window", "12"):
+        "66b7a16d879840a5cec57c258e9d4b96ba0be31e9cc64d82bb98ac2c9b4be19b",
+    ("--n", "2", "--window", "12", "--pattern=++"):
+        "7441c61316cb72ab965425542ea8b698f4c4e3537c8670e2c66d4352abf09e6f",
+    ("--n", "3", "--window", "9", "--pattern=+-0"):
+        "b8849a866dc2ff2c3a2dbe1118b8e137b0aea8dfee5d407d708bb616891019a0",
+    ("--n", "3", "--window", "6", "--pattern=-++"):
+        "e1bf5695f2090e8a5fb2df4b8b888c0b61e99b08962ab3fc1443fc9ec5434e80",
+    ("--n", "3", "--window", "14", "--pattern=+++"):
+        "9fef314bfdbc327cb6b799856a13c22eb7fda9f85d46e3dfc2b7427d70a99f7d",
+}
+
+
+@pytest.mark.parametrize("args", GOLDEN_FOREST, ids=" ".join)
+def test_golden_forest_outputs(capsys, args):
+    assert main(["forest", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FOREST[args]
+
+
+@pytest.mark.parametrize("n,window", [(2, 2), (2, 3), (2, 5), (2, 12), (2, 40), (3, 2), (3, 3), (3, 6), (3, 12)])
+def test_verify_forest_matches_reference(n, window):
+    assert verify_forest(n, window).to_json() == verify_forest_reference(n, window).to_json()
+
+
+@pytest.mark.parametrize(
+    "child,parent,acyclic",
+    [
+        ((2, 1), (2, 3), False),  # (2,3) is the true child of (2,1): a 2-cycle
+        ((3, 1), (1, 3), True),  # equal coordinate sums, still a tree
+    ],
+)
+def test_verify_forest_on_patched_parents(monkeypatch, child, parent, acyclic):
+    real = forest._image_parent
+
+    def patched(spec, z):
+        hit = real(spec, z)
+        return (parent, hit[1]) if z == child else hit
+
+    monkeypatch.setattr(forest, "_image_parent", patched)
+    rep = verify_forest(2, 5)
+    assert rep.acyclic is acyclic and rep.descent_ok is False
+    assert rep.to_json() == verify_forest_reference(2, 5).to_json()
+
+
+def test_forest_pattern_window_is_capped(capsys):
+    start = time.perf_counter()
+    code = main(["forest", "--n", "2", "--window", "100000000", "--pattern", "++"])
+    err = capsys.readouterr().err
+    assert code == 3 and "exceeds cap" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0
