@@ -19,6 +19,7 @@ from .explore import GraphFragment
 from .groups import (
     FiniteAbelianExp,
     FiniteCayley,
+    FiniteTable,
     FreeAbelian,
     Group,
     Heisenberg,
@@ -136,8 +137,7 @@ def finite_quotient(domain: Group, normal: list[int]) -> Epimorphism:
     if not isinstance(normal, list):
         raise UsageError("finite_quotient 'normal' must be a list of element indices")
     sub = sorted({domain.check_element(x) for x in normal})
-    tab = domain.table
-    inv = np.argmax(tab == domain.id_index, axis=1)
+    tab, inv = domain.table, FiniteTable.of(domain).inverses
     member = np.zeros(domain.order, dtype=bool)
     member[sub] = True
     if not member[domain.id_index]:
@@ -154,9 +154,7 @@ def finite_quotient(domain: Group, normal: list[int]) -> Epimorphism:
     reps, coset = np.unique(tab[:, sub].min(axis=1), return_inverse=True)
     coset_of = coset.tolist()
     codomain = FiniteCayley(coset[tab[np.ix_(reps, reps)]].tolist(), coset_of[domain.id_index])
-    return Epimorphism(
-        "finite_quotient", domain, codomain, lambda g: coset_of[g], {"normal": sub}
-    )
+    return Epimorphism("finite_quotient", domain, codomain, lambda g: coset_of[g], {"normal": sub})
 
 
 def epimorphism_from_json(obj: dict) -> Epimorphism:

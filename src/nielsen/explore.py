@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceCapError, UsageError
-from .groups import FiniteTable, Group, State
+from .groups import DEFAULT_VERTEX_CAP, FiniteTable, Group, State
 from .moves import I, Move, R, apply_move, move_inverse, move_set
 
-DEFAULT_VERTEX_CAP = 5_000_000
 # components keeps one int32 label per tuple on a tensor with one axis per
 # entry, and numpy arrays have at most 64 axes
 _LABEL_LIMIT = 2**31
@@ -413,11 +412,9 @@ def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Component
     total = check_finite_sizes(group.order, n, cap)
     tab = FiniteTable.of(group)
     gen_idx = np.flatnonzero(tab.generating_mask(n))
-    order = tab.order
-    mul = np.array(tab.mul, dtype=np.intp)
-    inv = np.array(tab.inv, dtype=np.intp)
+    order, inv = tab.order, tab.inverses
     # row h of perms[kind] sends entry i from g to g*h (R) or h*g (L)
-    perms = {"R": np.ascontiguousarray(mul.T), "L": mul}
+    perms = {"R": np.ascontiguousarray(tab.table.T), "L": tab.table}
 
     flat = np.arange(total, dtype=np.int32)
     cube = flat.reshape((order,) * n)

@@ -33,25 +33,32 @@ checks, encoding, JSON form, measure, sampling and enumeration:
 Generation tests: gcd over Z; for the nilpotent integer-vector kinds, a
 unit-lattice test on the image in the abelianization (exact for nilpotent
 groups; for the 3-group B(2,3) it is Burnside's basis theorem); reflection
-plus gcd for the infinite dihedral group; closure on the index form
-``FiniteTable`` for ``FiniteCayley``; Stallings folding for free groups.
+plus gcd for the infinite dihedral group; closure on the index form for
+``FiniteCayley``; Stallings folding for free groups.
 
-All operations are pure functions on immutable values.
+A finite group has one index form, ``FiniteTable.of(group)``: intp arrays
+of its multiplication table and inverses, built once per instance from the
+kind's own law (``FiniteCayley`` wraps its validated table). The rank search
+of ``FiniteCayley`` reads the generation mask of all k-tuples for k = 1, 2,
+... and stops with ResourceCapError once |G|^k exceeds the vertex cap.
+
+The group laws are pure functions on immutable values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from typing import Any, Iterator
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ResourceCapError, UsageError
 
 Element = Any
 State = tuple  # ordered tuple of elements; the vertex type of a Nielsen graph
+DEFAULT_VERTEX_CAP = 5_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +140,7 @@ class Group:
 
     kind: str = ""
     is_finite: bool = False
+    _finite_table: FiniteTable | None = None  # the index form, see FiniteTable.of
 
     # -- group law -----------------------------------------------------
     def identity(self) -> Element:
@@ -210,46 +218,58 @@ class Group:
 
 @dataclass
 class FiniteTable:
-    """Index form of a finite group: elements in the order of ``elements()``.
+    """Index form of a finite group: elements in the order of ``elements()``,
+    with the multiplication table and the inverses as intp arrays of indices.
 
+    It is also the group law on index arrays: ``mul`` and ``inv`` broadcast,
+    so ``moves.apply_move`` runs on index tuples and on whole index columns.
     Index n-tuples are numbered as ``itertools.product(range(order),
     repeat=n)`` enumerates them, first entry most significant.
     """
 
-    group: Group
     elements: list
     index: dict
-    mul: list[list[int]]
-    inv: list[int]
+    table: np.ndarray     # (|G|, |G|): table[a, b] is the index of a*b
+    inverses: np.ndarray  # (|G|,)
     id_idx: int
 
     @classmethod
     def of(cls, group: Group) -> "FiniteTable":
+        """The group's own index form, built from its law once per instance."""
         if not group.is_finite:
             raise UsageError(f"{group.kind} is not a finite group")
-        elements = list(group.elements())
-        index = {e: k for k, e in enumerate(elements)}
-        mul = [[index[group.mul(a, b)] for b in elements] for a in elements]
-        inv = [index[group.inv(a)] for a in elements]
-        return cls(group, elements, index, mul, inv, index[group.identity()])
+        if group._finite_table is None:
+            group._finite_table = group._build_table()
+        return group._finite_table
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def closure(self, idx_tuple: tuple[int, ...]) -> set[int]:
-        seen = set(idx_tuple) | {self.id_idx}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in idx_tuple:
-                    for c in (self.mul[a][b], self.mul[b][a]):
-                        if c not in seen:
-                            seen.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return seen
+    def mul(self, a, b):
+        return self.table[a, b]
+
+    def inv(self, a):
+        return self.inverses[a]
+
+    def closure(self, gens) -> np.ndarray:
+        """Row r: the mask of the subgroup generated by the index tuple
+        gens[r]. All rows grow at once, breadth first from the identity by
+        right multiplication by their entries; the frontier holds each new
+        (row, element) pair once, so every element is expanded once."""
+        gens = np.asarray(gens, dtype=np.intp)
+        rows = np.zeros((len(gens), self.order), dtype=bool)
+        rows[:, self.id_idx] = True
+        fr, fx = np.arange(len(gens)), np.full(len(gens), self.id_idx)
+        while fr.size:
+            nr, nx = np.repeat(fr, gens.shape[-1]), self.table[fx[:, None], gens[fr]].ravel()
+            # sorted and deduplicated by hand: np.unique would import numpy.ma
+            pos = np.sort((nr * self.order + nx)[~rows[nr, nx]])
+            first = np.ones(pos.size, dtype=bool)
+            first[1:] = pos[1:] != pos[:-1]
+            fr, fx = np.divmod(pos[first], self.order)
+            rows[fr, fx] = True
+        return rows
 
     def index_tuples(self, positions, n: int) -> list[tuple[int, ...]]:
         """The index n-tuples at the given enumeration positions."""
@@ -262,29 +282,24 @@ class FiniteTable:
         Walks the lattice of subgroups one entry at a time: the subgroup
         generated by a prefix joined with the next entry is looked up in the
         memoized table ``join[subgroup][element]``, whose rows each cost one
-        closure per element outside the subgroup.
+        ``closure`` call over the elements outside the subgroup.
         """
-        subgroups = [frozenset(self.closure(()))]
-        gens: list[tuple[int, ...]] = [()]
-        ids = {subgroups[0]: 0}
-        join: list[list[int]] = []
-        sub = np.zeros(1, dtype=np.int64)
+        subgroups, gens = list(self.closure([()])), [()]
+        ids = {subgroups[0].tobytes(): 0}
+        join: list[np.ndarray] = []
+        sub = np.zeros(1, dtype=np.intp)
         for _ in range(n):
             for s in range(len(join), len(subgroups)):
-                row = []
-                for g in range(self.order):
-                    if g in subgroups[s]:
-                        row.append(s)
-                        continue
-                    members = frozenset(self.closure(gens[s] + (g,)))
-                    if members not in ids:
-                        ids[members] = len(subgroups)
+                row = np.full(self.order, s, dtype=np.intp)
+                outside = np.flatnonzero(~subgroups[s]).tolist()
+                for g, members in zip(outside, self.closure([gens[s] + (g,) for g in outside])):
+                    row[g] = ids.setdefault(members.tobytes(), len(subgroups))
+                    if row[g] == len(subgroups):
                         subgroups.append(members)
                         gens.append(gens[s] + (g,))
-                    row.append(ids[members])
                 join.append(row)
-            sub = np.asarray(join, dtype=np.int64)[sub].ravel()
-        return sub == ids.get(frozenset(range(self.order)), -1)
+            sub = np.stack(join)[sub].ravel()
+        return sub == ids.get(np.ones(self.order, dtype=bool).tobytes(), -1)
 
 
 class Integers(Group):
@@ -393,6 +408,14 @@ class IntVectorGroup(Group):
     def elements(self):
         return super().elements() if self._unbounded else iproduct(*map(range, self.moduli))
 
+    def _build_table(self) -> FiniteTable:
+        """The law evaluated once on the coordinate arrays of all pairs."""
+        coords = np.unravel_index(np.arange(self.order), self.moduli)
+        table = np.ravel_multi_index(self.mul(tuple(c[:, None] for c in coords), coords), self.moduli)
+        inverses = np.ravel_multi_index(self.inv(coords), self.moduli)
+        index = {e: k for k, e in enumerate(self.elements())}
+        return FiniteTable(list(index), index, table, inverses, index[self.identity()])
+
     def _is_generating(self, entries):
         # the images generate the abelianization iff they span Z^k together
         # with the rows m * e_i of its bounded coordinates
@@ -458,47 +481,42 @@ class FiniteCayley(Group):
     kind = "FiniteCayley"
     is_finite = True
 
-    def __init__(self, table, identity: int):
-        if isinstance(table, list) and not all(isinstance(row, list) and all(map(_is_int, row)) for row in table):
+    def __init__(self, table: list[list[int]], identity: int):
+        if not (isinstance(table, list) and all(isinstance(row, list) and all(map(_is_int, row)) for row in table)):
             raise UsageError("FiniteCayley table must be a list of rows of int element indices")
-        tab = np.asarray(table, dtype=np.int64)
-        if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
+        k = len(table)
+        if not k or any(len(row) != k for row in table):
             raise UsageError("FiniteCayley table must be square")
-        k = tab.shape[0]
-        if k == 0:
-            raise UsageError("FiniteCayley table must be nonempty")
-        if tab.min() < 0 or tab.max() >= k:
+        if not all(0 <= x < k for row in table for x in row):
             raise UsageError("FiniteCayley table entries must be element indices")
         if not _is_int(identity) or not 0 <= identity < k:
             raise UsageError("FiniteCayley identity index out of range")
+        tab = np.asarray(table, dtype=np.intp)
         ar = np.arange(k)
-        if not all((np.sort(tab[i]) == ar).all() and (np.sort(tab[:, i]) == ar).all() for i in range(k)):
+        if not ((np.sort(tab, axis=1) == ar).all() and (np.sort(tab, axis=0) == ar[:, None]).all()):
             raise UsageError("FiniteCayley table is not a Latin square")
         if not ((tab[identity] == ar).all() and (tab[:, identity] == ar).all()):
             raise UsageError("FiniteCayley identity index does not act as identity")
-        left = tab[tab.reshape(-1), :].reshape(k, k, k)     # (a*b)*c
-        right = tab[:, tab.reshape(-1)].reshape(k, k, k)    # a*(b*c)
-        if not (left == right).all():
+        # (a*b)*c against a*(b*c) one row a at a time keeps the peak at O(k^2)
+        if not all((tab[tab[a]] == tab[a][tab]).all() for a in range(k)):
             raise UsageError("FiniteCayley table is not associative")
-        inv = []
-        for a in range(k):
-            hits = np.nonzero(tab[a] == identity)[0]
-            if len(hits) != 1 or tab[hits[0], a] != identity:
-                raise UsageError("FiniteCayley table lacks two-sided inverses")
-            inv.append(int(hits[0]))
+        # each row of a Latin square holds the identity exactly once
+        inv = np.argmax(tab == identity, axis=1)
+        if not (tab[inv, ar] == identity).all():
+            raise UsageError("FiniteCayley table lacks two-sided inverses")
         self.table = tab
         self.id_index = identity
         # elements are indices already, so the table is its own index form
-        self._index_form = FiniteTable(self, list(range(k)), {a: a for a in range(k)}, tab.tolist(), inv, identity)
+        self._finite_table = FiniteTable(list(range(k)), {a: a for a in range(k)}, tab, inv, identity)
 
     def identity(self):
         return self.id_index
 
     def mul(self, a, b):
-        return self._index_form.mul[a][b]
+        return self.table.item(a, b)
 
     def inv(self, a):
-        return self._index_form.inv[a]
+        return self._finite_table.inverses.item(a)
 
     def check_element(self, a):
         if not _is_int(a) or not 0 <= a < self.order:
@@ -518,15 +536,20 @@ class FiniteCayley(Group):
         return rng.randrange(self.order)
 
     def _is_generating(self, entries):
-        return len(self._index_form.closure(tuple(entries))) == self.order
+        return bool(self._finite_table.closure([entries]).all())
 
     def standard_generators(self):
-        all_elems = list(self.elements())
-        for k in range(1, self.order + 1):
-            for cand in iproduct(all_elems, repeat=k):
-                if self.is_generating(cand):
-                    return cand
-        raise AssertionError("unreachable")
+        """The lexicographically first generating tuple of least length.
+
+        Searches k = 1, 2, ... on the generation mask of all k-tuples, and
+        raises ResourceCapError once |G|^k exceeds the default vertex cap.
+        """
+        for k in count(1):
+            if self.order**k > DEFAULT_VERTEX_CAP:
+                raise ResourceCapError(f"rank search over {self.order}^{k} tuples exceeds cap {DEFAULT_VERTEX_CAP}")
+            hits = np.flatnonzero(self._finite_table.generating_mask(k))
+            if hits.size:
+                return self._finite_table.index_tuples(hits[:1], k)[0]
 
     @property
     def order(self):
@@ -536,11 +559,7 @@ class FiniteCayley(Group):
         return iter(range(self.order))
 
     def spec_json(self):
-        return {
-            "kind": "FiniteCayley",
-            "table": [[int(x) for x in row] for row in self.table],
-            "identity": self.id_index,
-        }
+        return {"kind": "FiniteCayley", "table": self.table.tolist(), "identity": self.id_index}
 
 
 class Heisenberg(IntVectorGroup):
@@ -597,10 +616,10 @@ class BurnsideB23(Heisenberg):
     def __init__(self):
         IntVectorGroup.__init__(self, (3, 3, 3))
         tab = FiniteTable.of(self)
-        for g in range(tab.order):
-            if tab.mul[tab.mul[g][g]][g] != tab.id_idx:
-                raise AssertionError(f"exponent-3 law fails at {tab.elements[g]}")
-        if len(tab.closure(tuple(tab.index[g] for g in self.standard_generators()))) != tab.order:
+        bad = np.flatnonzero(tab.table[tab.table.diagonal(), np.arange(tab.order)] != tab.id_idx)
+        if bad.size:
+            raise AssertionError(f"exponent-3 law fails at {tab.elements[bad[0]]}")
+        if not tab.closure([[tab.index[g] for g in self.standard_generators()]]).all():
             raise AssertionError("designated generators do not generate")
 
     def mul(self, a, b):
@@ -839,28 +858,12 @@ def dihedral_table(k: int) -> list[list[int]]:
 
 
 def quaternion_table() -> list[list[int]]:
-    """Q8 via signed units {1,-1,i,-i,j,-j,k,-k} in index order."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    basic = {
-        ("1", "1"): "1", ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
-
+    """Q8 as the signed units 1, -1, i, -i, j, -j, k, -k: element 2*u + s is
+    unit u of 1, i, j, k with sign bit s. Units multiply as u XOR v, with a
+    sign for i*i, j*j, k*k and for j*i, k*j, i*k."""
     def mul(a, b):
-        sign = 1
-        if a.startswith("-"):
-            sign, a = -sign, a[1:]
-        if b.startswith("-"):
-            sign, b = -sign, b[1:]
-        if a == "1":
-            base = b
-        elif b == "1":
-            base = a
-        else:
-            base = basic[(a, b)]
-        if base.startswith("-"):
-            sign, base = -sign, base[1:]
-        return base if sign > 0 else "-" + base
+        (u, s), (v, t) = divmod(a, 2), divmod(b, 2)
+        flip = 0 < u and 0 < v and (u == v or (v - u) % 3 == 2)
+        return (u ^ v) * 2 + (s ^ t ^ flip)
 
-    return [[names.index(mul(x, y)) for y in names] for x in names]
+    return [[mul(a, b) for b in range(8)] for a in range(8)]

@@ -131,9 +131,5 @@ def eval_word(group: Group, state: State, word) -> State:
     return state
 
 
-def word_from_text(texts) -> tuple[Move, ...]:
-    return tuple(parse_move(t) for t in texts)
-
-
 def word_to_text(word) -> list[str]:
     return [m.text() for m in word]

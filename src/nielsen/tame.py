@@ -16,7 +16,6 @@ through ``moves.apply_move``. Every step is a gather.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,8 +45,7 @@ class NotRelativelyFreeError(UsageError):
 class AutAction:
     """Aut(G) as one array of element-index permutations, tied to generating d-tuples."""
 
-    table: FiniteTable
-    law: SimpleNamespace                # mul/inv on element-index arrays, for apply_move
+    table: FiniteTable                  # also the law on index columns, for apply_move
     d: int
     base: tuple[int, ...]
     positions: np.ndarray               # of the generating d-tuples, increasing
@@ -80,11 +78,12 @@ def aut_group(group: Group, d: int, base: State | None = None) -> AutAction:
     edge of a BFS tree of the Cayley graph of G with respect to the base,
     and checks each map to be a bijective homomorphism; if any is not, the
     group is not relatively free of rank d and NotRelativelyFreeError
-    reports the discrepancy. The base length and every array size are
-    checked against the vertex cap before anything is built.
+    reports the discrepancy. Sizes are checked against the vertex cap
+    before the default base is looked up and before each array is built.
     """
     if not group.is_finite:
         raise UsageError(f"{group.kind} is not a finite group")
+    check_finite_sizes(group.order, d, DEFAULT_VERTEX_CAP)
     if base is None:
         base_vals = group.standard_generators()
         if len(base_vals) != d:
@@ -95,10 +94,9 @@ def aut_group(group: Group, d: int, base: State | None = None) -> AutAction:
         base_vals = tuple(group.check_element(g) for g in base)
         if len(base_vals) != d:
             raise UsageError("base tuple length must equal d")
-    check_finite_sizes(group.order, d, DEFAULT_VERTEX_CAP)
     tab = FiniteTable.of(group)
     base_idx = tuple(tab.index[g] for g in base_vals)
-    if len(tab.closure(base_idx)) != tab.order:
+    if not tab.closure([base_idx]).all():
         raise UsageError("base tuple does not generate the group")
 
     positions = np.flatnonzero(tab.generating_mask(d))
@@ -106,8 +104,6 @@ def aut_group(group: Group, d: int, base: State | None = None) -> AutAction:
         raise ResourceCapError(
             f"automorphism array of {len(positions)} x {tab.order} entries exceeds cap {DEFAULT_VERTEX_CAP}"
         )
-    mul, inv = np.array(tab.mul, dtype=np.intp), np.array(tab.inv, dtype=np.intp)
-    law = SimpleNamespace(mul=lambda a, b: mul[a, b], inv=inv.__getitem__)
     targets = np.unravel_index(positions, (tab.order,) * d)
     # phi(g * b_k) = phi(g) * t_k along the tree (the base generates, so it
     # spans G); checking it at every g * b_k makes phi a homomorphism
@@ -117,23 +113,23 @@ def aut_group(group: Group, d: int, base: State | None = None) -> AutAction:
     reached = {tab.id_idx}
     for g in queue:
         for bk, tk in zip(base_idx, targets):
-            h = tab.mul[g][bk]
+            h = tab.table.item(g, bk)
             if h not in reached:
                 reached.add(h)
                 queue.append(h)
-                perms[:, h] = mul[perms[:, g], tk]
+                perms[:, h] = tab.table[perms[:, g], tk]
     # one contiguous column of the Fortran-ordered perms at a time keeps the
     # peak near one (A, |G|) array
     ok = np.ones(len(positions), dtype=bool)
     for bk, tk in zip(base_idx, targets):
         for g in range(tab.order):
-            ok &= perms[:, tab.mul[g][bk]] == mul[perms[:, g], tk]
+            ok &= perms[:, tab.table[g, bk]] == tab.table[perms[:, g], tk]
     hit = np.zeros(perms.shape, dtype=bool)
     np.put_along_axis(hit, perms, True, axis=1)
     ok &= hit.all(axis=1)
     if not ok.all():
         raise NotRelativelyFreeError(group, d, len(positions), int(ok.sum()))
-    return AutAction(table=tab, law=law, d=d, base=base_idx, positions=positions, perms=perms)
+    return AutAction(table=tab, d=d, base=base_idx, positions=positions, perms=perms)
 
 
 @dataclass
@@ -149,7 +145,7 @@ def move_automorphisms(act: AutAction, base: tuple[int, ...] | None = None) -> d
     base (a generating index tuple) to base.move."""
     base = act.base if base is None else base
     moves = move_set(act.d)
-    targets = np.array([apply_move(act.law, base, mv) for mv in moves]).T
+    targets = np.array([apply_move(act.table, base, mv) for mv in moves]).T
     rows = act.rows(targets)
     bad = np.flatnonzero(rows < 0)
     if bad.size:
@@ -250,7 +246,7 @@ def verify_component_structure(group: Group, d: int) -> ComponentStructureReport
         if not np.array_equal(np.sort(beta), np.flatnonzero(t_local)):
             cayley_match = False
         for mv, alpha in gens.items():
-            moved = np.ravel_multi_index(apply_move(act.law, cols, mv), dims)
+            moved = np.ravel_multi_index(apply_move(act.table, cols, mv), dims)
             at = np.minimum(np.searchsorted(cls, moved), len(cls) - 1)
             expected = act.after(beta, act.perms[alpha, list(act.base)])
             if not (np.array_equal(cls[at], moved) and np.array_equal(beta[at], expected)):

@@ -12,11 +12,20 @@ from nielsen.groups import (
     InfiniteDihedral,
     Integers,
     cyclic_table,
+    direct_product_table,
 )
 
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def elementary_abelian_table(d: int) -> list[list[int]]:
+    """The Cayley table of (Z/2)^d, built as a direct product."""
+    table = cyclic_table(2)
+    for _ in range(d - 1):
+        table = direct_product_table(table, cyclic_table(2))
+    return table
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,16 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
-the list table of ``FiniteTable.of``, ``apply_move``, the key encoding, the
-fragment record, the forest's edge rule and report record, and the error
-types."""
+``apply_move``, the key encoding, the fragment record, the forest's edge rule
+and report record, and the error types."""
 
 import math
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 from nielsen import forest
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
-from nielsen.groups import FiniteTable, Group, State
+from nielsen.groups import Group, State
 from nielsen.moves import Move, apply_move, move_inverse, move_set
 from nielsen.tame import NotRelativelyFreeError
 
@@ -159,21 +159,50 @@ def ball_by_keys(
     return frag
 
 
-class _ListLaw:
-    """The list multiplication table of a FiniteTable as a law on element
-    indices, for ``apply_move``."""
+@dataclass
+class PairTable:
+    """The index form of a finite group as lists, one ``mul`` call per pair
+    of elements; it is also the law on element indices, for ``apply_move``."""
 
-    def __init__(self, tab: FiniteTable):
-        self.tab = tab
+    elements: list
+    index: dict
+    table: list[list[int]]
+    inverses: list[int]
+    id_idx: int
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
     def mul(self, a, b):
-        return self.tab.mul[a][b]
+        return self.table[a][b]
 
     def inv(self, a):
-        return self.tab.inv[a]
+        return self.inverses[a]
 
 
-def _extend_by_bfs(tab: FiniteTable, base: tuple, target: tuple):
+def table_by_pairs(group: Group) -> PairTable:
+    """What ``FiniteTable.of`` must hold: elements in the order of
+    ``elements()``, and the table and inverses from the law, pair by pair."""
+    elements = list(group.elements())
+    index = {e: k for k, e in enumerate(elements)}
+    table = [[index[group.mul(a, b)] for b in elements] for a in elements]
+    inverses = [index[group.inv(a)] for a in elements]
+    return PairTable(elements, index, table, inverses, index[group.identity()])
+
+
+def first_generating_tuple(group: Group) -> State:
+    """The lexicographically first generating tuple of least length: every
+    k-tuple of elements is tried in turn, for k = 1, 2, ..."""
+    elements = list(group.elements())
+    for k in range(1, len(elements) + 1):
+        for cand in iproduct(elements, repeat=k):
+            if len(element_closure(group, cand)) == len(elements):
+                return cand
+    raise AssertionError("unreachable")
+
+
+def _extend_by_bfs(tab: PairTable, base: tuple, target: tuple):
     """The map base -> target extended along right multiplications, or None
     when it is not a bijective homomorphism."""
     phi = [-1] * tab.order
@@ -181,15 +210,15 @@ def _extend_by_bfs(tab: FiniteTable, base: tuple, target: tuple):
     queue = [tab.id_idx]
     for g in queue:
         for bk, tk in zip(base, target):
-            h = tab.mul[g][bk]
+            h = tab.table[g][bk]
             if phi[h] < 0:
-                phi[h] = tab.mul[phi[g]][tk]
+                phi[h] = tab.table[phi[g]][tk]
                 queue.append(h)
     if len(queue) != tab.order:
         return None
     for g in range(tab.order):
         for bk, tk in zip(base, target):
-            if phi[tab.mul[g][bk]] != tab.mul[phi[g]][tk]:
+            if phi[tab.table[g][bk]] != tab.table[phi[g]][tk]:
                 return None
     return tuple(phi) if len(set(phi)) == tab.order else None
 
@@ -226,12 +255,12 @@ def tame_reference(group: Group, d: int) -> dict:
 
     One BFS extension per generating d-tuple (found by ``element_closure``),
     permutations as tuples, subgroups as tuple sets, moves by ``apply_move``
-    on the list table and the Nielsen classes from ``components_unionfind``.
+    on the list table of ``table_by_pairs`` and the Nielsen classes from
+    ``components_unionfind``.
     Returns the automorphisms in enumeration order (``perms``), their tame
     flags and the ``verify_component_structure`` report as JSON.
     """
-    tab = FiniteTable.of(group)
-    law = _ListLaw(tab)
+    tab = table_by_pairs(group)
     base = tuple(tab.index[g] for g in group.standard_generators())
     assert len(base) == d
     tuples = [t for t in iproduct(range(tab.order), repeat=d)
@@ -246,7 +275,7 @@ def tame_reference(group: Group, d: int) -> dict:
         return _compose(by_tuple[dst], _perm_inverse(by_tuple[src]))
 
     def move_auts(src):
-        return {mv: sending(src, apply_move(law, src, mv)) for mv in move_set(d)}
+        return {mv: sending(src, apply_move(tab, src, mv)) for mv in move_set(d)}
 
     gens = move_auts(base)
     tame = _subgroup(list(gens.values()), identity)
@@ -264,7 +293,7 @@ def tame_reference(group: Group, d: int) -> dict:
             cayley_match = False
         for t in members:
             for mv, alpha in local.items():
-                if beta.get(apply_move(law, t, mv)) != _compose(beta[t], alpha):
+                if beta.get(apply_move(tab, t, mv)) != _compose(beta[t], alpha):
                     cayley_match = False
     isomorphic = all(
         {tuple(gamma[x] for x in t) for t in classes[0]} == set(members)

@@ -11,6 +11,8 @@ import pytest
 
 from nielsen.cli import main
 
+from conftest import elementary_abelian_table
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -268,6 +270,26 @@ def test_tame_checks_sizes_before_building_a_table(capsys, monkeypatch):
     )
     assert code == 3 and out == ""
     assert err.startswith("resource error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k, d", [(5, 5), (6, 6), (6, 2)])
+def test_tame_rank_search_is_bounded(capsys, k, d):
+    # (Z/2)^k as a table: the tuple count |G|^d, or at d = 2 the search for
+    # a default base over |G|^4 tuples, exceeds the cap
+    start = time.perf_counter()
+    group = json.dumps({"kind": "FiniteCayley", "table": elementary_abelian_table(k), "identity": 0})
+    code, out, err = run_cli(capsys, "tame", "--group", group, "--d", str(d))
+    assert code == 3 and out == ""
+    assert err.startswith("resource error") and "Traceback" not in err
+    assert time.perf_counter() - start < 20
+
+
+@pytest.mark.parametrize("table", ['"ab"', "[[0,1],[1]]", "[[100000000000000000000000]]", "{}", "[[0.0]]"])
+def test_malformed_cayley_tables_are_usage_errors(capsys, table):
+    group = '{"kind":"FiniteCayley","table":%s,"identity":0}' % table
+    code, out, err = run_cli(capsys, "components", "--group", group, "--n", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: FiniteCayley table") and "Traceback" not in err
 
 
 def test_components_beyond_the_label_limits(capsys):

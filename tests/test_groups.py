@@ -1,23 +1,30 @@
 """Group kernel: laws, normal forms, serialization, generation tests."""
 
 import math
+import time
+import tracemalloc
 from itertools import product as iproduct
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nielsen.covering import epimorphism_from_json
-from nielsen.errors import UsageError
+from nielsen.errors import ResourceCapError, UsageError
+from nielsen.explore import components
 from nielsen.groups import (
     BurnsideB23,
     FiniteAbelianExp,
     FiniteCayley,
+    FiniteTable,
     FreeAbelian,
     FreeGroup,
     Heisenberg,
     InfiniteDihedral,
     Integers,
+    IntVectorGroup,
     cyclic_table,
     dihedral_table,
     direct_product_table,
@@ -25,9 +32,10 @@ from nielsen.groups import (
     lattice_is_full,
     quaternion_table,
 )
+from nielsen.tame import verify_component_structure
 
-from conftest import seeded
-from oracles import element_closure
+from conftest import elementary_abelian_table, seeded
+from oracles import element_closure, first_generating_tuple, table_by_pairs
 
 ints = st.integers(min_value=-50, max_value=50)
 
@@ -347,6 +355,37 @@ def test_finite_cayley_rejects_bad_tables():
         FiniteCayley(t, 0)
 
 
+def test_associativity_is_checked_through_the_last_row():
+    # a loop of order 8 whose associative rows, its left nucleus, are 0..3.
+    # The left nucleus of a Latin square with identity is a subloop, so at
+    # most half the rows are free of failures: no table fails in its last
+    # row only, and this one fails in the last four.
+    t = [[0, 1, 2, 3, 4, 5, 6, 7],
+         [1, 2, 3, 0, 5, 6, 7, 4],
+         [2, 3, 0, 1, 6, 7, 4, 5],
+         [3, 0, 1, 2, 7, 4, 5, 6],
+         [4, 7, 6, 5, 1, 2, 3, 0],
+         [5, 4, 7, 6, 2, 3, 0, 1],
+         [6, 5, 4, 7, 3, 0, 1, 2],
+         [7, 6, 5, 4, 0, 1, 2, 3]]
+    failing = [a for a in range(8) if any(t[t[a][b]][c] != t[a][t[b][c]] for b in range(8) for c in range(8))]
+    assert failing == [4, 5, 6, 7]
+    with pytest.raises(UsageError, match="not associative"):
+        FiniteCayley(t, 0)
+
+
+def test_table_validation_peak_memory_is_quadratic():
+    table = cyclic_table(181)
+    tracemalloc.start()
+    try:
+        FiniteCayley(table, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two k^3 int64 arrays would take 94 MB; the table itself is 262 KB
+    assert peak < 8 * 2**20
+
+
 def test_group_json_round_trip(all_groups):
     for group, _ in all_groups:
         assert group_from_json(group.spec_json()) == group
@@ -446,3 +485,81 @@ def test_rank_brute_force():
     assert FiniteCayley(direct_product_table(cyclic_table(2), cyclic_table(2)), 0).rank() == 2
     assert FiniteAbelianExp(3, 2).rank() == 2
     assert BurnsideB23().rank() == 2
+
+
+RANK_BATTERY = {
+    "S3": dihedral_table(3),
+    "D4": dihedral_table(4),
+    "Q8": quaternion_table(),
+    "C8": cyclic_table(8),
+    "Z2xZ4": direct_product_table(cyclic_table(2), cyclic_table(4)),
+    "Z3xZ3": direct_product_table(cyclic_table(3), cyclic_table(3)),
+    "D6xZ2": direct_product_table(dihedral_table(6), cyclic_table(2)),
+    "Z2^3": elementary_abelian_table(3),
+    "Z2^4": elementary_abelian_table(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_BATTERY))
+def test_rank_search_matches_brute_force(name):
+    group = FiniteCayley(RANK_BATTERY[name], 0)
+    assert group.standard_generators() == first_generating_tuple(group)
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_rank_search_stops_at_the_cap(d):
+    group = FiniteCayley(elementary_abelian_table(d), 0)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="rank search"):
+        group.rank()
+    assert time.perf_counter() - start < 20
+
+
+# ---------------------------------------------------------------------------
+# the index form: FiniteTable.of against the pair-by-pair reference
+
+
+def assert_table_matches_reference(group):
+    tab, ref = FiniteTable.of(group), table_by_pairs(group)
+    assert tab.table.dtype == tab.inverses.dtype == np.intp
+    assert tab.table.tolist() == ref.table and tab.inverses.tolist() == ref.inverses
+    assert tab.elements == ref.elements and tab.index == ref.index and tab.id_idx == ref.id_idx
+
+
+@pytest.mark.parametrize("m, d", [(2, 1), (2, 3), (2, 6), (3, 2), (4, 2), (5, 1), (6, 2), (7, 2), (9, 1), (4, 3)])
+def test_finite_abelian_table_matches_pair_reference(m, d):
+    assert_table_matches_reference(FiniteAbelianExp(m, d))
+
+
+def test_burnside_table_matches_pair_reference():
+    assert_table_matches_reference(BurnsideB23())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["S3", "Q8", "D4"]), st.data())
+def test_relabelled_cayley_table_matches_pair_reference(name, data):
+    table = {"S3": dihedral_table(3), "Q8": quaternion_table(), "D4": dihedral_table(4)}[name]
+    perm = data.draw(st.permutations(range(len(table))))
+    relabelled = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            relabelled[perm[a]][perm[b]] = perm[c]
+    assert_table_matches_reference(FiniteCayley(relabelled, perm[0]))
+
+
+def test_each_group_builds_its_table_once(monkeypatch):
+    group = FiniteCayley(quaternion_table(), 0)
+    assert FiniteTable.of(group).table is group.table
+    assert type(group.mul(2, 4)) is int and type(group.inv(2)) is int
+    builds = []
+    build = IntVectorGroup._build_table
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(IntVectorGroup, "_build_table", counted)
+    b23 = BurnsideB23()
+    components(b23, 2)
+    verify_component_structure(b23, 2)
+    assert builds == [b23]
