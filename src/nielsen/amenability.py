@@ -86,13 +86,7 @@ def iso_ratio(frag: GraphFragment, members, description: str = "custom") -> IsoR
     return IsoReport(size=len(idxs), boundary=boundary, ratio=Fraction(boundary, len(idxs)), description=description)
 
 
-def closed_walks(
-    group: Group,
-    root: State,
-    k_max: int,
-    window: int | None = None,
-    moves=None,
-) -> list[int]:
+def closed_walks(group: Group, root: State, k_max: int, window: int | None = None) -> list[int]:
     """Exact counts a_0..a_{k_max} of closed move sequences based at root.
 
     A closed walk of length k stays within distance floor(k/2) of the root,
@@ -103,7 +97,7 @@ def closed_walks(
     if k_max < 0:
         raise UsageError("k_max must be >= 0")
     need = k_max // 2
-    frag = ball(group, root, need + 1, window=window, moves=moves)
+    frag = ball(group, root, need + 1, window=window)
     if frag.truncated_at is not None and frag.truncated_at <= need:
         raise UsageError(
             f"window {window} too small for walks of length {k_max}: "

@@ -191,6 +191,18 @@ def table_by_pairs(group: Group) -> PairTable:
     return PairTable(elements, index, table, inverses, index[group.identity()])
 
 
+def homomorphism_failure_by_pairs(rule: str, domain: Group, codomain: Group, fn) -> str | None:
+    """The message ``Epimorphism`` must raise when ``fn`` breaks the law on
+    a finite domain: every pair of elements tried in turn, row-major over
+    ``elements()``; None when the law holds."""
+    elements = list(domain.elements())
+    for a in elements:
+        for b in elements:
+            if fn(domain.mul(a, b)) != codomain.mul(fn(a), fn(b)):
+                return f"rule {rule} is not a homomorphism at {a!r}, {b!r}"
+    return None
+
+
 def first_generating_tuple(group: Group) -> State:
     """The lexicographically first generating tuple of least length: every
     k-tuple of elements is tried in turn, for k = 1, 2, ..."""

@@ -163,8 +163,21 @@ def _unknown_move(rows):
     rows[0]["adj"][0]["move"] = "R+:1,3"
 
 
-@pytest.mark.parametrize("mutate", [None, _drop_depth, _dangling_target, _unknown_move],
-                         ids=["not_json", "missing_field", "dangling_to", "unknown_move"])
+def _relabelled_key(rows):
+    old, new = rows[1]["v"], "ff" + rows[1]["v"]
+    for row in rows:
+        row["v"] = new if row["v"] == old else row["v"]
+        for dart in row["adj"] or ():
+            dart["to"] = new if dart["to"] == old else dart["to"]
+
+
+def _false_depth(rows):
+    rows[-1]["depth"] = 7
+
+
+@pytest.mark.parametrize("mutate", [None, _drop_depth, _dangling_target, _unknown_move, _relabelled_key, _false_depth],
+                         ids=["not_json", "missing_field", "dangling_to", "unknown_move", "relabelled_key",
+                              "false_depth"])
 def test_cover_rejects_malformed_fragment(capsys, tmp_path, mutate):
     from nielsen.explore import ball
     from nielsen.groups import Integers

@@ -4,6 +4,7 @@ import pytest
 
 from nielsen.amenability import closed_walks
 from nielsen.covering import (
+    Epimorphism,
     abelianization,
     epimorphism_from_json,
     finite_quotient,
@@ -16,7 +17,7 @@ from nielsen.covering import (
     verify_star_bijection,
     verify_surjectivity_on_fragment,
 )
-from nielsen.errors import UsageError
+from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import ball
 from nielsen.groups import (
     BurnsideB23,
@@ -28,10 +29,12 @@ from nielsen.groups import (
     Integers,
     cyclic_table,
     dihedral_table,
+    quaternion_table,
 )
 from nielsen.moves import eval_word, move_set
 
 from conftest import seeded
+from oracles import homomorphism_failure_by_pairs
 
 
 def test_push_examples():
@@ -105,6 +108,59 @@ def test_finite_quotient_keeps_its_messages():
     assert pi.params == {"normal": [0, 3]}
     assert pi.codomain.table.tolist() == cyclic_table(3)
     assert [pi.apply(g) for g in range(6)] == [0, 1, 2, 0, 1, 2]
+
+
+def _law_outcome(domain, codomain, fn):
+    """The homomorphism message the constructor raises for fn, or None."""
+    try:
+        Epimorphism("map", domain, codomain, fn, {})
+    except VerificationError as e:
+        return None if "not surjective" in str(e) else str(e)
+    return None
+
+
+LAW_DOMAINS = {
+    "S3": FiniteCayley(dihedral_table(3), 0),
+    "Q8": FiniteCayley(quaternion_table(), 0),
+    "Z6": FiniteCayley(cyclic_table(6), 0),
+    "Z2^2": FiniteAbelianExp(2, 2),
+    "B23": BurnsideB23(),
+}
+
+
+@pytest.mark.parametrize("name", LAW_DOMAINS)
+def test_homomorphism_check_names_the_first_bad_pair(name):
+    # the identity twisted by every transposition of two elements; only
+    # the swaps of two nonzero vectors of (Z/2)^2 are automorphisms
+    group = LAW_DOMAINS[name]
+    elements = list(group.elements())
+    assert _law_outcome(group, group, lambda g: g) is None
+    failures = 0
+    for k, a in enumerate(elements):
+        for b in elements[k + 1:]:
+            fn = {a: b, b: a}.get
+            twisted = lambda g: fn(g, g)
+            expected = homomorphism_failure_by_pairs("map", group, group, twisted)
+            assert _law_outcome(group, group, twisted) == expected
+            failures += expected is not None
+    assert failures == len(elements) * (len(elements) - 1) // 2 - (3 if name == "Z2^2" else 0)
+
+
+def test_homomorphism_check_on_a_quotient_codomain():
+    # the sign map of S_3 with one value flipped breaks the law
+    s3 = LAW_DOMAINS["S3"]
+    sign = finite_quotient(s3, [0, 2, 4])
+    assert _law_outcome(s3, sign.codomain, sign.apply) is None
+    for flipped in range(6):
+        fn = lambda g: sign.apply(g) ^ (g == flipped)
+        expected = homomorphism_failure_by_pairs("map", s3, sign.codomain, fn)
+        assert expected is not None and _law_outcome(s3, sign.codomain, fn) == expected
+
+
+def test_homomorphism_check_caps_the_table():
+    # (Z/2)^12 has 2^24 pairs, over the default cap
+    with pytest.raises(ResourceCapError, match="multiplication table of 4096\\^2 entries exceeds cap"):
+        identity_epi(FiniteAbelianExp(2, 12))
 
 
 def test_projection_of_rank1_is_integers():

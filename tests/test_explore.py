@@ -1,5 +1,6 @@
 """Explorer: balls, windows, exports, components, Euclid certificates."""
 
+import json
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from nielsen.explore import (
     euclid_reduce,
     fragment_from_jsonl,
     growth_profile,
+    state_key,
 )
 from nielsen.groups import (
     BurnsideB23,
@@ -159,6 +161,34 @@ def test_jsonl_import_rejects_repeated_tuple():
         fragment_from_jsonl(Z, 2, "\n".join(lines + [twin]) + "\n")
 
 
+def test_jsonl_import_recomputes_keys():
+    text = ball(Z, (1, 1), 2).to_jsonl()
+    for old in [json.loads(line)["v"] for line in text.splitlines()]:
+        # a fresh key, under which every dart still finds the vertex
+        new = "ff" + old
+        with pytest.raises(UsageError, match=f"vertex {new} does not encode its tuple"):
+            fragment_from_jsonl(Z, 2, text.replace(f'"{old}"', f'"{new}"'))
+
+
+def test_jsonl_import_checks_depths():
+    rows = [json.loads(line) for line in ball(Z, (1, 1), 2).to_jsonl().splitlines()]
+    leaf = rows[-1]
+    leaf["depth"] = 7
+    with pytest.raises(UsageError, match=f"vertex {leaf['v']} has depth 7 but is at distance 2"):
+        fragment_from_jsonl(Z, 2, "".join(json.dumps(row) + "\n" for row in rows))
+    leaf["depth"] = 2
+    # a depth-1 vertex claimed at depth 2
+    rows[1]["depth"] = 2
+    with pytest.raises(UsageError, match=f"vertex {rows[1]['v']} has depth 2 but is at distance 1"):
+        fragment_from_jsonl(Z, 2, "".join(json.dumps(row) + "\n" for row in rows))
+    rows[1]["depth"] = 1
+    # a well-formed vertex that no dart of an expanded vertex reaches
+    stray = (5, 7)
+    rows.append({"v": state_key(Z, stray).hex(), "tuple": list(stray), "depth": 3, "adj": None})
+    with pytest.raises(UsageError, match=f"vertex {rows[-1]['v']} has depth 3 but is unreachable"):
+        fragment_from_jsonl(Z, 2, "".join(json.dumps(row) + "\n" for row in rows))
+
+
 def test_dot_output_shape():
     frag = ball(Z, (1,), 2)
     dot = frag.to_dot()
@@ -225,6 +255,10 @@ def test_components_match_unionfind_oracle():
     cases += [(g, 2) for g in (FiniteCayley(dihedral_table(3), 0), FiniteCayley(quaternion_table(), 0),
                                BurnsideB23(), FiniteAbelianExp(3, 2))]
     cases += [(FiniteCayley([[0]], 0), 3), (FiniteAbelianExp(4, 2), 2)]
+    # from n = 4 on, entries 1 and 3 are not cyclically adjacent: components
+    # reaches R(1,3,+) only through a word in its generators
+    cases += [(FiniteCayley(dihedral_table(3), 0), 4), (FiniteCayley(cyclic_table(6), 0), 4),
+              (FiniteAbelianExp(2, 2), 4)]
     for group, n in cases:
         assert_components_match_oracle(group, n)
 
