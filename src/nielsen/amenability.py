@@ -141,23 +141,23 @@ def spectral_estimate(
 def cheeger_search(frag: GraphFragment, strategy: str = "balls") -> IsoReport:
     """Minimize |boundary|/|S| over a family of candidate sets.
 
-    Both families are prefixes of the (depth, key) order that end before
-    the first unexpanded vertex: ``sweep`` takes every such prefix, ``balls``
-    those that end a BFS layer (the fully expanded balls). The cut is
-    counted incrementally; dart symmetry makes each count equal
-    ``iso_ratio``'s. A finite search yields an upper bound on the
-    isoperimetric constant only; the report's description says which set
-    attained it.
+    Both families are prefixes of the vertex order, (depth, key) in every
+    fragment, that end before the first unexpanded vertex: ``sweep`` takes
+    every such prefix, ``balls`` those that end a BFS layer (the fully
+    expanded balls). The cut is counted incrementally; dart symmetry makes
+    each count equal ``iso_ratio``'s. A finite search yields an upper bound
+    on the isoperimetric constant only; the report's description says which
+    set attained it.
     """
     if strategy not in ("balls", "sweep"):
         raise UsageError(f"unknown strategy {strategy!r}; use 'balls' or 'sweep'")
-    order = sorted(range(len(frag)), key=lambda v: (frag.depths[v], frag.keys[v]))
     in_set = [False] * len(frag)
     boundary = 0
     best: IsoReport | None = None
-    for size, v in enumerate(order, start=1):
+    for v in range(len(frag)):
         if not frag.expanded[v]:
             break
+        size = v + 1
         in_set[v] = True
         for w in frag.darts[v]:
             if w == v:
@@ -165,7 +165,7 @@ def cheeger_search(frag: GraphFragment, strategy: str = "balls") -> IsoReport:
             boundary += -1 if in_set[w] else 1
         if strategy == "balls":
             r = frag.depths[v]
-            if size < len(order) and frag.depths[order[size]] == r:
+            if size < len(frag) and frag.depths[size] == r:
                 continue
             description = f"ball r={r} (upper bound on h)"
         else:

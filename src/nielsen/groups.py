@@ -497,17 +497,23 @@ class FiniteCayley(Group):
             raise UsageError("FiniteCayley table is not a Latin square")
         if not ((tab[identity] == ar).all() and (tab[:, identity] == ar).all()):
             raise UsageError("FiniteCayley identity index does not act as identity")
-        # (a*b)*c against a*(b*c) one row a at a time keeps the peak at O(k^2)
-        if not all((tab[tab[a]] == tab[a][tab]).all() for a in range(k)):
-            raise UsageError("FiniteCayley table is not associative")
-        # each row of a Latin square holds the identity exactly once
-        inv = np.argmax(tab == identity, axis=1)
+        inv = np.argmax(tab == identity, axis=1)  # each row holds the identity once
+        # elements are indices already, so the table is its own index form
+        form = FiniteTable(list(range(k)), {a: a for a in range(k)}, tab, inv, identity)
+        # Light's test: the c with (xy)c = x(yc) for all x, y are closed under products, so
+        # generators suffice; each is the least element outside the closure (a subgroup) of the rest.
+        gens, reached = [], ar == identity
+        while not reached.all():
+            c = int(np.argmin(reached))
+            if not (tab[:, c][tab] == tab[:, tab[:, c]]).all():
+                raise UsageError("FiniteCayley table is not associative")
+            gens.append(c)
+            reached = form.closure([gens])[0]
         if not (tab[inv, ar] == identity).all():
             raise UsageError("FiniteCayley table lacks two-sided inverses")
         self.table = tab
         self.id_index = identity
-        # elements are indices already, so the table is its own index form
-        self._finite_table = FiniteTable(list(range(k)), {a: a for a in range(k)}, tab, inv, identity)
+        self._finite_table = form
 
     def identity(self):
         return self.id_index

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+import numpy as np
+
 from nielsen import forest
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
@@ -470,3 +472,10 @@ def verify_forest_reference(n: int, window: int, state_cap: int = 2_000_000) -> 
         components_checked=len(components_seen),
         vertices_checked=vertices_checked,
     )
+
+
+def associative_by_triples(table) -> bool:
+    """(ab)c = a(bc) for every triple of a multiplication table, one row a
+    at a time."""
+    tab = np.asarray(table)
+    return all((tab[tab[a]] == tab[a][tab]).all() for a in range(len(tab)))

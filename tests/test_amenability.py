@@ -11,7 +11,7 @@ from nielsen.amenability import (
     spectral_estimate,
 )
 from nielsen.errors import UsageError
-from nielsen.explore import ball
+from nielsen.explore import ball, fragment_from_jsonl
 from nielsen.groups import (
     BurnsideB23,
     FiniteAbelianExp,
@@ -154,6 +154,13 @@ def test_cheeger_search_sweep():
     assert whole.ratio == 0
     with pytest.raises(UsageError):
         cheeger_search(frag, "spectral")
+
+
+@pytest.mark.parametrize("strategy", ["balls", "sweep"])
+def test_cheeger_search_on_an_imported_fragment(strategy):
+    for frag in (ball(Z, (1, 1), 5), ball(D, DINF_ROOT, 8), ball(FiniteCayley(dihedral_table(4), 0), (2, 1), 3)):
+        clone = fragment_from_jsonl(frag.group, frag.n, frag.to_jsonl())
+        assert cheeger_search(clone, strategy) == cheeger_search(frag, strategy)
 
 
 def test_sweep_matches_direct_recount():

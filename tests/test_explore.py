@@ -153,6 +153,66 @@ def test_jsonl_round_trip():
     assert clone.to_jsonl() == frag.to_jsonl()
 
 
+ROUND_TRIP_CASES = {
+    "Z_window": (Z, (1, 1), 4, {"window": 2}),
+    "Z5_exhausted": (FiniteCayley(cyclic_table(5), 0), (1, 0), 12, {}),
+    "D4_exhausted": (FiniteCayley(dihedral_table(4), 0), None, 12, {}),
+    "B23": (BurnsideB23(), None, 3, {}),
+    "F2_window": (FreeGroup(2), ((1,), (2,)), 4, {"window": 3}),
+    "D_inf": (D, ((0, 1), (1, 1)), 6, {}),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_CASES)
+def test_jsonl_import_regrows_the_export(name):
+    group, root, radius, kwargs = ROUND_TRIP_CASES[name]
+    root = group.standard_generators() if root is None else root
+    frag = ball(group, root, radius, **kwargs)
+    assert frag.truncated == ("window" in kwargs)
+    assert all(frag.expanded) == name.endswith("_exhausted")
+    text = frag.to_jsonl()
+    clone = fragment_from_jsonl(group, len(root), text)
+    assert clone.content_equal(frag) and clone.root == frag.root
+    again = fragment_from_jsonl(group, len(root), clone.to_jsonl())
+    for f in (clone, again):
+        assert f.to_jsonl() == text
+        assert (f.radius, f.window, f.truncated_at) == (max(frag.depths), None, None)
+
+
+def test_jsonl_import_rejects_lines_out_of_canonical_order():
+    lines = ball(Z, (1, 1), 2).to_jsonl().splitlines()
+    swapped = [lines[0], lines[2], lines[1]] + lines[3:]  # two depth-1 vertices
+    key = json.loads(lines[2])["v"]
+    with pytest.raises(UsageError, match=f"line 2: vertex {key} is out of canonical order"):
+        fragment_from_jsonl(Z, 2, "\n".join(swapped) + "\n")
+    for seed in range(5):
+        shuffled = lines[:]
+        seeded(seed).shuffle(shuffled)
+        assert shuffled != lines
+        with pytest.raises(UsageError):
+            fragment_from_jsonl(Z, 2, "\n".join(shuffled) + "\n")
+
+
+def test_jsonl_import_rejects_darts_out_of_move_order():
+    rows = [json.loads(line) for line in ball(Z, (1, 1), 2).to_jsonl().splitlines()]
+    adj = rows[1]["adj"]
+    adj[0], adj[1] = adj[1], adj[0]
+    with pytest.raises(UsageError, match=r"line 2: dart \{'move': 'R-:1,2', .*\} stands where move R\+:1,2 belongs"):
+        fragment_from_jsonl(Z, 2, "".join(json.dumps(row) + "\n" for row in rows))
+
+
+def test_jsonl_import_rejects_a_missing_vertex_and_upper_case_keys():
+    rows = [json.loads(line) for line in ball(Z, (1, 1), 2).to_jsonl().splitlines()]
+    gone = rows.pop(10)
+    with pytest.raises(UsageError, match=f"fragment lacks vertex {gone['v']} at distance {gone['depth']}"):
+        fragment_from_jsonl(Z, 2, "".join(json.dumps(row) + "\n" for row in rows))
+    rows.insert(10, gone)
+    loud = next(row for row in rows if row["v"] != row["v"].upper())
+    loud["v"] = loud["v"].upper()
+    with pytest.raises(UsageError, match=f"vertex {loud['v']} does not encode its tuple"):
+        fragment_from_jsonl(Z, 2, "".join(json.dumps(row) + "\n" for row in rows))
+
+
 def test_jsonl_import_rejects_repeated_tuple():
     lines = ball(Z, (1, 1), 1).to_jsonl().splitlines()
     # a second vertex under a fresh key that repeats the root's tuple

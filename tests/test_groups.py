@@ -35,7 +35,7 @@ from nielsen.groups import (
 from nielsen.tame import verify_component_structure
 
 from conftest import elementary_abelian_table, seeded
-from oracles import element_closure, first_generating_tuple, table_by_pairs
+from oracles import associative_by_triples, element_closure, first_generating_tuple, table_by_pairs
 
 ints = st.integers(min_value=-50, max_value=50)
 
@@ -372,6 +372,46 @@ def test_associativity_is_checked_through_the_last_row():
     assert failing == [4, 5, 6, 7]
     with pytest.raises(UsageError, match="not associative"):
         FiniteCayley(t, 0)
+
+
+def reduced_latin_squares(k: int):
+    """Every Latin square on 0..k-1 whose first row and column are 0..k-1."""
+    rows = [list(range(k))] + [[r] + [-1] * (k - 1) for r in range(1, k)]
+    cells = [(r, c) for r in range(1, k) for c in range(1, k)]
+
+    def fill(i):
+        if i == len(cells):
+            yield [row[:] for row in rows]
+            return
+        r, c = cells[i]
+        used = set(rows[r][:c]) | {rows[x][c] for x in range(r)}
+        for s in range(k):
+            if s not in used:
+                rows[r][c] = s
+                yield from fill(i + 1)
+        rows[r][c] = -1
+
+    yield from fill(0)
+
+
+def test_light_associativity_test_matches_all_triples():
+    # a reduced Latin square has identity 0 and, when it is associative, is
+    # a group; Light's test on generators must agree with every triple
+    counts, disagreements = [], []
+    for k in range(1, 7):
+        squares = list(reduced_latin_squares(k))
+        counts.append(len(squares))
+        for t in squares:
+            try:
+                FiniteCayley(t, 0)
+                accepted = True
+            except UsageError as e:
+                assert "not associative" in str(e)
+                accepted = False
+            if accepted != associative_by_triples(t):
+                disagreements.append(t)
+    assert counts == [1, 1, 1, 4, 56, 9408]
+    assert disagreements == []
 
 
 def test_table_validation_peak_memory_is_quadratic():
