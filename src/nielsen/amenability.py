@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import UsageError
-from .explore import GraphFragment, ball, state_from_key
+from .explore import GraphFragment, ball, state_from_key, state_key
 from .groups import Group, State
 from .moves import move_set
 
@@ -69,20 +71,19 @@ def iso_ratio(frag: GraphFragment, members, description: str = "custom") -> IsoR
                 raise UsageError(f"vertex index {idx} out of range")
         elif isinstance(m, bytes):
             idx = frag.index.get(state_from_key(frag.group, frag.n, m))
-            if idx is None or frag.keys[idx] != m:
+            if idx is None or state_key(frag.group, frag.states[idx]) != m:
                 raise UsageError("vertex key not present in fragment")
         else:
             idx = frag.vertex_index(tuple(m))
         idxs.add(idx)
     if not idxs:
         raise UsageError("iso_ratio requires a nonempty set")
-    boundary = 0
-    for v in idxs:
-        if not frag.expanded[v]:
-            raise UsageError("every member of S must be expanded in the fragment")
-        for w in frag.darts[v]:
-            if w not in idxs:
-                boundary += 1
+    rows = np.fromiter(idxs, dtype=np.intp, count=len(idxs))
+    if not frag.expanded[rows].all():
+        raise UsageError("every member of S must be expanded in the fragment")
+    inside = np.zeros(len(frag), dtype=bool)
+    inside[rows] = True
+    boundary = int(np.count_nonzero(~inside[frag.darts[rows]]))
     return IsoReport(size=len(idxs), boundary=boundary, ratio=Fraction(boundary, len(idxs)), description=description)
 
 
@@ -93,6 +94,12 @@ def closed_walks(group: Group, root: State, k_max: int, window: int | None = Non
     so the dynamic program runs over the ball of radius floor(k_max/2)+1 in
     which all vertices within floor(k_max/2) are expanded. If the window
     blocks expansion within that radius, the computation refuses.
+
+    Each step pulls along the darts: by dart symmetry, the walks arriving at
+    an expanded vertex are those leaving it to an expanded vertex, and walks
+    that reach the frontier cannot return in the remaining steps, so they
+    are dropped. A count after k steps is at most m^k; the counts are int64
+    while that fits, Python ints after.
     """
     if k_max < 0:
         raise UsageError("k_max must be >= 0")
@@ -103,22 +110,18 @@ def closed_walks(group: Group, root: State, k_max: int, window: int | None = Non
             f"window {window} too small for walks of length {k_max}: "
             f"every vertex within distance {need} of the root must lie inside the window"
         )
-    root_idx = 0
-    counts = [0] * len(frag)
-    counts[root_idx] = 1
+    rows = np.flatnonzero(frag.expanded)
+    darts = frag.darts[rows]
+    counts = np.zeros(len(frag), dtype=np.int64)
+    counts[0] = 1  # the root
     out = [1]
-    for _ in range(k_max):
-        nxt = [0] * len(frag)
-        for v, c in enumerate(counts):
-            if c == 0:
-                continue
-            darts = frag.darts[v]
-            if darts is None:
-                continue  # frontier mass cannot return in the remaining steps
-            for w in darts:
-                nxt[w] += c
+    for k in range(1, k_max + 1):
+        if len(frag.moves) ** k >= 2**63 and counts.dtype != object:
+            counts = counts.astype(object)
+        nxt = np.zeros_like(counts)
+        nxt[rows] = counts[darts].sum(axis=1)
         counts = nxt
-        out.append(counts[root_idx])
+        out.append(int(counts[0]))
     return out
 
 
@@ -144,37 +147,36 @@ def cheeger_search(frag: GraphFragment, strategy: str = "balls") -> IsoReport:
     Both families are prefixes of the vertex order, (depth, key) in every
     fragment, that end before the first unexpanded vertex: ``sweep`` takes
     every such prefix, ``balls`` those that end a BFS layer (the fully
-    expanded balls). The cut is counted incrementally; dart symmetry makes
-    each count equal ``iso_ratio``'s. A finite search yields an upper bound
-    on the isoperimetric constant only; the report's description says which
-    set attained it.
+    expanded balls). Adding vertex v to the prefix cuts its darts to later
+    vertices and joins those to earlier ones, so the cuts are one cumulative
+    sum; dart symmetry makes each equal ``iso_ratio``'s. The first prefix of
+    least ratio wins. A finite search yields an upper bound on the
+    isoperimetric constant only; the report's description says which set
+    attained it.
     """
     if strategy not in ("balls", "sweep"):
         raise UsageError(f"unknown strategy {strategy!r}; use 'balls' or 'sweep'")
-    in_set = [False] * len(frag)
-    boundary = 0
-    best: IsoReport | None = None
-    for v in range(len(frag)):
-        if not frag.expanded[v]:
-            break
-        size = v + 1
-        in_set[v] = True
-        for w in frag.darts[v]:
-            if w == v:
-                continue
-            boundary += -1 if in_set[w] else 1
-        if strategy == "balls":
-            r = frag.depths[v]
-            if size < len(frag) and frag.depths[size] == r:
-                continue
-            description = f"ball r={r} (upper bound on h)"
-        else:
-            description = f"sweep prefix of {size} vertices (upper bound on h)"
-        ratio = Fraction(boundary, size)
-        if best is None or ratio < best.ratio:
-            best = IsoReport(size=size, boundary=boundary, ratio=ratio, description=description)
-    if best is None:
+    size = int(np.argmin(frag.expanded)) if not frag.expanded.all() else len(frag)
+    v = np.arange(size)[:, None]
+    out = frag.darts[:size]
+    cut = np.cumsum((out > v).sum(axis=1) - (out < v).sum(axis=1))
+    if strategy == "balls":
+        ends = np.flatnonzero(np.append(frag.depths[1:], -1)[:size] != frag.depths[:size])
+    else:
+        ends = np.arange(size)
+    if not len(ends):
         if strategy == "balls":
             raise UsageError("no fully expanded ball available")
         raise UsageError("no expanded vertices available for the sweep")
-    return best
+    # floats pick the candidates, Fractions the exact first minimum
+    approx = cut[ends] / (ends + 1)
+    best = min(
+        ends[approx <= approx.min() * (1 + 1e-9)].tolist(),
+        key=lambda e: (Fraction(int(cut[e]), e + 1), e),
+    )
+    if strategy == "balls":
+        description = f"ball r={frag.depths[best]} (upper bound on h)"
+    else:
+        description = f"sweep prefix of {best + 1} vertices (upper bound on h)"
+    return IsoReport(size=best + 1, boundary=int(cut[best]), ratio=Fraction(int(cut[best]), best + 1),
+                     description=description)

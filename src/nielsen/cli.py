@@ -162,7 +162,7 @@ def run(argv) -> int:
             "radius": frag.radius,
             "window": frag.window,
             "vertices": len(frag),
-            "expanded": sum(frag.expanded),
+            "expanded": int(frag.expanded.sum()),
             "truncated": frag.truncated,
             "balls": profile,
         })

@@ -306,13 +306,13 @@ def verify_surjectivity_on_fragment(epi: Epimorphism, frag: GraphFragment, seed_
         lifts[start] = seed_tuple
         queue = [start]
         qpos = 0
+        darts, expanded = frag.darts.tolist(), frag.expanded.tolist()
         while qpos < len(queue):
             v = queue[qpos]
             qpos += 1
-            darts = frag.darts[v]
-            if darts is None:
+            if not expanded[v]:
                 continue
-            for k, w in enumerate(darts):
+            for k, w in enumerate(darts[v]):
                 if w not in lifts:
                     lifts[w] = apply_move(epi.domain, lifts[v], frag.moves[k], frag.n)
                     queue.append(w)

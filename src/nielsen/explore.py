@@ -1,19 +1,24 @@
 """BFS enumeration of Nielsen graphs: balls, components, growth, export.
 
 A GraphFragment is a finitely explored piece of N_n(G). Vertices are stored
-in canonical order (BFS depth, then byte key); every expanded vertex carries
-one dart per element of the fragment's move list, as the index of the target
-vertex. Frontier vertices (at the radius, or outside the window) are retained
-unexpanded so that boundary counts over interior sets are exact. Every
-fragment, a ball or an imported JSONL file, is grown by the one BFS
-``_grow``: given its root and which tuples it expands, the moves fix
-everything else.
+in canonical order (BFS depth, then byte key). The darts are one (V, m)
+int32 array: row v holds the target of each of the fragment's m moves, or
+-1 in every slot when v is unexpanded. Frontier vertices (at the radius, or
+outside the window) are retained unexpanded so that boundary counts over
+interior sets are exact. Every fragment, a ball or an imported JSONL file,
+is grown by the one BFS ``_grow``: given its root and which tuples it
+expands, the moves fix everything else.
 
 Every element kind keeps its elements in a canonical normal form with an
 injective encoding, so two tuples are equal exactly when their byte keys
-are. The BFS therefore deduplicates on the tuples themselves and encodes
-the key of each vertex once, when its layer is complete; the key fixes only
-the order of the vertices within a layer.
+are; the key fixes only the order of the vertices within a layer. The BFS
+keeps its vertices in one of two stores, and the group picks which.
+
+* Fixed-width kinds (``Integers`` and every ``IntVectorGroup``) grow one
+  whole layer at a time on coordinate arrays, in ``nielsen.layers``.
+* Other kinds, and balls whose ints reach that module's guard, deduplicate
+  on the tuples themselves and encode the key of each vertex once, when its
+  layer is complete.
 """
 
 from __future__ import annotations
@@ -24,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceCapError, UsageError
+from .errors import ResourceCapError, UsageError, VerificationError
 from .groups import DEFAULT_VERTEX_CAP, FiniteTable, Group, State
 from .moves import I, Move, R, apply_move, move_inverse, move_set
 
 # components keeps one int32 label per tuple on a tensor with one axis per
-# entry, and numpy arrays have at most 64 axes
+# entry, and numpy arrays have at most 64 axes; fragments keep int32 vertex ids
 _LABEL_LIMIT = 2**31
 _MAX_AXES = 64
 
@@ -50,7 +55,7 @@ def state_from_key(group: Group, n: int, key: bytes) -> State:
     return tuple(out)
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphFragment:
     group: Group
     n: int
@@ -58,20 +63,43 @@ class GraphFragment:
     root: State
     radius: int
     window: int | None
-    keys: list[bytes] = field(default_factory=list)        # canonical byte key, one per vertex
-    states: list[State] = field(default_factory=list)
-    depths: list[int] = field(default_factory=list)
-    expanded: list[bool] = field(default_factory=list)
-    darts: list[list[int] | None] = field(default_factory=list)
-    index: dict[State, int] = field(default_factory=dict)   # tuple -> vertex
+    depths: np.ndarray = field(default=None, repr=False)    # (V,) int32
+    expanded: np.ndarray = field(default=None, repr=False)  # (V,) bool
+    darts: np.ndarray = field(default=None, repr=False)     # (V, m) int32, -1 rows where unexpanded
     truncated_at: int | None = None  # least depth where the window blocked expansion
+    coords: np.ndarray | None = field(default=None, repr=False)  # (V, n * width) int32 on the array path
+    _states: list | None = field(default=None, repr=False)
+    _keys: list | None = field(default=None, repr=False)
+    _index: dict | None = field(default=None, repr=False)
 
     @property
     def truncated(self) -> bool:
         return self.truncated_at is not None
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.depths)
+
+    @property
+    def states(self) -> list[State]:
+        if self._states is None:
+            from .layers import states_of
+
+            self._states = states_of(self.group, self.coords)
+        return self._states
+
+    @property
+    def keys(self) -> list[bytes]:
+        """Canonical byte key of every vertex."""
+        if self._keys is None:
+            self._keys = [state_key(self.group, s) for s in self.states]
+        return self._keys
+
+    @property
+    def index(self) -> dict[State, int]:
+        """Tuple -> vertex."""
+        if self._index is None:
+            self._index = {s: v for v, s in enumerate(self.states)}
+        return self._index
 
     def vertex_index(self, state: State) -> int:
         try:
@@ -80,26 +108,26 @@ class GraphFragment:
             raise UsageError(f"tuple {state!r} is not a vertex of this fragment") from None
 
     def ball_indices(self, r: int) -> list[int]:
-        return [v for v in range(len(self)) if self.depths[v] <= r]
+        return np.flatnonzero(self.depths <= r).tolist()
 
     def validate(self) -> None:
-        """Assert dart symmetry and regular out-degree."""
-        inv = [self._move_pos(move_inverse(m)) for m in self.moves]
-        size = len(self)
-        for v in range(size):
-            out = self.darts[v]
-            if not self.expanded[v]:
-                assert out is None
-                continue
-            assert out is not None and len(out) == len(self.moves), "irregular out-degree"
-            for k, w in enumerate(out):
-                assert 0 <= w < size, "dart target missing"
-                back = self.darts[w]
-                if back is not None:
-                    assert back[inv[k]] == v, "dart symmetry violated"
-
-    def _move_pos(self, move: Move) -> int:
-        return self.moves.index(move)
+        """Check regular out-degree, dart targets and dart symmetry on the
+        arrays: an expanded vertex has one dart per move into the fragment,
+        an unexpanded one none, and a dart into an expanded vertex comes
+        back under the inverse move. VerificationError if not."""
+        size, m = len(self), len(self.moves)
+        if self.darts.shape != (size, m) or self.expanded.shape != (size,):
+            raise VerificationError("fragment arrays do not hold one dart per vertex and move")
+        if ((self.darts != -1).any(axis=1) & ~self.expanded).any():
+            raise VerificationError("unexpanded vertex with darts")
+        # read as uint32, -1 is 2^32 - 1: one compare finds every target out of range
+        if ((self.darts.view(np.uint32) >= size).any(axis=1) & self.expanded).any():
+            raise VerificationError("dart target missing")
+        out = self.darts[self.expanded]
+        inv = np.array([self.moves.index(move_inverse(mv)) for mv in self.moves], dtype=np.intp)
+        back = self.darts[out, inv]
+        if ((back != np.flatnonzero(self.expanded)[:, None]) & self.expanded[out]).any():
+            raise VerificationError("dart symmetry violated")
 
     # -- serialization ----------------------------------------------------
 
@@ -117,69 +145,73 @@ class GraphFragment:
         for k in ("group", "n", "root", "radius", "window"):
             lines.append(f"  // {k}: {json.dumps(meta[k], sort_keys=True)}")
         lines.append(f"  // tool: nielsen {__version__}")
-        for v in range(len(self)):
-            label = ",".join(str(self.group.element_to_json(g)) for g in self.states[v])
-            lines.append(f'  "{self.keys[v].hex()}" [label="({label})"];')
-        for v in range(len(self)):
-            out = self.darts[v]
-            if out is None:
-                continue
-            for k, w in enumerate(out):
-                lines.append(f'  "{self.keys[v].hex()}" -- "{self.keys[w].hex()}" [label="{self.moves[k].text()}"];')
+        names = [key.hex() for key in self.keys]
+        for name, state in zip(names, self.states):
+            label = ",".join(str(self.group.element_to_json(g)) for g in state)
+            lines.append(f'  "{name}" [label="({label})"];')
+        texts = [mv.text() for mv in self.moves]
+        for v in np.flatnonzero(self.expanded).tolist():
+            for text, w in zip(texts, self.darts[v].tolist()):
+                lines.append(f'  "{names[v]}" -- "{names[w]}" [label="{text}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def record(self, v: int) -> dict:
         """The JSONL record of vertex v: its key, tuple, depth and darts."""
-        out = self.darts[v]
+        keys = self.keys
         return {
-            "v": self.keys[v].hex(),
+            "v": keys[v].hex(),
             "tuple": [self.group.element_to_json(g) for g in self.states[v]],
-            "depth": self.depths[v],
-            "adj": None if out is None else [{"move": self.moves[k].text(), "to": self.keys[w].hex()}
-                                             for k, w in enumerate(out)],
+            "depth": int(self.depths[v]),
+            "adj": [{"move": mv.text(), "to": keys[w].hex()} for mv, w in zip(self.moves, self.darts[v].tolist())]
+            if self.expanded[v] else None,
         }
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(self.record(v), sort_keys=True) for v in range(len(self))) + "\n"
 
-    def content_equal(self, other: GraphFragment) -> bool:
-        """Equality of vertex/dart/depth content (radius and window excluded)."""
-        if (self.group != other.group or self.n != other.n or self.moves != other.moves):
-            return False
-        if self.keys != other.keys or self.depths != other.depths or self.expanded != other.expanded:
-            return False
-        return self.darts == other.darts
 
-
-def _grow(frag: GraphFragment, expand, cap: int) -> None:
+def _grow(frag: GraphFragment, cap: int, only: dict | None = None) -> None:
     """Grow ``frag`` from its root by BFS out to its radius.
 
-    A vertex at distance < radius is expanded when ``expand(tuple)`` holds;
-    the least depth where it does not is ``truncated_at``. The vertices end
-    in canonical order; more than ``cap`` of them is a ResourceCapError.
+    A vertex at distance < radius is expanded when it lies in the window
+    and, if ``only`` is given, when ``only.get(tuple)`` holds; the least
+    depth where one is not is ``truncated_at``. The vertices end in
+    canonical order; more than ``cap`` of them is a ResourceCapError.
     """
-    group, n, moves = frag.group, frag.n, frag.moves
-    keys, states, index, darts = frag.keys, frag.states, frag.index, frag.darts
-    keys.append(state_key(group, frag.root))
-    states.append(frag.root)
-    index[frag.root] = 0
-    frag.depths.append(0)
-    frag.expanded.append(False)
-    darts.append(None)
+    cap = min(cap, _LABEL_LIMIT - 1)  # vertex ids are int32
+    if frag.group.width is not None:
+        # imported here, so that ``import nielsen`` does not compile it
+        from . import layers
+
+        if layers.grow(frag, cap, only):
+            return
+    _grow_tuples(frag, cap, only)
+
+
+def _in_window(group: Group, window: int | None, state: State) -> bool:
+    return window is None or max(group.measure(g) for g in state) <= window
+
+
+def _grow_tuples(frag: GraphFragment, cap: int, only: dict | None) -> None:
+    """The BFS of ``_grow`` on tuples, for every kind."""
+    group, n, moves, window = frag.group, frag.n, frag.moves, frag.window
+    keys, states, index = [state_key(group, frag.root)], [frag.root], {frag.root: 0}
+    depths, expanded, blocks = [0], [], []  # blocks: the int32 darts of each layer's expanded vertices
+    truncated_at = None
     start = 0
     for depth in range(frag.radius):
         # New tuples get provisional indices base, base + 1, ... in discovery
         # order; once the layer is complete they are renumbered in byte-key order.
         base = len(states)
-        layer_expanded = []
+        layer_expanded, layer_darts = [], []
         for v in range(start, base):
             state = states[v]
-            if not expand(state):
-                if frag.truncated_at is None or depth < frag.truncated_at:
-                    frag.truncated_at = depth
+            if not (_in_window(group, window, state) and (only is None or only.get(state))):
+                if truncated_at is None:
+                    truncated_at = depth
                 continue
-            out = []
+            row = []
             for move in moves:
                 w = apply_move(group, state, move, n)
                 i = index.get(w)
@@ -189,28 +221,35 @@ def _grow(frag: GraphFragment, expand, cap: int) -> None:
                         raise ResourceCapError(f"vertex cap {cap} exceeded while exploring")
                     index[w] = i
                     states.append(w)
-                out.append(i)
-            darts[v] = out
-            frag.expanded[v] = True
+                row.append(i)
+            layer_darts.append(row)
             layer_expanded.append(v)
         new_states = states[base:]
+        if new_states:
+            new_keys = [state_key(group, w) for w in new_states]
+            # keys are distinct, so the stable sort orders by (key, provisional)
+            order = sorted(range(len(new_states)), key=new_keys.__getitem__)
+            final = [0] * len(order)
+            for v, p in enumerate(order, base):
+                final[p] = v
+                index[new_states[p]] = v
+            states[base:] = [new_states[p] for p in order]
+            keys.extend(new_keys[p] for p in order)
+            depths.extend([depth + 1] * len(order))
+            layer_darts = [[w if w < base else final[w - base] for w in row] for row in layer_darts]
+        expanded.extend(layer_expanded)
+        blocks.append(np.array(layer_darts, dtype=np.int32).reshape(len(layer_darts), len(moves)))
         if not new_states:
             break
-        new_keys = [state_key(group, w) for w in new_states]
-        # keys are distinct, so the stable sort orders by (key, provisional)
-        order = sorted(range(len(new_states)), key=new_keys.__getitem__)
-        final = [0] * len(order)
-        for v, p in enumerate(order, base):
-            final[p] = v
-            index[new_states[p]] = v
-        states[base:] = [new_states[p] for p in order]
-        keys.extend(new_keys[p] for p in order)
-        frag.depths.extend([depth + 1] * len(order))
-        frag.expanded.extend([False] * len(order))
-        darts.extend([None] * len(order))
-        for v in layer_expanded:
-            darts[v] = [w if w < base else final[w - base] for w in darts[v]]
         start = base
+    frag._states, frag._keys, frag._index = states, keys, index
+    frag.depths = np.array(depths, dtype=np.int32)
+    frag.expanded = np.zeros(len(states), dtype=bool)
+    frag.expanded[expanded] = True
+    frag.darts = np.full((len(states), len(moves)), -1, dtype=np.int32)
+    if blocks:
+        frag.darts[expanded] = np.concatenate(blocks)
+    frag.truncated_at = truncated_at
 
 
 def ball(
@@ -240,16 +279,13 @@ def ball(
         pool = set(moves)
         if any(move_inverse(m) not in pool for m in moves):
             raise UsageError("custom move list must be closed under inversion")
-    in_window = (lambda s: True) if window is None else (
-        lambda s: max(group.measure(g) for g in s) <= window
-    )
-    if window is not None and not in_window(root):
+    if not _in_window(group, window, root):
         raise UsageError(f"root lies outside the window {window}")
 
     if cap < 1:
         raise ResourceCapError(f"vertex cap {cap} exceeded while exploring")
     frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=radius, window=window)
-    _grow(frag, in_window, cap)
+    _grow(frag, cap)
     frag.validate()
     return frag
 
@@ -262,10 +298,11 @@ def _lines(text: str):
 def fragment_from_jsonl(group: Group, n: int, text: str) -> GraphFragment:
     """Read a fragment in the canonical form that ``to_jsonl`` writes.
 
-    Only the root (the first line) and which tuples are expanded (their
-    ``adj`` is a list) are taken as given: the fragment is grown again by
-    the BFS of ``ball``, and every line must equal the record of its
-    vertex. Any difference, or a malformed line, is a UsageError.
+    Only the root (the first line, which must generate the group) and which
+    tuples are expanded (their ``adj`` is a list) are taken as given: the
+    fragment is grown again by the BFS of ``ball``, and every line must
+    equal the record of its vertex. Any difference, or a malformed line, is
+    a UsageError.
     """
     moves = move_set(n)
     rows = []  # (lineno, key, depth) per vertex line
@@ -291,26 +328,30 @@ def fragment_from_jsonl(group: Group, n: int, text: str) -> GraphFragment:
         rows.append((lineno, row["v"], row["depth"]))
     if not rows or rows[0][2] != 0:
         raise UsageError("fragment must start with its depth-0 vertex")
+    root = next(iter(marked))
+    if not group.is_generating(root):
+        raise UsageError(f"root tuple {root!r} does not generate the group")
     radius = max(depth for _, _, depth in rows)
     # only tuples of the file are expanded, so the BFS stays within this cap
-    frag = GraphFragment(group=group, n=n, moves=moves, root=next(iter(marked)), radius=radius + 1, window=None)
-    _grow(frag, marked.get, 1 + len(rows) * len(moves))
+    frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=radius + 1, window=None)
+    _grow(frag, 1 + len(rows) * len(moves), only=marked)
+    keys, depths, expanded = frag.keys, frag.depths.tolist(), frag.expanded.tolist()
     for v, state in enumerate(frag.states):
         if state not in marked:
-            raise UsageError(f"fragment lacks vertex {frag.keys[v].hex()} at distance {frag.depths[v]} from the root")
+            raise UsageError(f"fragment lacks vertex {keys[v].hex()} at distance {depths[v]} from the root")
     for v, ((lineno, key, depth), state) in enumerate(zip(rows, marked)):
         w = frag.index.get(state)
         if w is None:
             raise UsageError(f"fragment vertex {key} has depth {depth} but is unreachable from the root")
-        if w != v and frag.depths[w] == depth:
+        if w != v and depths[w] == depth:
             raise UsageError(f"fragment line {lineno}: vertex {key} is out of canonical order (depth, then key)")
-        if key != frag.keys[w].hex():
+        if key != keys[w].hex():
             raise UsageError(f"fragment vertex {key} does not encode its tuple")
-        if depth != frag.depths[w]:
-            raise UsageError(f"fragment vertex {key} has depth {depth} but is at distance {frag.depths[w]} from the root")
+        if depth != depths[w]:
+            raise UsageError(f"fragment vertex {key} has depth {depth} but is at distance {depths[w]} from the root")
     del rows, marked  # the darts are read line by line again, to keep the peak low
     for v, (lineno, line) in enumerate(_lines(text)):
-        if not frag.expanded[v]:
+        if not expanded[v]:
             continue  # adj is null, as the first pass found
         adj, want = json.loads(line)["adj"], frag.record(v)["adj"]
         if adj != want:
@@ -319,8 +360,7 @@ def fragment_from_jsonl(group: Group, n: int, text: str) -> GraphFragment:
             dart, ok = next((dart, ok) for dart, ok in zip(adj, want) if dart != ok)
             if not (isinstance(dart, dict) and dart.keys() == ok.keys() and dart["move"] == ok["move"]):
                 raise UsageError(f"fragment line {lineno}: dart {dart!r} stands where move {ok['move']} belongs")
-            key = frag.keys[v].hex()
-            raise UsageError(f"fragment dart {ok['move']} of vertex {key} does not lead to vertex {dart['to']}")
+            raise UsageError(f"fragment dart {ok['move']} of vertex {keys[v].hex()} does not lead to vertex {dart['to']}")
     frag.radius = radius
     frag.truncated_at = None
     return frag
@@ -336,16 +376,13 @@ def growth_profile(frag: GraphFragment) -> list[tuple[int, int]]:
         raise UsageError(
             f"growth profile is unreliable: window {frag.window} truncated expansion at depth {frag.truncated_at}"
         )
-    counts = [0] * (max(frag.depths) + 1)
-    for d in frag.depths:
-        counts[d] += 1
     out = []
     total = 0
-    for r, c in enumerate(counts):
+    for r, c in enumerate(np.bincount(frag.depths).tolist()):
         total += c
         out.append((r, total))
-    if all(frag.expanded):  # graph exhausted before the radius
-        out.extend((r, total) for r in range(len(counts), frag.radius + 1))
+    if frag.expanded.all():  # graph exhausted before the radius
+        out.extend((r, total) for r in range(len(out), frag.radius + 1))
     return out
 
 

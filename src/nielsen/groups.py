@@ -141,6 +141,12 @@ class Group:
     kind: str = ""
     is_finite: bool = False
     _finite_table: FiniteTable | None = None  # the index form, see FiniteTable.of
+    # The array form of a fixed-width kind: an element is ``width`` int
+    # coordinates, and the law also runs on a stack of coordinate arrays
+    # (axis 0 the coordinate). ``unbounded`` lists the coordinates that range
+    # over Z. Kinds without it (width None) have no array form.
+    width: int | None = None
+    unbounded: tuple[int, ...] = ()
 
     # -- group law -----------------------------------------------------
     def identity(self) -> Element:
@@ -304,6 +310,8 @@ class FiniteTable:
 
 class Integers(Group):
     kind = "Integers"
+    width = 1
+    unbounded = (0,)
 
     def identity(self):
         return 0
@@ -362,12 +370,13 @@ class IntVectorGroup(Group):
 
     def __init__(self, moduli: tuple[int | None, ...]):
         self.moduli = moduli
-        self._unbounded = [k for k, m in enumerate(moduli) if m is None]
+        self.width = len(moduli)
+        self.unbounded = tuple(k for k, m in enumerate(moduli) if m is None)
         self._abelian = moduli[: self.abelian_coords]
 
     @property
     def is_finite(self):
-        return not self._unbounded
+        return not self.unbounded
 
     def identity(self):
         return (0,) * len(self.moduli)
@@ -396,17 +405,17 @@ class IntVectorGroup(Group):
         return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
 
     def measure(self, a):
-        return max((abs(a[k]) for k in self._unbounded), default=0)
+        return max((abs(a[k]) for k in self.unbounded), default=0)
 
     def random_element(self, rng, size=10):
         return tuple(rng.randint(-size, size) if m is None else rng.randrange(m) for m in self.moduli)
 
     @property
     def order(self):
-        return super().order if self._unbounded else math.prod(self.moduli)
+        return super().order if self.unbounded else math.prod(self.moduli)
 
     def elements(self):
-        return super().elements() if self._unbounded else iproduct(*map(range, self.moduli))
+        return super().elements() if self.unbounded else iproduct(*map(range, self.moduli))
 
     def _build_table(self) -> FiniteTable:
         """The law evaluated once on the coordinate arrays of all pairs."""
@@ -456,11 +465,12 @@ class InfiniteDihedral(IntVectorGroup):
     def __init__(self):
         super().__init__((None, 2))
 
+    # arithmetic in the bit, so the law also runs on coordinate arrays
     def mul(self, a, b):
-        return (a[0] + b[0] if a[1] == 0 else a[0] - b[0], a[1] ^ b[1])
+        return (a[0] + (1 - 2 * a[1]) * b[0], a[1] ^ b[1])
 
     def inv(self, a):
-        return (-a[0], 0) if a[1] == 0 else a
+        return ((2 * a[1] - 1) * a[0], a[1])
 
     def _is_generating(self, entries):
         # The subgroup meets the translation part in g*Z where g is the gcd of

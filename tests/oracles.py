@@ -86,6 +86,33 @@ def brute_force_closed_walks(group: Group, root: State, k_max: int) -> list[int]
     return out
 
 
+@dataclass
+class ListFragment:
+    """A fragment's content as plain lists: darts are None where unexpanded."""
+
+    keys: list
+    states: list
+    depths: list
+    expanded: list
+    darts: list
+    truncated_at: int | None = None
+
+
+def fragment_lists(frag: GraphFragment) -> ListFragment:
+    """The list form of a fragment's vertices and darts."""
+    expanded = frag.expanded.tolist()
+    darts = [row if e else None for row, e in zip(frag.darts.tolist(), expanded)]
+    return ListFragment(list(frag.keys), list(frag.states), frag.depths.tolist(), expanded, darts, frag.truncated_at)
+
+
+def content_equal(a: GraphFragment, b: GraphFragment) -> bool:
+    """Equality of vertex/dart/depth content (radius and window excluded)."""
+    if a.group != b.group or a.n != b.n or a.moves != b.moves:
+        return False
+    la, lb = fragment_lists(a), fragment_lists(b)
+    return (la.keys, la.depths, la.expanded, la.darts) == (lb.keys, lb.depths, lb.expanded, lb.darts)
+
+
 def ball_by_keys(
     group: Group,
     root: State,
@@ -93,11 +120,11 @@ def ball_by_keys(
     window: int | None = None,
     moves: tuple[Move, ...] | None = None,
     cap: int = DEFAULT_VERTEX_CAP,
-) -> GraphFragment:
+) -> ListFragment:
     """BFS ball that deduplicates on byte keys, encoding one key per dart.
 
     The layer loop of ``explore.ball`` as it was before it deduplicated on
-    tuples; its byte-keyed index is local, so the returned ``index`` is empty.
+    tuples, one vertex and one move at a time.
     """
     if radius < 0:
         raise UsageError("radius must be >= 0")
@@ -117,7 +144,7 @@ def ball_by_keys(
     if window is not None and not in_window(root):
         raise UsageError(f"root lies outside the window {window}")
 
-    frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=radius, window=window)
+    frag = ListFragment([], [], [], [], [])
     index: dict[bytes, int] = {}
 
     def add_vertex(state: State, key: bytes, depth: int) -> int:

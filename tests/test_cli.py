@@ -12,6 +12,7 @@ import pytest
 from nielsen.cli import main
 
 from conftest import elementary_abelian_table
+from oracles import content_equal
 
 
 def run_cli(capsys, *argv):
@@ -132,7 +133,7 @@ def test_export_round_trip(capsys, tmp_path):
     from nielsen.groups import Integers
 
     clone = fragment_from_jsonl(Integers(), 2, path.read_text())
-    assert clone.content_equal(ball(Integers(), (1, 1), 3))
+    assert content_equal(clone, ball(Integers(), (1, 1), 3))
 
 
 def test_cover_cli_with_fragment(capsys, tmp_path):
@@ -196,6 +197,17 @@ def test_cover_rejects_malformed_fragment(capsys, tmp_path, mutate):
     )
     assert code == 2 and out == ""
     assert err.startswith("usage error")
+
+
+def test_cover_rejects_a_fragment_root_that_does_not_generate(capsys, tmp_path):
+    path = tmp_path / "frag.jsonl"
+    path.write_text(json.dumps({"v": "00", "tuple": [2, 4], "depth": 0, "adj": None}) + "\n")
+    code, out, err = run_cli(
+        capsys, "cover", "verify", "--pi", '{"rule":"project","domain":{"kind":"FreeAbelian","d":2},"e":1}',
+        "--n", "2", "--samples", "10", "--fragment", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err == "usage error: root tuple (2, 4) does not generate the group\n"
 
 
 def test_cover_names_a_rewired_dart(capsys, tmp_path):

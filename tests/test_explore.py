@@ -3,11 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nielsen.errors import ResourceCapError, UsageError
+from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import (
     ball,
     components,
@@ -27,12 +28,13 @@ from nielsen.groups import (
     Integers,
     cyclic_table,
     dihedral_table,
+    encode_int,
     quaternion_table,
 )
 from nielsen.moves import I, R, eval_word
 
 from conftest import seeded
-from oracles import ball_by_keys, components_unionfind
+from oracles import ball_by_keys, components_unionfind, content_equal, fragment_lists
 
 Z = Integers()
 D = InfiniteDihedral()
@@ -117,7 +119,20 @@ ORACLE_CASES = {
     "Z5_squared": (FiniteAbelianExp(5, 2), None, 6, {}),
     "custom_moves": (Z, (1, 0, 0), 5, {"moves": (R(1, 2), R(1, 2, -1), R(3, 1), R(3, 1, -1), I(2))}),
     "radius_0": (Z, (2, 3), 0, {}),
+    # the array path: ints of one to four bytes, and a ball that reaches the
+    # 2^30 guard part way and is grown again on tuples
+    "Z_guard_root": (Z, (2**62 + 1, 2**62), 3, {}),
+    "Z_four_byte_ints": (Z, (2**30 - 2, 1), 1, {}),
+    "Heisenberg_wide_ints": (Heisenberg(), ((1, 0, -(2**23) - 1), (0, 1, 2**23 - 1)), 3, {}),
+    "Heisenberg_past_guard": (Heisenberg(), ((1, 0, 2**30 - 5), (0, 1, 0)), 3, {}),
+    "Z_n3_window": (Z, (1, 0, 0), 5, {"window": 2}),
+    "D_inf_window": (D, ((0, 1), (1, 1)), 12, {"window": 3}),
+    # darts into window-blocked vertices at depth < d - 1
+    "Heisenberg_window": (Heisenberg(), ((2, -1, 3), (1, -1, -3)), 6, {"window": 3}),
+    "D_inf_r40": (D, ((0, 1), (1, 1)), 40, {}),
+    "Z3": (FreeAbelian(3), None, 3, {}),
 }
+TUPLE_PATH = {"F2_window", "FiniteCayley_D4", "Z_guard_root", "Heisenberg_past_guard"}
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
@@ -125,13 +140,62 @@ def test_ball_matches_per_dart_key_oracle(case):
     group, root, radius, kwargs = case
     root = group.standard_generators() if root is None else root
     fast, slow = ball(group, root, radius, **kwargs), ball_by_keys(group, root, radius, **kwargs)
-    assert fast.keys == slow.keys
-    assert fast.states == slow.states
-    assert fast.depths == slow.depths
-    assert fast.expanded == slow.expanded
-    assert fast.darts == slow.darts
-    assert fast.truncated_at == slow.truncated_at
+    got = fragment_lists(fast)
+    assert got.keys == slow.keys
+    assert got.states == slow.states
+    assert got.depths == slow.depths
+    assert got.expanded == slow.expanded
+    assert got.darts == slow.darts
+    assert got.truncated_at == slow.truncated_at
     assert fast.index == {s: v for v, s in enumerate(fast.states)}
+
+
+def test_the_group_and_the_guard_pick_the_store():
+    for name, (group, root, radius, kwargs) in ORACLE_CASES.items():
+        frag = ball(group, group.standard_generators() if root is None else root, radius, **kwargs)
+        assert (frag.coords is None) == (name in TUPLE_PATH), name
+
+
+def test_window_case_has_darts_into_blocked_vertices_two_layers_up():
+    group, root, radius, kwargs = ORACLE_CASES["Heisenberg_window"]
+    frag = ball(group, root, radius, **kwargs)
+    rows = frag.darts[frag.expanded]
+    source = frag.depths[frag.expanded][:, None]
+    assert ((~frag.expanded[rows]) & (frag.depths[rows] < source - 1)).any()
+
+
+@pytest.mark.parametrize("name", ["Z_n2", "Z_n3_window", "D_inf_window", "Heisenberg_window", "Z3", "B23"])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_layers_in_chunks_match_the_oracle(monkeypatch, name, chunk):
+    from nielsen import layers
+
+    monkeypatch.setattr(layers, "_CHUNK", chunk)
+    group, root, radius, kwargs = ORACLE_CASES[name]
+    root = group.standard_generators() if root is None else root
+    assert fragment_lists(ball(group, root, radius, **kwargs)) == ball_by_keys(group, root, radius, **kwargs)
+
+
+@given(st.lists(st.integers(-(2**30), 2**30 - 1), min_size=1, max_size=60))
+def test_int_ranks_follow_the_byte_order_of_the_encoding(xs):
+    from nielsen.layers import int_ranks
+
+    order = np.argsort(int_ranks(np.array(xs, dtype=np.int64)), kind="stable")
+    assert [xs[i] for i in order] == sorted(xs, key=encode_int)
+
+
+def test_validate_rejects_a_corrupted_dart():
+    frag = ball(Z, (1, 1), 3)
+    frag.validate()
+    inner = int(np.flatnonzero(frag.expanded)[1])
+    for value, message in ((frag.darts[inner, 0] + 1, "symmetry"), (len(frag), "target"), (-1, "target")):
+        bad = ball(Z, (1, 1), 3)
+        bad.darts[inner, 0] = value
+        with pytest.raises(VerificationError, match=message):
+            bad.validate()
+    bad = ball(Z, (1, 1), 3)
+    bad.darts[-1, 0] = 0
+    with pytest.raises(VerificationError, match="unexpanded"):
+        bad.validate()
 
 
 def test_vertex_index_by_tuple():
@@ -149,7 +213,7 @@ def test_vertex_index_by_tuple():
 def test_jsonl_round_trip():
     frag = ball(Z, (2, 3), 3)
     clone = fragment_from_jsonl(Z, 2, frag.to_jsonl())
-    assert frag.content_equal(clone)
+    assert content_equal(frag, clone)
     assert clone.to_jsonl() == frag.to_jsonl()
 
 
@@ -172,7 +236,7 @@ def test_jsonl_import_regrows_the_export(name):
     assert all(frag.expanded) == name.endswith("_exhausted")
     text = frag.to_jsonl()
     clone = fragment_from_jsonl(group, len(root), text)
-    assert clone.content_equal(frag) and clone.root == frag.root
+    assert content_equal(clone, frag) and clone.root == frag.root
     again = fragment_from_jsonl(group, len(root), clone.to_jsonl())
     for f in (clone, again):
         assert f.to_jsonl() == text

@@ -73,6 +73,30 @@ def test_dihedral_examples_and_relators():
     assert D.is_generating((x, y))
 
 
+def test_dihedral_law_is_the_branch_law_on_scalars_and_arrays():
+    # the law before it became arithmetic in the reflection bit
+    def branch_mul(a, b):
+        return (a[0] + b[0] if a[1] == 0 else a[0] - b[0], a[1] ^ b[1])
+
+    def branch_inv(a):
+        return (-a[0], 0) if a[1] == 0 else a
+
+    D = InfiniteDihedral()
+    elems = [(t, e) for t in (-5, -1, 0, 1, 7) for e in (0, 1)]
+    for a in elems:
+        assert D.inv(a) == branch_inv(a)
+        for b in elems:
+            assert D.mul(a, b) == branch_mul(a, b)
+    # on coordinate arrays (axis 0 the coordinate) it is the same law entrywise
+    A = np.array([[a[0] for a in elems], [a[1] for a in elems]])
+    prod = np.asarray(D.mul(A[:, :, None], A[:, None, :]))
+    inv = np.asarray(D.inv(A))
+    for i, a in enumerate(elems):
+        assert tuple(inv[:, i].tolist()) == branch_inv(a)
+        for j, b in enumerate(elems):
+            assert tuple(prod[:, i, j].tolist()) == branch_mul(a, b)
+
+
 def test_heisenberg_product_example():
     H = Heisenberg()
     assert H.mul((1, 0, 0), (0, 1, 0)) == (1, 1, 1)
