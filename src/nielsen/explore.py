@@ -11,14 +11,12 @@ expands, the moves fix everything else.
 
 Every element kind keeps its elements in a canonical normal form with an
 injective encoding, so two tuples are equal exactly when their byte keys
-are; the key fixes only the order of the vertices within a layer. The BFS
-keeps its vertices in one of two stores, and the group picks which.
-
-* Fixed-width kinds (``Integers`` and every ``IntVectorGroup``) grow one
-  whole layer at a time on coordinate arrays, in ``nielsen.layers``.
-* Other kinds, and balls whose ints reach that module's guard, deduplicate
-  on the tuples themselves and encode the key of each vertex once, when its
-  layer is complete.
+are; the key fixes only the order of the vertices within a layer. ``_grow``
+is one BFS, in ``nielsen.layers``, that keeps each vertex as an int32 row
+in one of two law forms: the coordinates of a fixed-width kind (``Integers``
+and every ``IntVectorGroup``), or interned element ids for every other kind
+and for balls whose ints reach that module's guard. Tuples and keys are
+decoded from the rows when asked for.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 
 from .errors import ResourceCapError, UsageError, VerificationError
 from .groups import DEFAULT_VERTEX_CAP, FiniteTable, Group, State
-from .moves import I, Move, R, apply_move, move_inverse, move_set
+from .moves import I, Move, R, move_inverse, move_set
 
 # components keeps one int32 label per tuple on a tensor with one axis per
 # entry, and numpy arrays have at most 64 axes; fragments keep int32 vertex ids
@@ -67,7 +65,8 @@ class GraphFragment:
     expanded: np.ndarray = field(default=None, repr=False)  # (V,) bool
     darts: np.ndarray = field(default=None, repr=False)     # (V, m) int32, -1 rows where unexpanded
     truncated_at: int | None = None  # least depth where the window blocked expansion
-    coords: np.ndarray | None = field(default=None, repr=False)  # (V, n * width) int32 on the array path
+    rows: np.ndarray = field(default=None, repr=False)      # (V, k) int32: coordinates or element ids
+    law: object = field(default=None, repr=False)           # the ``nielsen.layers`` law that decodes them
     _states: list | None = field(default=None, repr=False)
     _keys: list | None = field(default=None, repr=False)
     _index: dict | None = field(default=None, repr=False)
@@ -82,16 +81,14 @@ class GraphFragment:
     @property
     def states(self) -> list[State]:
         if self._states is None:
-            from .layers import states_of
-
-            self._states = states_of(self.group, self.coords)
+            self._states = self.law.states(self.rows)
         return self._states
 
     @property
     def keys(self) -> list[bytes]:
         """Canonical byte key of every vertex."""
         if self._keys is None:
-            self._keys = [state_key(self.group, s) for s in self.states]
+            self._keys = self.law.keys(self.rows)
         return self._keys
 
     @property
@@ -179,77 +176,9 @@ def _grow(frag: GraphFragment, cap: int, only: dict | None = None) -> None:
     depth where one is not is ``truncated_at``. The vertices end in
     canonical order; more than ``cap`` of them is a ResourceCapError.
     """
-    cap = min(cap, _LABEL_LIMIT - 1)  # vertex ids are int32
-    if frag.group.width is not None:
-        # imported here, so that ``import nielsen`` does not compile it
-        from . import layers
+    from . import layers  # imported here, so that ``import nielsen`` does not compile it
 
-        if layers.grow(frag, cap, only):
-            return
-    _grow_tuples(frag, cap, only)
-
-
-def _in_window(group: Group, window: int | None, state: State) -> bool:
-    return window is None or max(group.measure(g) for g in state) <= window
-
-
-def _grow_tuples(frag: GraphFragment, cap: int, only: dict | None) -> None:
-    """The BFS of ``_grow`` on tuples, for every kind."""
-    group, n, moves, window = frag.group, frag.n, frag.moves, frag.window
-    keys, states, index = [state_key(group, frag.root)], [frag.root], {frag.root: 0}
-    depths, expanded, blocks = [0], [], []  # blocks: the int32 darts of each layer's expanded vertices
-    truncated_at = None
-    start = 0
-    for depth in range(frag.radius):
-        # New tuples get provisional indices base, base + 1, ... in discovery
-        # order; once the layer is complete they are renumbered in byte-key order.
-        base = len(states)
-        layer_expanded, layer_darts = [], []
-        for v in range(start, base):
-            state = states[v]
-            if not (_in_window(group, window, state) and (only is None or only.get(state))):
-                if truncated_at is None:
-                    truncated_at = depth
-                continue
-            row = []
-            for move in moves:
-                w = apply_move(group, state, move, n)
-                i = index.get(w)
-                if i is None:
-                    i = len(states)
-                    if i >= cap:
-                        raise ResourceCapError(f"vertex cap {cap} exceeded while exploring")
-                    index[w] = i
-                    states.append(w)
-                row.append(i)
-            layer_darts.append(row)
-            layer_expanded.append(v)
-        new_states = states[base:]
-        if new_states:
-            new_keys = [state_key(group, w) for w in new_states]
-            # keys are distinct, so the stable sort orders by (key, provisional)
-            order = sorted(range(len(new_states)), key=new_keys.__getitem__)
-            final = [0] * len(order)
-            for v, p in enumerate(order, base):
-                final[p] = v
-                index[new_states[p]] = v
-            states[base:] = [new_states[p] for p in order]
-            keys.extend(new_keys[p] for p in order)
-            depths.extend([depth + 1] * len(order))
-            layer_darts = [[w if w < base else final[w - base] for w in row] for row in layer_darts]
-        expanded.extend(layer_expanded)
-        blocks.append(np.array(layer_darts, dtype=np.int32).reshape(len(layer_darts), len(moves)))
-        if not new_states:
-            break
-        start = base
-    frag._states, frag._keys, frag._index = states, keys, index
-    frag.depths = np.array(depths, dtype=np.int32)
-    frag.expanded = np.zeros(len(states), dtype=bool)
-    frag.expanded[expanded] = True
-    frag.darts = np.full((len(states), len(moves)), -1, dtype=np.int32)
-    if blocks:
-        frag.darts[expanded] = np.concatenate(blocks)
-    frag.truncated_at = truncated_at
+    layers.grow(frag, min(cap, _LABEL_LIMIT - 1), only)  # vertex ids are int32
 
 
 def ball(
@@ -279,7 +208,10 @@ def ball(
         pool = set(moves)
         if any(move_inverse(m) not in pool for m in moves):
             raise UsageError("custom move list must be closed under inversion")
-    if not _in_window(group, window, root):
+        for mv in moves:
+            if max(mv.i, mv.j) > n:
+                raise UsageError(f"move {mv} out of range for tuple length {n}")
+    if window is not None and max(map(group.measure, root)) > window:
         raise UsageError(f"root lies outside the window {window}")
 
     if cap < 1:

@@ -217,11 +217,6 @@ def kept_out_edges(spec: ForestSpec, state: tuple[int, ...]) -> list[ForestEdge]
     return [ForestEdge(state, i, j, True, "kept") for i, j in _kept_pairs(spec, _image_of(spec, state))]
 
 
-def forest_degree(spec: ForestSpec, state: tuple[int, ...]) -> int:
-    """Exact forest degree: one parent edge (off the root) plus kept out-edges."""
-    return len(kept_out_edges(spec, state)) + (parent_edge(spec, state) is not None)
-
-
 @dataclass
 class ForestReport:
     n: int

@@ -1,27 +1,26 @@
-"""The layer-at-a-time BFS of the fixed-width kinds, on coordinate arrays.
+"""The one BFS of Nielsen graphs, a whole layer at a time, in two law forms.
 
-``Integers`` and every ``IntVectorGroup`` have an array form: an element
-is ``width`` int coordinates, and the kind's law also runs on stacked
-coordinate arrays. Their balls grow here one whole BFS layer at a time:
-int32 rows, int64 arithmetic. The layer's entries and their inverses are
-stacked, the law runs once on the operand columns of every R/L move, and
-one gather gives each vertex's m targets. The targets are packed, in mixed
-radix over their column ranges, into int64 keys and looked up by
-``searchsorted`` among the sorted keys of the vertices they can equal:
-depths d - 1 and d, and the vertices left unexpanded (a target at a
-smaller depth would have reached its source sooner). The targets not
-found, sorted, are the new layer. While the ball grows, a layer's vertices
-are numbered in the order of their coordinates; once it is complete, one
-sort by depth and by the ranks of the ints in the byte order of
-``encode_int`` puts every vertex in canonical order and the darts are
-renumbered. Targets are made ``_CHUNK`` at a time, which bounds the
-transient arrays. Tuples and byte keys are built only when something
-prints or looks them up.
+A vertex is an int32 row, and the group law runs on whole columns of rows.
+``Integers`` and every ``IntVectorGroup`` keep coordinates: ``width`` ints
+per entry, with the kind's law run on stacked arrays in int64. Every other
+kind, and every ball whose ints reach ``_GUARD`` = 2^30 (below it, sums and
+products of two coordinates fit int64), keeps interned element ids: a list
+of the distinct elements met and a dict from element to id. The inverse of
+each id is computed once, and ``group.mul`` runs once per distinct (id, id)
+pair of a chunk of targets, its result interned.
 
-Every coordinate stays below ``_GUARD`` = 2^30 in absolute value, so each
-law's sums and products of two coordinates fit int64; ``grow`` declines a
-ball whose root or any of whose values reach it, and the caller grows that
-ball on tuples.
+The layer's entries and their inverses are stacked, the law runs once on the
+operand columns of every R/L move, and one gather gives each vertex's m
+targets, ``_CHUNK`` at a time. The targets are packed, in mixed radix over
+their column ranges, into int64 keys and looked up by ``searchsorted`` among
+the sorted keys of the vertices they can equal: depths d - 1 and d, and the
+vertices left unexpanded (a target at a smaller depth would have reached its
+source sooner). The targets not found, sorted and deduplicated, are the new
+layer, numbered in the order of their rows. Once the ball is complete, one
+sort by depth and by the ranks of the rows' values in the byte order of
+their encodings (``int_ranks``, or ``encode_element`` over the element list)
+puts every vertex in canonical order. Tuples and byte keys are decoded from
+the rows only when something prints or looks them up.
 """
 
 from __future__ import annotations
@@ -128,38 +127,145 @@ class _Radix:
         return rows
 
 
-def _targets(group: Group, rows: np.ndarray, columns) -> np.ndarray | None:
-    """The targets of int32 coordinate rows, move by move, as int64 rows;
-    None once a coordinate reaches the guard."""
-    left, right, gather = columns
-    n, w = gather.shape[1], group.width
-    E = rows.astype(np.int64).reshape(len(rows), n, w).transpose(2, 0, 1)  # (w, rows, n)
-    S = np.concatenate((E, np.asarray(group.inv(E))), axis=2)  # entries, inverses
-    Z = np.concatenate((S, np.asarray(group.mul(S[:, :, left], S[:, :, right]))), axis=2)
-    if np.abs(Z[:, :, n:]).max() >= _GUARD:
-        return None
-    return Z.transpose(1, 2, 0)[:, gather].reshape(-1, n * w)
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first of each run of equal keys in a sorted array (a
+    sort and this mask deduplicate: np.unique would import numpy.ma)."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    first[1:] = keys[1:] != keys[:-1]
+    return first
 
 
-def _expand_layer(group: Group, X: np.ndarray, columns, known: np.ndarray, known_ids: np.ndarray, base: int):
-    """The targets of the coordinate rows X, ``_CHUNK`` at a time.
+class _PastGuard(Exception):
+    """A coordinate reached ``_GUARD``."""
 
-    The targets are made twice: first for their ranges, which fix the
-    packing, then packed and looked up among the known rows (a lone chunk
-    is kept from the first pass). The distinct targets not found are the
-    new vertices, numbered from ``base`` in the lexicographic order of their
-    coordinates. Returns the vertex id of every target and the int32 rows
-    of the new vertices, or None past the guard.
+
+class _Coordinates:
+    """The law on coordinate rows, for fixed-width kinds."""
+
+    keeps_targets = False  # they are cheaper to make again than to keep
+
+    def __init__(self, group: Group):
+        self.group = group
+
+    def row(self, state: State) -> list[int]:
+        return [x for g in state for x in g] if isinstance(self.group, IntVectorGroup) else list(state)
+
+    def targets(self, rows: np.ndarray, columns) -> np.ndarray:
+        """The targets of int32 rows, move by move, as int64 rows."""
+        left, right, gather = columns
+        n, w, group = gather.shape[1], self.group.width, self.group
+        E = rows.astype(np.int64).reshape(len(rows), n, w).transpose(2, 0, 1)  # (w, rows, n)
+        S = np.concatenate((E, np.asarray(group.inv(E))), axis=2)  # entries, inverses
+        Z = np.concatenate((S, np.asarray(group.mul(S[:, :, left], S[:, :, right]))), axis=2)
+        if np.abs(Z[:, :, n:]).max() >= _GUARD:
+            raise _PastGuard
+        return Z.transpose(1, 2, 0)[:, gather].reshape(-1, n * w)
+
+    def measure(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """The measure of each row: its largest unbounded coordinate."""
+        cols = rows.reshape(len(rows), n, self.group.width)[:, :, list(self.group.unbounded)]
+        return np.abs(cols).max(axis=(1, 2), initial=0)
+
+    def ranks(self, rows: np.ndarray) -> np.ndarray:
+        return int_ranks(rows.astype(np.int64))
+
+    def keys(self, rows: np.ndarray) -> list[bytes]:
+        encode = self.group.encode_element
+        return [b"".join(map(encode, s)) for s in self.states(rows)]
+
+    def states(self, rows: np.ndarray) -> list[State]:
+        rows = rows.tolist()
+        if not isinstance(self.group, IntVectorGroup):
+            return list(map(tuple, rows))
+        return [tuple(zip(*[iter(r)] * self.group.width)) for r in rows]
+
+
+class _Interned:
+    """The law on rows of element ids, for every kind."""
+
+    keeps_targets = True  # each product cost a call of the group law
+
+    def __init__(self, group: Group):
+        self.group = group
+        self.elements, self.ids = [], {}  # the distinct elements by id; element -> id
+        self.inverses = np.empty(0, dtype=np.int32)  # by id, as far as rows have needed them
+        self._measures, self._ranks, self._codes = [], None, None
+
+    def intern(self, g) -> int:
+        i = self.ids.setdefault(g, len(self.elements))
+        if i == len(self.elements):
+            self.elements.append(g)
+        return i
+
+    def row(self, state: State) -> list[int]:
+        return [self.intern(g) for g in state]
+
+    def targets(self, rows: np.ndarray, columns) -> np.ndarray:
+        """The targets of int32 rows of ids, move by move. Each distinct
+        (id, id) pair of the chunk is multiplied once."""
+        left, right, gather = columns
+        upto = int(rows.max()) + 1
+        if upto > len(self.inverses):
+            new = [self.intern(self.group.inv(g)) for g in self.elements[len(self.inverses) : upto]]
+            self.inverses = np.concatenate((self.inverses, np.array(new, dtype=np.int32)))
+        S = np.concatenate((rows, self.inverses[rows]), axis=1)  # entries, inverses
+        pairs = (S[:, left].astype(np.int64) << 32 | S[:, right]).ravel()
+        order = np.argsort(pairs)
+        pairs = pairs[order]
+        first = _firsts(pairs)
+        el, mul = self.elements, self.group.mul
+        made = [self.intern(mul(el[p >> 32], el[p & 0xFFFFFFFF])) for p in pairs[first].tolist()]
+        products = np.empty(len(pairs), dtype=np.int32)
+        products[order] = np.array(made, dtype=np.int32)[np.cumsum(first) - 1]
+        Z = np.concatenate((S, products.reshape(len(rows), len(left))), axis=1)
+        return Z[:, gather].reshape(-1, gather.shape[1])
+
+    def measure(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """The measure of each row: the largest ``group.measure`` of its entries."""
+        self._measures.extend(map(self.group.measure, self.elements[len(self._measures) :]))
+        return np.array(self._measures)[rows].max(axis=1)
+
+    def ranks(self, rows: np.ndarray) -> np.ndarray:
+        """The rank of each id in the byte order of ``encode_element``,
+        sorted once the ball is complete."""
+        if self._ranks is None:
+            self._codes = codes = list(map(self.group.encode_element, self.elements))
+            self._ranks = np.empty(len(codes), dtype=np.int64)
+            self._ranks[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
+        return self._ranks[rows]
+
+    def keys(self, rows: np.ndarray) -> list[bytes]:
+        """The byte keys of rows, from the encodings made for the ranks."""
+        codes = self._codes
+        return [b"".join(map(codes.__getitem__, r)) for r in rows.tolist()]
+
+    def states(self, rows: np.ndarray) -> list[State]:
+        el = self.elements
+        return [tuple(map(el.__getitem__, r)) for r in rows.tolist()]
+
+
+def _expand_layer(law, X: np.ndarray, columns, known: np.ndarray, known_ids: np.ndarray, base: int):
+    """The targets of the rows X, ``_CHUNK`` at a time.
+
+    The targets are made for their ranges, which fix the packing, then
+    packed and looked up among the known rows; the law's targets are made
+    again for that unless it keeps them (a lone chunk is always kept). The
+    distinct targets not found are the new vertices, numbered from ``base``
+    in the lexicographic order of their rows. Returns the vertex id of every
+    target and the int32 rows of the new vertices.
     """
     m = len(columns[2])
     step = max(1, _CHUNK // m)
     parts = [X[i : i + step] for i in range(0, len(X), step)]
     lo, hi = known.min(axis=0), known.max(axis=0)
+    kept = []
     for part in parts:
-        T = _targets(group, part, columns)
-        if T is None:
-            return None
+        T = law.targets(part, columns)
         lo, hi = np.minimum(lo, T.min(axis=0)), np.maximum(hi, T.max(axis=0))
+        if law.keeps_targets or len(parts) == 1:
+            kept.append(T)
+    del T
     radix = _Radix(lo, hi)
     known = radix.pack(known.astype(np.int64))
     order = np.argsort(known)
@@ -167,7 +273,9 @@ def _expand_layer(group: Group, X: np.ndarray, columns, known: np.ndarray, known
     ids = np.empty(len(X) * m, dtype=np.int32)
     missed, missed_at = [], []
     for i, part in enumerate(parts):
-        T = radix.pack(T if len(parts) == 1 else _targets(group, part, columns))
+        T = radix.pack(kept[i].astype(np.int64, copy=False) if kept else law.targets(part, columns))
+        if kept:
+            kept[i] = None
         at = np.minimum(np.searchsorted(known, T), len(known) - 1)
         hit = known[at] == T
         pos = np.arange(i * step * m, i * step * m + len(T))
@@ -177,64 +285,70 @@ def _expand_layer(group: Group, X: np.ndarray, columns, known: np.ndarray, known
     missed, missed_at = np.concatenate(missed), np.concatenate(missed_at)
     order = np.argsort(missed)
     missed = missed[order]
-    first = np.empty(len(missed), dtype=bool)
-    first[:1] = True
-    first[1:] = missed[1:] != missed[:-1]
+    first = _firsts(missed)
     ids[missed_at[order]] = np.cumsum(first) + (base - 1)
     return ids, radix.unpack(missed[first]).astype(np.int32)
 
 
-def _canonical_order(coords: np.ndarray, depths: np.ndarray) -> np.ndarray:
+def _canonical_order(law, rows: np.ndarray, depths: np.ndarray) -> np.ndarray:
     """The permutation that puts vertices in canonical order: by depth, then
-    by the ranks of their ints in the byte order of ``encode_int``. The rank
-    rows are made ``_CHUNK`` values at a time, twice: first for their
-    ranges, then packed."""
-    per = max(1, _CHUNK // coords.shape[1])
+    by the ranks of their rows' values in the byte order of their encodings.
+    The rank rows are made ``_CHUNK`` values at a time, twice: first for
+    their ranges, then packed."""
+    per = max(1, _CHUNK // rows.shape[1])
 
     def ranked(i: int) -> np.ndarray:
-        rows = np.empty((len(depths[i : i + per]), 1 + coords.shape[1]), dtype=np.int64)
-        rows[:, 0] = depths[i : i + per]
-        rows[:, 1:] = int_ranks(coords[i : i + per].astype(np.int64))
-        return rows
+        out = np.empty((len(depths[i : i + per]), 1 + rows.shape[1]), dtype=np.int64)
+        out[:, 0] = depths[i : i + per]
+        out[:, 1:] = law.ranks(rows[i : i + per])
+        return out
 
-    chunks = range(0, len(coords), per)
-    bounds = [(rows.min(axis=0), rows.max(axis=0)) for rows in map(ranked, chunks)]
+    chunks = range(0, len(rows), per)
+    bounds = [(r.min(axis=0), r.max(axis=0)) for r in map(ranked, chunks)]
     radix = _Radix(np.min([lo for lo, _ in bounds], axis=0), np.max([hi for _, hi in bounds], axis=0))
     words = np.concatenate([radix.words(ranked(i)) for i in chunks])
     return np.argsort(words[:, 0]) if radix.key is None else np.lexsort(words.T[::-1])
 
 
-def grow(frag: GraphFragment, cap: int, only: dict | None) -> bool:
-    """The BFS of ``explore._grow`` on coordinate arrays, for fixed-width kinds.
+def grow(frag: GraphFragment, cap: int, only: dict | None) -> None:
+    """The BFS of ``explore._grow``.
 
-    The vertices of a layer are numbered in the lexicographic order of
-    their coordinates while the ball grows, and put in canonical order once
-    it is complete. Returns False, leaving ``frag`` untouched, when a
-    coordinate reaches the guard or a move names an entry past n.
+    Fixed-width kinds grow on coordinates while every coordinate stays
+    below the guard; past it, and for every other kind, the ball grows
+    (again) on element ids.
     """
-    group, n, m, window = frag.group, frag.n, len(frag.moves), frag.window
-    if not (
-        all(mv.i <= n and mv.j <= n for mv in frag.moves)  # else apply_move names the bad move
-        and all(abs(x) < _GUARD for x in coords_of(group, frag.root))
-    ):
-        return False
-    w = group.width
+    if frag.group.width is not None:
+        law = _Coordinates(frag.group)
+        if all(abs(x) < _GUARD for x in law.row(frag.root)):
+            try:
+                _bfs(frag, law, cap, only)
+                return
+            except _PastGuard:
+                pass  # grown again below
+    _bfs(frag, _Interned(frag.group), cap, only)
+
+
+def _bfs(frag: GraphFragment, law, cap: int, only: dict | None) -> None:
+    """The layers of ``frag`` on the rows of one law. The vertices of a layer
+    are numbered in the lexicographic order of their rows while the ball
+    grows, and put in canonical order once it is complete."""
+    n, m, window = frag.n, len(frag.moves), frag.window
     columns = _move_columns(frag.moves, n)
-    layers = [np.array([coords_of(group, frag.root)], dtype=np.int32)]  # coordinate rows by depth
+    layers = [np.array([law.row(frag.root)], dtype=np.int32)]  # rows by depth
     starts = [0]  # by depth: id of the first vertex
     left_out = {}  # depth -> mask of the vertices left unexpanded there
     # rows and ids of the vertices left unexpanded at depths < d - 1
-    blocked, blocked_ids = np.empty((0, n * w), dtype=np.int32), np.empty(0, dtype=np.int64)
+    blocked, blocked_ids = layers[0][:0], np.empty(0, dtype=np.int64)
     dart_parts, expanded_parts = [], []
     truncated_at = None
     for depth in range(frag.radius):
         X = layers[depth]
         base = starts[depth] + len(X)
         mask = np.ones(len(X), dtype=bool)
-        if window is not None and group.unbounded:
-            mask &= np.abs(X.reshape(len(X), n, w)[:, :, list(group.unbounded)]).max(axis=(1, 2)) <= window
+        if window is not None:
+            mask &= law.measure(X, n) <= window
         if only is not None:
-            mask &= np.array([bool(only.get(s)) for s in states_of(group, X)], dtype=bool)
+            mask &= np.array([bool(only.get(s)) for s in law.states(X)], dtype=bool)
         rows = np.flatnonzero(mask)
         if len(rows) < len(X):
             left_out[depth] = ~mask
@@ -251,19 +365,16 @@ def grow(frag: GraphFragment, cap: int, only: dict | None) -> bool:
         # a target at depth < d - 1 would have reached its source sooner,
         # unless that was left unexpanded
         prev = max(depth - 1, 0)
-        got = _expand_layer(
-            group,
+        ids, fresh = _expand_layer(
+            law,
             X[rows],
             columns,
             np.concatenate([*layers[prev : depth + 1], blocked]),
             np.concatenate((np.arange(starts[prev], base), blocked_ids)),
             base,
         )
-        if got is None:
-            return False
-        ids, fresh = got
         dart_parts[-1][rows] = ids.reshape(len(rows), m)
-        del got, ids
+        del ids
         if base + len(fresh) > cap:
             raise ResourceCapError(f"vertex cap {cap} exceeded while exploring")
         if not len(fresh):
@@ -273,11 +384,11 @@ def grow(frag: GraphFragment, cap: int, only: dict | None) -> bool:
     sizes = [len(x) for x in layers]
     size, covered = sum(sizes), sum(map(len, expanded_parts))
     frag.depths = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    coords = np.concatenate(layers)
+    rows = np.concatenate(layers)
     del layers
-    order = _canonical_order(coords, frag.depths)
-    frag.coords = coords[order]
-    del coords
+    order = _canonical_order(law, rows, frag.depths)
+    frag.rows, frag.law = rows[order], law
+    del rows
     frag.expanded = np.concatenate([*expanded_parts, np.zeros(size - covered, dtype=bool)])[order]
     place = np.empty(size + 1, dtype=np.int32)  # place[-1] keeps -1, the dart of an unexpanded vertex
     place[order] = np.arange(size, dtype=np.int32)
@@ -290,18 +401,3 @@ def grow(frag: GraphFragment, cap: int, only: dict | None) -> bool:
         frag.darts[place[at : at + len(part)]] = place[part]
         at += len(part)
     frag.truncated_at = truncated_at
-    return True
-
-
-def coords_of(group: Group, state: State) -> list[int]:
-    """The coordinates of a tuple of a fixed-width kind, entry by entry."""
-    return [x for g in state for x in g] if isinstance(group, IntVectorGroup) else list(state)
-
-
-def states_of(group: Group, rows: np.ndarray) -> list[State]:
-    """The tuples of coordinate rows; inverse of ``coords_of``."""
-    rows = rows.tolist()
-    if not isinstance(group, IntVectorGroup):
-        return list(map(tuple, rows))
-    w = group.width
-    return [tuple(zip(*[iter(r)] * w)) for r in rows]

@@ -11,13 +11,49 @@ from nielsen.groups import (
     Heisenberg,
     InfiniteDihedral,
     Integers,
-    cyclic_table,
-    direct_product_table,
 )
 
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def cyclic_table(k: int) -> list[list[int]]:
+    return [[(a + b) % k for b in range(k)] for a in range(k)]
+
+
+def direct_product_table(t1: list[list[int]], t2: list[list[int]]) -> list[list[int]]:
+    n1, n2 = len(t1), len(t2)
+    out = [[0] * (n1 * n2) for _ in range(n1 * n2)]
+    for a1 in range(n1):
+        for a2 in range(n2):
+            for b1 in range(n1):
+                for b2 in range(n2):
+                    out[a1 * n2 + a2][b1 * n2 + b2] = t1[a1][b1] * n2 + t2[a2][b2]
+    return out
+
+
+def dihedral_table(k: int) -> list[list[int]]:
+    """Dihedral group of order 2k; element i*2+s encodes rotation^i * flip^s."""
+    def mul(a, b):
+        i, s = divmod(a, 2)
+        j, t = divmod(b, 2)
+        rot = (i + j) % k if s == 0 else (i - j) % k
+        return rot * 2 + (s ^ t)
+
+    return [[mul(a, b) for b in range(2 * k)] for a in range(2 * k)]
+
+
+def quaternion_table() -> list[list[int]]:
+    """Q8 as the signed units 1, -1, i, -i, j, -j, k, -k: element 2*u + s is
+    unit u of 1, i, j, k with sign bit s. Units multiply as u XOR v, with a
+    sign for i*i, j*j, k*k and for j*i, k*j, i*k."""
+    def mul(a, b):
+        (u, s), (v, t) = divmod(a, 2), divmod(b, 2)
+        flip = 0 < u and 0 < v and (u == v or (v - u) % 3 == 2)
+        return (u ^ v) * 2 + (s ^ t ^ flip)
+
+    return [[mul(a, b) for b in range(8)] for a in range(8)]
 
 
 def elementary_abelian_table(d: int) -> list[list[int]]:

@@ -11,7 +11,7 @@ import math
 import time
 from fractions import Fraction
 
-from conftest import seeded
+from conftest import cyclic_table, dihedral_table, direct_product_table, quaternion_table, seeded
 from nielsen.amenability import (
     closed_walks,
     iso_ratio,
@@ -27,10 +27,6 @@ from nielsen.groups import (
     FreeAbelian,
     InfiniteDihedral,
     Integers,
-    cyclic_table,
-    dihedral_table,
-    direct_product_table,
-    quaternion_table,
 )
 from nielsen.moves import I, R, eval_word
 from nielsen.tame import verify_component_structure

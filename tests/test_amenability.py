@@ -19,8 +19,9 @@ from nielsen.groups import (
     FreeGroup,
     InfiniteDihedral,
     Integers,
-    dihedral_table,
 )
+
+from conftest import dihedral_table
 from oracles import brute_force_closed_walks
 
 Z = Integers()

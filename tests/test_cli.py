@@ -11,7 +11,7 @@ import pytest
 
 from nielsen.cli import main
 
-from conftest import elementary_abelian_table
+from conftest import elementary_abelian_table, quaternion_table
 from oracles import content_equal
 
 
@@ -399,7 +399,6 @@ def test_golden_exports(capsys, args):
 
 def test_stdout_does_not_depend_on_hash_seed():
     import nielsen
-    from nielsen.groups import quaternion_table
 
     src = os.path.dirname(os.path.dirname(nielsen.__file__))
     commands = (

@@ -27,13 +27,10 @@ from nielsen.groups import (
     Heisenberg,
     InfiniteDihedral,
     Integers,
-    cyclic_table,
-    dihedral_table,
-    quaternion_table,
 )
 from nielsen.moves import eval_word, move_set
 
-from conftest import seeded
+from conftest import cyclic_table, dihedral_table, quaternion_table, seeded
 from oracles import homomorphism_failure_by_pairs
 
 

@@ -26,14 +26,11 @@ from nielsen.groups import (
     Heisenberg,
     InfiniteDihedral,
     Integers,
-    cyclic_table,
-    dihedral_table,
     encode_int,
-    quaternion_table,
 )
 from nielsen.moves import I, R, eval_word
 
-from conftest import seeded
+from conftest import cyclic_table, dihedral_table, quaternion_table, seeded
 from oracles import ball_by_keys, components_unionfind, content_equal, fragment_lists
 
 Z = Integers()
@@ -119,8 +116,8 @@ ORACLE_CASES = {
     "Z5_squared": (FiniteAbelianExp(5, 2), None, 6, {}),
     "custom_moves": (Z, (1, 0, 0), 5, {"moves": (R(1, 2), R(1, 2, -1), R(3, 1), R(3, 1, -1), I(2))}),
     "radius_0": (Z, (2, 3), 0, {}),
-    # the array path: ints of one to four bytes, and a ball that reaches the
-    # 2^30 guard part way and is grown again on tuples
+    # coordinates: ints of one to four bytes, and a ball that reaches the
+    # 2^30 guard part way and is grown again on element ids
     "Z_guard_root": (Z, (2**62 + 1, 2**62), 3, {}),
     "Z_four_byte_ints": (Z, (2**30 - 2, 1), 1, {}),
     "Heisenberg_wide_ints": (Heisenberg(), ((1, 0, -(2**23) - 1), (0, 1, 2**23 - 1)), 3, {}),
@@ -131,8 +128,15 @@ ORACLE_CASES = {
     "Heisenberg_window": (Heisenberg(), ((2, -1, 3), (1, -1, -3)), 6, {"window": 3}),
     "D_inf_r40": (D, ((0, 1), (1, 1)), 40, {}),
     "Z3": (FreeAbelian(3), None, 3, {}),
+    # element ids: kinds with no coordinates, and coordinates past the guard
+    "F2": (FreeGroup(2), ((1,), (2,)), 4, {}),
+    "F3_n3": (FreeGroup(3), None, 3, {}),
+    "Q8": (FiniteCayley(quaternion_table(), 0), None, 6, {}),
+    "Z_mod_3_n3": (FiniteCayley(cyclic_table(3), 0), (1, 0, 0), 8, {}),
+    "Z2_guard_root": (FreeAbelian(2), ((2**40 + 1, 2**40), (1, 1)), 3, {}),
 }
-TUPLE_PATH = {"F2_window", "FiniteCayley_D4", "Z_guard_root", "Heisenberg_past_guard"}
+INTERNED = {"F2_window", "FiniteCayley_D4", "Z_guard_root", "Heisenberg_past_guard", "F2", "F3_n3", "Q8",
+            "Z_mod_3_n3", "Z2_guard_root"}
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
@@ -150,10 +154,31 @@ def test_ball_matches_per_dart_key_oracle(case):
     assert fast.index == {s: v for v, s in enumerate(fast.states)}
 
 
-def test_the_group_and_the_guard_pick_the_store():
+def test_the_group_and_the_guard_pick_the_law():
+    from nielsen import layers
+
     for name, (group, root, radius, kwargs) in ORACLE_CASES.items():
         frag = ball(group, group.standard_generators() if root is None else root, radius, **kwargs)
-        assert (frag.coords is None) == (name in TUPLE_PATH), name
+        law = layers._Interned if name in INTERNED else layers._Coordinates
+        assert type(frag.law) is law, name
+        assert frag.rows.dtype == np.int32 and len(frag.rows) == len(frag), name
+
+
+def test_the_interned_law_multiplies_each_distinct_pair_once(monkeypatch):
+    # at (a, b) the eight R/L moves make six products: R+:1,2 and L+:2,1 are
+    # both a*b, R+:2,1 and L+:1,2 both b*a
+    F = FreeGroup(2)
+    calls = []
+    monkeypatch.setattr(F, "mul", lambda a, b: calls.append((a, b)) or FreeGroup.mul(F, a, b))
+    assert len(ball(F, ((1,), (2,)), 1)) == 11
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 6
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+@pytest.mark.parametrize("group,root", [(Z, (1, 0)), (FreeGroup(2), ((1,), (2,)))], ids=["Z", "F2"])
+def test_custom_moves_past_n_are_refused_up_front(group, root, radius):
+    with pytest.raises(UsageError, match="move I:3 out of range for tuple length 2"):
+        ball(group, root, radius, moves=(R(1, 2), R(1, 2, -1), I(3)))
 
 
 def test_window_case_has_darts_into_blocked_vertices_two_layers_up():
@@ -164,7 +189,11 @@ def test_window_case_has_darts_into_blocked_vertices_two_layers_up():
     assert ((~frag.expanded[rows]) & (frag.depths[rows] < source - 1)).any()
 
 
-@pytest.mark.parametrize("name", ["Z_n2", "Z_n3_window", "D_inf_window", "Heisenberg_window", "Z3", "B23"])
+@pytest.mark.parametrize(
+    "name",
+    ["Z_n2", "Z_n3_window", "D_inf_window", "Heisenberg_window", "Z3", "B23", "F2_window", "FiniteCayley_D4",
+     "Z_guard_root"],
+)
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_layers_in_chunks_match_the_oracle(monkeypatch, name, chunk):
     from nielsen import layers
@@ -224,6 +253,8 @@ ROUND_TRIP_CASES = {
     "B23": (BurnsideB23(), None, 3, {}),
     "F2_window": (FreeGroup(2), ((1,), (2,)), 4, {"window": 3}),
     "D_inf": (D, ((0, 1), (1, 1)), 6, {}),
+    "Q8": (FiniteCayley(quaternion_table(), 0), None, 2, {}),
+    "F2": (FreeGroup(2), ((1,), (2,)), 3, {}),
 }
 
 

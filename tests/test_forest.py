@@ -14,7 +14,6 @@ from nielsen.forest import (
     component_dot,
     component_of,
     edge_status,
-    forest_degree,
     kept_out_edges,
     parent_edge,
     pattern_spec,
@@ -23,6 +22,11 @@ from nielsen.forest import (
 from nielsen.groups import Integers
 from nielsen.moves import R
 from oracles import verify_forest_reference
+
+
+def forest_degree(spec: ForestSpec, state: tuple[int, ...]) -> int:
+    """Exact forest degree: one parent edge (off the root) plus kept out-edges."""
+    return len(kept_out_edges(spec, state)) + (parent_edge(spec, state) is not None)
 
 
 def test_component_classification():

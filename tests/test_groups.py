@@ -25,16 +25,19 @@ from nielsen.groups import (
     InfiniteDihedral,
     Integers,
     IntVectorGroup,
-    cyclic_table,
-    dihedral_table,
-    direct_product_table,
     group_from_json,
     lattice_is_full,
-    quaternion_table,
 )
 from nielsen.tame import verify_component_structure
 
-from conftest import elementary_abelian_table, seeded
+from conftest import (
+    cyclic_table,
+    dihedral_table,
+    direct_product_table,
+    elementary_abelian_table,
+    quaternion_table,
+    seeded,
+)
 from oracles import associative_by_triples, element_closure, first_generating_tuple, table_by_pairs
 
 ints = st.integers(min_value=-50, max_value=50)

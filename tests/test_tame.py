@@ -5,14 +5,7 @@ import math
 import pytest
 
 from nielsen.errors import ResourceCapError, UsageError
-from nielsen.groups import (
-    BurnsideB23,
-    FiniteAbelianExp,
-    FiniteCayley,
-    cyclic_table,
-    dihedral_table,
-    direct_product_table,
-)
+from nielsen.groups import BurnsideB23, FiniteAbelianExp, FiniteCayley
 from nielsen.tame import (
     NotRelativelyFreeError,
     aut_group,
@@ -21,6 +14,7 @@ from nielsen.tame import (
     verify_component_structure,
 )
 
+from conftest import cyclic_table, dihedral_table, direct_product_table
 from oracles import tame_reference
 
 
