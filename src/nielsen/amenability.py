@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import UsageError
-from .explore import GraphFragment, ball, state_from_key, state_key
+from .explore import GraphFragment, ball
 from .groups import Group, State
 from .moves import move_set
 
@@ -59,19 +59,23 @@ class SpectralEstimate:
 def iso_ratio(frag: GraphFragment, members, description: str = "custom") -> IsoReport:
     """Boundary-to-size ratio of a vertex set whose members are all expanded.
 
-    Counts darts from S into the complement; since each unordered cut edge
-    has exactly one endpoint in S, this counts cut edges once each, with
-    multi-edge multiplicity. Loops never cross the cut.
+    A member is a vertex index, a tuple, or a key of ``frag.keys``, looked
+    up exactly and never parsed. Counts darts from S into the complement;
+    since each unordered cut edge has exactly one endpoint in S, this counts
+    cut edges once each, with multi-edge multiplicity. Loops never cross the cut.
     """
     idxs = set()
+    by_key = None
     for m in members:
         if isinstance(m, int):
             idx = m
             if not 0 <= idx < len(frag):
                 raise UsageError(f"vertex index {idx} out of range")
         elif isinstance(m, bytes):
-            idx = frag.index.get(state_from_key(frag.group, frag.n, m))
-            if idx is None or state_key(frag.group, frag.states[idx]) != m:
+            if by_key is None:
+                by_key = {key: v for v, key in enumerate(frag.keys)}
+            idx = by_key.get(m)
+            if idx is None:
                 raise UsageError("vertex key not present in fragment")
         else:
             idx = frag.vertex_index(tuple(m))

@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="BFS ball summary")
     _add_fragment_args(p)
-    p.add_argument("--format", choices=["dot", "jsonl"], default=None, help="also write the fragment")
-    p.add_argument("--output", default=None, help="fragment output path (default stdout)")
 
     p = sub.add_parser("export", help="write a fragment as DOT or JSONL")
     _add_fragment_args(p)
@@ -166,9 +164,6 @@ def run(argv) -> int:
             "truncated": frag.truncated,
             "balls": profile,
         })
-        if args.format:
-            payload = frag.to_dot() if args.format == "dot" else frag.to_jsonl()
-            _write_payload(payload, args.output)
         return 0
 
     if args.command == "export":

@@ -263,8 +263,8 @@ def verify_star_bijection(
     for t in tuples:
         image = push(epi, t)
         for mv in moves:
-            lhs = tuple(epi.apply(g) for g in apply_move(epi.domain, t, mv, n))
-            rhs = apply_move(epi.codomain, image, mv, n)
+            lhs = tuple(epi.apply(g) for g in apply_move(epi.domain, t, mv))
+            rhs = apply_move(epi.codomain, image, mv)
             if lhs != rhs:
                 report.violations.append({"tuple": repr(t), "move": mv.text()})
     return report
@@ -314,7 +314,7 @@ def verify_surjectivity_on_fragment(epi: Epimorphism, frag: GraphFragment, seed_
                 continue
             for k, w in enumerate(darts[v]):
                 if w not in lifts:
-                    lifts[w] = apply_move(epi.domain, lifts[v], frag.moves[k], frag.n)
+                    lifts[w] = apply_move(epi.domain, lifts[v], frag.moves[k])
                     queue.append(w)
     for v in range(len(frag)):
         if v in lifts:

@@ -42,17 +42,6 @@ def state_key(group: Group, state: State) -> bytes:
     return b"".join(group.encode_element(g) for g in state)
 
 
-def state_from_key(group: Group, n: int, key: bytes) -> State:
-    out = []
-    offset = 0
-    for _ in range(n):
-        g, offset = group.decode_element(key, offset)
-        out.append(g)
-    if offset != len(key):
-        raise UsageError("trailing bytes in tuple key")
-    return tuple(out)
-
-
 @dataclass(eq=False)
 class GraphFragment:
     group: Group

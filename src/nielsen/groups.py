@@ -4,6 +4,7 @@ Every group kind represents its elements by a canonical immutable Python
 value (int or tuple of ints), so that equality and hashing are structural.
 Byte encodings are length-prefixed little-endian and injective per kind;
 tuple keys elsewhere rely on each element encoding being self-delimiting.
+Encodings are written and compared, never parsed back.
 
 Supported kinds and element normal forms:
 
@@ -34,7 +35,8 @@ Generation tests: gcd over Z; for the nilpotent integer-vector kinds, a
 unit-lattice test on the image in the abelianization (exact for nilpotent
 groups; for the 3-group B(2,3) it is Burnside's basis theorem); reflection
 plus gcd for the infinite dihedral group; closure on the index form for
-``FiniteCayley``; Stallings folding for free groups.
+``FiniteCayley``; Stallings folding and a loop per basis letter for free
+groups.
 
 A finite group has one index form, ``FiniteTable.of(group)``: intp arrays
 of its multiplication table and inverses, built once per instance from the
@@ -72,12 +74,6 @@ def encode_int(v: int) -> bytes:
     else:
         size = (-v - 1).bit_length() // 8 + 1
     return size.to_bytes(4, "little") + v.to_bytes(size, "little", signed=True)
-
-
-def decode_int(buf: bytes, offset: int) -> tuple[int, int]:
-    size = int.from_bytes(buf[offset : offset + 4], "little")
-    start = offset + 4
-    return int.from_bytes(buf[start : start + size], "little", signed=True), start + size
 
 
 def _is_int(x) -> bool:
@@ -164,9 +160,6 @@ class Group:
         raise NotImplementedError
 
     def encode_element(self, a: Element) -> bytes:
-        raise NotImplementedError
-
-    def decode_element(self, buf: bytes, offset: int) -> tuple[Element, int]:
         raise NotImplementedError
 
     def element_to_json(self, a: Element):
@@ -330,9 +323,6 @@ class Integers(Group):
     def encode_element(self, a):
         return encode_int(a)
 
-    def decode_element(self, buf, offset):
-        return decode_int(buf, offset)
-
     def element_from_json(self, obj):
         return self.check_element(obj)
 
@@ -393,13 +383,6 @@ class IntVectorGroup(Group):
 
     def encode_element(self, a):
         return b"".join(map(encode_int, a))
-
-    def decode_element(self, buf, offset):
-        out = []
-        for _ in self.moduli:
-            v, offset = decode_int(buf, offset)
-            out.append(v)
-        return tuple(out), offset
 
     def element_from_json(self, obj):
         return self.check_element(tuple(obj) if isinstance(obj, list) else obj)
@@ -541,9 +524,6 @@ class FiniteCayley(Group):
 
     def encode_element(self, a):
         return encode_int(a)
-
-    def decode_element(self, buf, offset):
-        return decode_int(buf, offset)
 
     def element_from_json(self, obj):
         return self.check_element(obj)
@@ -687,16 +667,6 @@ class FreeGroup(Group):
     def encode_element(self, a):
         return encode_int(len(a)) + b"".join(encode_int(x) for x in a)
 
-    def decode_element(self, buf, offset):
-        k, offset = decode_int(buf, offset)
-        if offset + 4 * k > len(buf):  # every letter takes at least 4 bytes
-            raise UsageError("FreeGroup word runs past the end of its key")
-        out = []
-        for _ in range(k):
-            v, offset = decode_int(buf, offset)
-            out.append(v)
-        return tuple(out), offset
-
     def element_to_json(self, a):
         return self.word_to_str(a)
 
@@ -737,8 +707,10 @@ class FreeGroup(Group):
         return out
 
     def _is_generating(self, words):
-        """Stallings folding: fold the rose of word loops; the tuple generates
-        iff the folded core at the basepoint is the one-vertex rose with d loops."""
+        """Stallings folding: fold the rose of word loops. In a folded graph a
+        reduced word lies in the subgroup iff it reads a closed path at the
+        basepoint (Kapovich-Myasnikov 2002), so the tuple generates iff every
+        basis letter is a loop there."""
         parent = [0]
         adj: list[dict[int, int]] = [{}]
 
@@ -778,35 +750,16 @@ class FreeGroup(Group):
                 continue
             if len(adj[ra]) < len(adj[rb]):
                 ra, rb = rb, ra
-            parent[rb] = ra
-            moved = adj[rb]
-            adj[rb] = {}
-            for letter, tgt in moved.items():
+            parent[rb] = ra  # adj[rb] is read no more: only roots' edges count
+            for letter, tgt in adj[rb].items():
                 cur = adj[ra].get(letter)
                 if cur is None:
                     adj[ra][letter] = tgt
                 elif find(cur) != find(tgt):
                     pending.append((cur, tgt))
 
-        live = {find(v) for v in range(len(parent))}
-        degree = {v: sum(1 for _ in adj[v]) for v in live}
-        # prune hanging trees: the core keeps the basepoint regardless of degree
         base = find(0)
-        leaves = [v for v in live if v != base and degree[v] <= 1]
-        while leaves:
-            v = leaves.pop()
-            live.discard(v)
-            for letter, tgt in adj[v].items():
-                t = find(tgt)
-                if t in live and t != v:
-                    del adj[t][-letter]
-                    degree[t] -= 1
-                    if t != base and degree[t] <= 1:
-                        leaves.append(t)
-            adj[v] = {}
-        if live != {base}:
-            return False
-        return set(adj[base].keys()) == {s * k for k in range(1, self.d + 1) for s in (1, -1)}
+        return all(k in adj[base] and find(adj[base][k]) == base for k in range(1, self.d + 1))
 
     def standard_generators(self):
         return tuple((k,) for k in range(1, self.d + 1))

@@ -106,11 +106,10 @@ def move_set(n: int) -> tuple[Move, ...]:
     return tuple(out)
 
 
-def apply_move(group: Group, state: State, move: Move, n: int | None = None) -> State:
+def apply_move(group: Group, state: State, move: Move) -> State:
     """Apply one move; exactly one entry of the tuple changes."""
-    size = len(state) if n is None else n
-    if move.j > size or (move.kind != "I" and move.i > size):
-        raise UsageError(f"move {move} out of range for tuple length {size}")
+    if move.j > len(state) or (move.kind != "I" and move.i > len(state)):
+        raise UsageError(f"move {move} out of range for tuple length {len(state)}")
     if move.kind == "I":
         j = move.j - 1
         return state[:j] + (group.inv(state[j]),) + state[j + 1 :]
@@ -125,9 +124,8 @@ MoveWord = tuple[Move, ...]
 
 def eval_word(group: Group, state: State, word) -> State:
     """Left-to-right fold of apply_move; the empty word is the identity."""
-    n = len(state)
     for move in word:
-        state = apply_move(group, state, move, n)
+        state = apply_move(group, state, move)
     return state
 
 

@@ -39,7 +39,7 @@ def components_unionfind(group: Group, n: int) -> tuple[int, list[list[State]]]:
         if not gen_mask[k]:
             continue
         for move in move_set(n):
-            a, b = find(k), find(pos[apply_move(group, s, move, n)])
+            a, b = find(k), find(pos[apply_move(group, s, move)])
             if a != b:
                 parent[max(a, b)] = min(a, b)
     classes: dict[int, list[State]] = {}
@@ -77,7 +77,7 @@ def brute_force_closed_walks(group: Group, root: State, k_max: int) -> list[int]
         if depth == k_max:
             return
         for mv in moves:
-            nxt = apply_move(group, state, mv, n)
+            nxt = apply_move(group, state, mv)
             if nxt == root:
                 out[depth + 1] += 1
             rec(nxt, depth + 1)
@@ -171,7 +171,7 @@ def ball_by_keys(
                 continue
             targets = []
             for move in moves:
-                w = apply_move(group, frag.states[v], move, n)
+                w = apply_move(group, frag.states[v], move)
                 wk = state_key(group, w)
                 if wk not in index and wk not in discovered:
                     discovered[wk] = w
@@ -506,3 +506,77 @@ def associative_by_triples(table) -> bool:
     at a time."""
     tab = np.asarray(table)
     return all((tab[tab[a]] == tab[a][tab]).all() for a in range(len(tab)))
+
+
+def free_generation_by_core(d: int, words) -> bool:
+    """Whether reduced words generate the free group of rank d: fold the
+    rose of word loops, prune hanging trees, and compare the core at the
+    basepoint with the one-vertex rose of d loops."""
+    parent = [0]
+    adj: list[dict[int, int]] = [{}]
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    pending: list[tuple[int, int]] = []
+
+    def add_edge(u, letter, v):
+        u, v = find(u), find(v)
+        for a, l, b in ((u, letter, v), (v, -letter, u)):
+            cur = adj[a].get(l)
+            if cur is None:
+                adj[a][l] = b
+            elif find(cur) != find(b):
+                pending.append((cur, b))
+
+    for word in words:
+        prev = 0
+        for idx, letter in enumerate(word):
+            if idx == len(word) - 1:
+                target = 0
+            else:
+                parent.append(len(parent))
+                adj.append({})
+                target = len(parent) - 1
+            add_edge(prev, letter, target)
+            prev = target
+
+    while pending:
+        a, b = pending.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        if len(adj[ra]) < len(adj[rb]):
+            ra, rb = rb, ra
+        parent[rb] = ra
+        moved = adj[rb]
+        adj[rb] = {}
+        for letter, tgt in moved.items():
+            cur = adj[ra].get(letter)
+            if cur is None:
+                adj[ra][letter] = tgt
+            elif find(cur) != find(tgt):
+                pending.append((cur, tgt))
+
+    live = {find(v) for v in range(len(parent))}
+    degree = {v: len(adj[v]) for v in live}
+    # prune hanging trees: the core keeps the basepoint regardless of degree
+    base = find(0)
+    leaves = [v for v in live if v != base and degree[v] <= 1]
+    while leaves:
+        v = leaves.pop()
+        live.discard(v)
+        for letter, tgt in adj[v].items():
+            t = find(tgt)
+            if t in live and t != v:
+                del adj[t][-letter]
+                degree[t] -= 1
+                if t != base and degree[t] <= 1:
+                    leaves.append(t)
+        adj[v] = {}
+    if live != {base}:
+        return False
+    return set(adj[base].keys()) == {s * k for k in range(1, d + 1) for s in (1, -1)}

@@ -89,6 +89,12 @@ def test_epimorphism_fields_are_validated():
         verify_star_bijection(identity_epi(Integers()), 2, samples=-1)
 
 
+def test_star_check_refuses_a_tuple_shorter_than_n():
+    # moves are range-checked against the tuple itself, not against n
+    with pytest.raises(UsageError, match=r"move R\+:1,2 out of range for tuple length 1"):
+        verify_star_bijection(identity_epi(Integers()), 2, tuples=[(1,)])
+
+
 def test_finite_quotient_keeps_its_messages():
     # the messages of the element-level checks, which went through N in
     # increasing order, each element's inverse before its products; in S_3

@@ -1,5 +1,6 @@
 """Group kernel: laws, normal forms, serialization, generation tests."""
 
+import json
 import math
 import time
 import tracemalloc
@@ -38,7 +39,13 @@ from conftest import (
     quaternion_table,
     seeded,
 )
-from oracles import associative_by_triples, element_closure, first_generating_tuple, table_by_pairs
+from oracles import (
+    associative_by_triples,
+    element_closure,
+    first_generating_tuple,
+    free_generation_by_core,
+    table_by_pairs,
+)
 
 ints = st.integers(min_value=-50, max_value=50)
 
@@ -122,25 +129,31 @@ def test_group_laws_random(all_groups, count):
 
 
 def test_serialization_round_trip(all_groups):
+    # keys are compared, never parsed: the encoding must be injective and
+    # prefix-free; a blob that is a prefix of any later blob in sorted order
+    # is a prefix of the next one, so adjacent pairs suffice
     for group, _ in all_groups:
         rng = seeded(0xB0B)
-        seen = {}
+        blobs = {}
         for _ in range(500):
             g = group.random_element(rng, 30)
-            blob = group.encode_element(g)
-            out, offset = group.decode_element(blob, 0)
-            assert out == g and offset == len(blob)
-            if blob in seen:
-                assert seen[blob] == g  # injectivity
-            seen[blob] = g
+            blobs.setdefault(group.encode_element(g), set()).add(g)
             assert group.element_from_json(group.element_to_json(g)) == g
+        assert all(len(gs) == 1 for gs in blobs.values())  # injectivity
+        ordered = sorted(blobs)
+        assert not any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
 
 @given(st.integers(min_value=-(10**40), max_value=10**40))
 def test_integer_encoding_handles_big_values(v):
-    Z = Integers()
-    blob = Z.encode_element(v)
-    assert Z.decode_element(blob, 0) == (v, len(blob))
+    # a 4-byte little-endian size, then the minimal signed little-endian payload
+    blob = Integers().encode_element(v)
+    size = int.from_bytes(blob[:4], "little")
+    assert len(blob) == 4 + size and size >= 1
+    assert int.from_bytes(blob[4:], "little", signed=True) == v
+    if size > 1:
+        half = 1 << (8 * (size - 1) - 1)
+        assert not -half <= v < half  # one byte fewer would not hold v
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +360,40 @@ def test_free_group_move_images_always_generate():
         assert F.is_generating(t)
 
 
+@st.composite
+def free_tuples(draw):
+    """A rank d <= 3 and n <= 4 reduced words: random words, or a move image
+    of the basis padded with identities with one entry then multiplied by a
+    random word, which often keeps it generating."""
+    from nielsen.moves import apply_move, move_set
+
+    d = draw(st.integers(1, 3))
+    F = FreeGroup(d)
+    letters = st.sampled_from([s * k for k in range(1, d + 1) for s in (1, -1)])
+
+    def word():
+        out = ()
+        for x in draw(st.lists(letters, max_size=8)):
+            out = F.mul(out, (x,))
+        return out
+
+    n = draw(st.integers(d, 4))
+    if draw(st.booleans()):
+        return F, tuple(word() for _ in range(draw(st.integers(1, 4))))
+    t = F.standard_generators() + ((),) * (n - d)
+    for mv in draw(st.lists(st.sampled_from(move_set(n)), max_size=10)):
+        t = apply_move(F, t, mv)
+    k = draw(st.integers(0, n - 1))
+    return F, t[:k] + (F.mul(t[k], word()),) + t[k + 1 :]
+
+
+@settings(max_examples=300)
+@given(free_tuples())
+def test_free_generation_matches_the_core_oracle(case):
+    F, words = case
+    assert F.is_generating(words) == free_generation_by_core(F.d, words)
+
+
 def test_free_group_folding_respects_abelianization():
     # folding-true implies the abelianized vectors span Z^2
     F = FreeGroup(2)
@@ -504,7 +551,7 @@ def test_spec_and_element_parsers_raise_only_usage_errors(kind, params, group, e
     except UsageError:
         return
     assert group.check_element(g) == g
-    assert group.decode_element(group.encode_element(g), 0)[0] == g
+    assert group.element_from_json(json.loads(json.dumps(group.element_to_json(g)))) == g
 
 
 INTEGER_DOMAINS = [{"kind": "Integers"}, {"kind": "FreeAbelian", "d": 2}, {"kind": "FreeAbelian", "d": 3}]
