@@ -9,6 +9,7 @@ exceeded, 1 internal verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -75,6 +76,7 @@ def _add_fragment_args(p, need_radius=True):
     p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="vertex cap")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nielsen",

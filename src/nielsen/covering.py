@@ -233,8 +233,9 @@ class StarReport:
 
 
 def random_generating_tuple(group: Group, n: int, rng: random.Random, size: int = 12, tries: int = 10000) -> State:
+    random_element = group.random_element
     for _ in range(tries):
-        cand = tuple(group.random_element(rng, size) for _ in range(n))
+        cand = tuple([random_element(rng, size) for _ in range(n)])
         if group.is_generating(cand):
             return cand
     raise UsageError(f"could not sample a generating {n}-tuple in {tries} tries")

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, product as iproduct
+from itertools import combinations, count, product as iproduct
 from typing import Any, Iterator
 
 import numpy as np
@@ -363,6 +363,8 @@ class IntVectorGroup(Group):
         self.width = len(moduli)
         self.unbounded = tuple(k for k, m in enumerate(moduli) if m is None)
         self._abelian = moduli[: self.abelian_coords]
+        dim = len(self._abelian)
+        self._modulus_rows = [_unit_vector(dim, k, m) for k, m in enumerate(self._abelian) if m is not None]
 
     @property
     def is_finite(self):
@@ -391,7 +393,9 @@ class IntVectorGroup(Group):
         return max((abs(a[k]) for k in self.unbounded), default=0)
 
     def random_element(self, rng, size=10):
-        return tuple(rng.randint(-size, size) if m is None else rng.randrange(m) for m in self.moduli)
+        # randint(a, b) is documented as randrange(a, b + 1): the same draws
+        randrange = rng.randrange
+        return tuple([randrange(-size, size + 1) if m is None else randrange(m) for m in self.moduli])
 
     @property
     def order(self):
@@ -412,8 +416,10 @@ class IntVectorGroup(Group):
         # the images generate the abelianization iff they span Z^k together
         # with the rows m * e_i of its bounded coordinates
         dim = len(self._abelian)
-        rows = [a[:dim] for a in entries]
-        rows.extend(_unit_vector(dim, k, m) for k, m in enumerate(self._abelian) if m is not None)
+        rows = [a[:dim] for a in entries] + self._modulus_rows
+        if dim == 2:
+            # Smith normal form: rows span Z^2 iff the gcd of their 2x2 minors is 1
+            return math.gcd(*[a * d - b * c for (a, b), (c, d) in combinations(rows, 2)]) == 1
         return lattice_is_full(rows, dim)
 
     def standard_generators(self):

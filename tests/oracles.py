@@ -12,7 +12,7 @@ import numpy as np
 from nielsen import forest
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
-from nielsen.groups import Group, State
+from nielsen.groups import Group, IntVectorGroup, State, lattice_is_full
 from nielsen.moves import Move, apply_move, move_inverse, move_set
 from nielsen.tame import NotRelativelyFreeError
 
@@ -580,3 +580,33 @@ def free_generation_by_core(d: int, words) -> bool:
     if live != {base}:
         return False
     return set(adj[base].keys()) == {s * k for k in range(1, d + 1) for s in (1, -1)}
+
+
+def generation_by_lattice(group: IntVectorGroup, entries: State) -> bool:
+    """Whether a tuple generates a nilpotent integer-vector kind, by
+    ``lattice_is_full`` on the images in the abelianization together with
+    the rows m * e_i of its bounded coordinates."""
+    abelian = group.moduli[: group.abelian_coords]
+    dim = len(abelian)
+    rows = [a[:dim] for a in entries]
+    rows.extend(tuple(m if c == k else 0 for c in range(dim)) for k, m in enumerate(abelian) if m is not None)
+    return lattice_is_full(rows, dim)
+
+
+def sample_generating_tuple(group: Group, n: int, rng, size: int = 12, tries: int = 10000) -> State:
+    """The rejection sampler with ``randint`` draws for the integer-vector
+    kinds and, for their nilpotent ones, the ``generation_by_lattice``
+    verdict. Other kinds draw and decide by their own methods."""
+    vector = isinstance(group, IntVectorGroup)
+    nilpotent = vector and type(group)._is_generating is IntVectorGroup._is_generating
+
+    def draw():
+        if not vector:
+            return group.random_element(rng, size)
+        return tuple(rng.randint(-size, size) if m is None else rng.randrange(m) for m in group.moduli)
+
+    for _ in range(tries):
+        cand = tuple(draw() for _ in range(n))
+        if generation_by_lattice(group, cand) if nilpotent else group.is_generating(cand):
+            return cand
+    raise UsageError(f"could not sample a generating {n}-tuple in {tries} tries")

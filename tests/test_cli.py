@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from nielsen.cli import main
+from nielsen.cli import build_parser, main
 
 from conftest import elementary_abelian_table, quaternion_table
 from oracles import content_equal
@@ -19,6 +19,38 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(capsys):
+    # an argparse error and a usage error must leave the cached parser as a
+    # fresh one: every later call prints what it prints on a fresh parser
+    calls = [
+        (["growth", "--bogus"], 2),
+        (["spectral", "--group", '{"kind":"Integers"}', "--root", "[1,1]", "--k", "0"], 2),
+        (["euclid", "--root", "[6,10,15]"], 0),
+        (["cover", "verify", "--pi", '{"rule":"abelianize","domain":{"kind":"Heisenberg"}}', "--n", "2",
+          "--samples", "20"], 0),
+        (["growth", "--group", '{"kind":"Integers"}', "--root", "[1,1]", "--radius", "4"], 0),
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv, _ in calls:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    build_parser.cache_clear()
+    reused = [call(argv) for argv, _ in calls]
+    assert build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [code for _, code in calls]
+    assert all(out for code, out, _ in fresh if code == 0)
 
 
 def test_explore_n1(capsys):

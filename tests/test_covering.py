@@ -24,6 +24,7 @@ from nielsen.groups import (
     FiniteAbelianExp,
     FiniteCayley,
     FreeAbelian,
+    FreeGroup,
     Heisenberg,
     InfiniteDihedral,
     Integers,
@@ -31,7 +32,7 @@ from nielsen.groups import (
 from nielsen.moves import eval_word, move_set
 
 from conftest import cyclic_table, dihedral_table, quaternion_table, seeded
-from oracles import homomorphism_failure_by_pairs
+from oracles import homomorphism_failure_by_pairs, sample_generating_tuple
 
 
 def test_push_examples():
@@ -262,6 +263,25 @@ SAMPLED_TUPLES = {
 @pytest.mark.parametrize("group", SAMPLED_TUPLES, ids=lambda g: g.kind)
 def test_random_generating_tuple_is_fixed_by_seed(group):
     assert [random_generating_tuple(group, 2, seeded(s)) for s in range(3)] == SAMPLED_TUPLES[group]
+
+
+SAMPLER_CASES = [
+    *((g, n) for n in (2, 3) for g in (
+        FreeAbelian(2), Heisenberg(), InfiniteDihedral(), FiniteAbelianExp(3, 2), BurnsideB23(), FreeGroup(2),
+    )),
+    (FreeAbelian(3), 4),
+]
+
+
+@pytest.mark.parametrize(("group", "n"), SAMPLER_CASES, ids=lambda c: c if isinstance(c, int) else c.kind)
+def test_sampler_matches_the_reference_sampler(group, n):
+    # same tuples and the same number of draws: the next random word agrees too
+    def stream(sample, seed):
+        rng = seeded(seed)
+        return [sample(group, n, rng) for _ in range(3)], rng.getrandbits(64)
+
+    for seed in range(32):
+        assert stream(random_generating_tuple, seed) == stream(sample_generating_tuple, seed)
 
 
 def test_abelianize_needs_the_heisenberg_group_itself():

@@ -44,6 +44,7 @@ from oracles import (
     element_closure,
     first_generating_tuple,
     free_generation_by_core,
+    generation_by_lattice,
     table_by_pairs,
 )
 
@@ -245,6 +246,33 @@ def test_free_abelian_rank2_matches_determinant_oracle(rows):
             minors.append(rows[p][0] * rows[q][1] - rows[p][1] * rows[q][0])
     oracle = math.gcd(*minors) == 1 if minors else False
     assert lattice_is_full(rows, 2) == oracle
+
+
+_huge = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+# the four kinds whose abelianization has rank 2, (Z/m)^2 at small and huge m
+_rank2_groups = st.one_of(
+    st.sampled_from([FreeAbelian(2), Heisenberg(), BurnsideB23()]),
+    st.one_of(st.integers(2, 12), st.integers(2, 2**70)).map(lambda m: FiniteAbelianExp(m, 2)),
+)
+
+
+@st.composite
+def rank2_tuples(draw):
+    """A rank-2 kind and 1 to 5 of its elements, with zero and repeated rows."""
+    group = draw(_rank2_groups)
+    coord = [_huge if m is None else st.integers(0, m - 1) for m in group.moduli]
+    element = st.tuples(*coord)
+    pool = draw(st.lists(element, min_size=1, max_size=3))
+    entries = draw(st.lists(st.one_of(element, st.just(group.identity()), st.sampled_from(pool)),
+                            min_size=1, max_size=5))
+    return group, tuple(entries)
+
+
+@settings(max_examples=400)
+@given(rank2_tuples())
+def test_rank2_generation_matches_the_lattice_oracle(case):
+    group, entries = case
+    assert group.is_generating(entries) == generation_by_lattice(group, entries)
 
 
 def _det3(a, b, c):
