@@ -9,6 +9,7 @@ commutation on samples, and lifts codomain fragments back along the map.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .groups import (
     Heisenberg,
     InfiniteDihedral,
     Integers,
+    IntVectorGroup,
     State,
     group_from_json,
 )
@@ -232,13 +234,99 @@ class StarReport:
         return {"checked": self.checked, "moves": self.moves, "violations": len(self.violations)}
 
 
+# 32-bit words in the first block of draws and in the largest, 64 KiB
+_FIRST_BLOCK, _LAST_BLOCK = 64, 1 << 14
+
+
 def random_generating_tuple(group: Group, n: int, rng: random.Random, size: int = 12, tries: int = 10000) -> State:
+    """The first of up to ``tries`` candidate n-tuples of ``random_element``
+    draws that generates the group; UsageError if none does."""
+    return random_generating_tuples(group, n, rng, 1, size, tries)[0]
+
+
+def random_generating_tuples(
+    group: Group, n: int, rng: random.Random, count: int, size: int = 12, tries: int = 10000
+) -> list[State]:
+    """``count`` calls of ``random_generating_tuple`` in a row: the generating
+    candidates of one stream of candidates, in order.
+
+    When every coordinate is ``start + rng.randrange(width)`` with one width
+    below 2^32 and ``rng`` is a plain ``random.Random``, the candidates are
+    decoded from blocks of its 32-bit words, the words those draws would
+    read, and decided a block at a time. The generator is left just past the
+    last sample, or the last candidate tried, so the tuples and the state
+    afterwards are those of drawing one candidate at a time.
+    """
+    draw = group.uniform_draw(size)
+    if draw is not None and 0 < draw[1] < 1 << 32 and n > 0 and tries > 0 and type(rng) is random.Random:
+        return _samples_in_blocks(group, n, rng, count, tries, *draw)
+    return [_sample_one_by_one(group, n, rng, size, tries) for _ in range(count)]
+
+
+def _sample_one_by_one(group: Group, n: int, rng: random.Random, size: int, tries: int) -> State:
     random_element = group.random_element
     for _ in range(tries):
         cand = tuple([random_element(rng, size) for _ in range(n)])
         if group.is_generating(cand):
             return cand
     raise UsageError(f"could not sample a generating {n}-tuple in {tries} tries")
+
+
+def _samples_in_blocks(
+    group: Group, n: int, rng: random.Random, count: int, tries: int, start: int, width: int
+) -> list[State]:
+    """``randrange(width)`` is ``_randbelow(width)``: the top ``k`` bits of
+    one word, k = width.bit_length(), drawn again while they reach
+    ``width``. ``getrandbits(32 * N)`` holds the next N words, least
+    significant first, so a block of words decodes at once. The state is
+    saved before each block; the stream ends inside the block that completes
+    its last candidate, and ``rng`` is put back to that block's start and
+    moved on by exactly the words through that candidate."""
+    if isinstance(group, IntVectorGroup):
+        shape, state = (n, group.width), lambda c: tuple(map(tuple, c))
+    else:
+        shape, state = (n,), tuple
+    per = math.prod(shape)  # draws per candidate
+    shift = 32 - width.bit_length()
+    out: list[State] = []
+    carry = np.empty(0, dtype=np.int64)  # draws kept but not yet in a whole candidate
+    since = 0  # candidates tried after the last sample, before candidate last + 1 of the block
+    words = _FIRST_BLOCK
+    while len(out) < count:
+        saved = rng.getstate()
+        block = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4") >> shift
+        kept = np.flatnonzero(block < width)
+        through = kept[per - 1 - len(carry) :: per] + 1  # words read through each whole candidate
+        vals = np.concatenate((carry, block[kept]))
+        whole = len(vals) // per
+        cands = (vals[: whole * per] + start).reshape(whole, *shape)
+        verdict = group.is_generating_each(cands)
+        if verdict is None:
+            hits = (j for j in range(whole) if group.is_generating(state(cands[j].tolist())))
+        else:
+            hits = np.flatnonzero(verdict).tolist()
+        last = -1  # the candidate of this block that gave the last sample
+        for j in hits:
+            if since + j - last > tries:
+                break
+            out.append(state(cands[j].tolist()))
+            since, last = 0, j
+            if len(out) == count:
+                _rewind(rng, saved, int(through[j]))
+                return out
+        if last + tries - since < whole:
+            _rewind(rng, saved, int(through[last + tries - since]))
+            raise UsageError(f"could not sample a generating {n}-tuple in {tries} tries")
+        since += whole - 1 - last
+        carry = vals[whole * per :]
+        words = min(2 * words, _LAST_BLOCK)
+    return out
+
+
+def _rewind(rng: random.Random, state: tuple, words: int) -> None:
+    """Put ``rng`` at ``state`` moved on by ``words`` 32-bit words."""
+    rng.setstate(state)
+    rng.getrandbits(32 * words)
 
 
 def verify_star_bijection(
@@ -258,8 +346,9 @@ def verify_star_bijection(
     if tuples is None:
         if samples < 0:
             raise UsageError(f"samples must be >= 0, got {samples}")
-        rng = random.Random(seed)
-        tuples = [random_generating_tuple(epi.domain, n, rng) for _ in range(samples)]
+        if samples > DEFAULT_VERTEX_CAP:  # every sample is held in the list
+            raise ResourceCapError(f"{samples} samples exceed cap {DEFAULT_VERTEX_CAP}")
+        tuples = random_generating_tuples(epi.domain, n, random.Random(seed), samples)
     report = StarReport(checked=len(tuples), moves=len(moves))
     for t in tuples:
         image = push(epi, t)

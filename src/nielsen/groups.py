@@ -175,6 +175,12 @@ class Group:
     def random_element(self, rng, size: int = 10) -> Element:
         raise NotImplementedError
 
+    def uniform_draw(self, size: int) -> tuple[int, int] | None:
+        """(start, width) when ``random_element(rng, size)`` draws each of its
+        coordinates in turn as ``start + rng.randrange(width)``; None when
+        its draws differ from that, so a sampler cannot decode them in bulk."""
+        return None
+
     # -- generation ------------------------------------------------------
     def is_generating(self, entries: State) -> bool:
         if len(entries) == 0:
@@ -183,6 +189,13 @@ class Group:
 
     def _is_generating(self, entries: State) -> bool:
         raise NotImplementedError
+
+    def is_generating_each(self, block: np.ndarray) -> np.ndarray | None:
+        """The verdict of ``is_generating`` on every row of an int64 array of
+        candidate n-tuples, shaped (candidates, n, width) for kinds whose
+        elements are int tuples and (candidates, n) otherwise; None when this
+        kind has no array form of its test for those entries."""
+        return None
 
     def standard_generators(self) -> State:
         """A designated generating tuple of minimal length."""
@@ -332,6 +345,9 @@ class Integers(Group):
     def random_element(self, rng, size=10):
         return rng.randint(-size, size)
 
+    def uniform_draw(self, size):
+        return -size, 2 * size + 1
+
     def _is_generating(self, entries):
         return math.gcd(*entries) == 1 if len(entries) > 1 else abs(entries[0]) == 1
 
@@ -397,6 +413,12 @@ class IntVectorGroup(Group):
         randrange = rng.randrange
         return tuple([randrange(-size, size + 1) if m is None else randrange(m) for m in self.moduli])
 
+    def uniform_draw(self, size):
+        if len(set(self.moduli)) != 1:
+            return None
+        m = self.moduli[0]
+        return (-size, 2 * size + 1) if m is None else (0, m)
+
     @property
     def order(self):
         return super().order if self.unbounded else math.prod(self.moduli)
@@ -421,6 +443,21 @@ class IntVectorGroup(Group):
             # Smith normal form: rows span Z^2 iff the gcd of their 2x2 minors is 1
             return math.gcd(*[a * d - b * c for (a, b), (c, d) in combinations(rows, 2)]) == 1
         return lattice_is_full(rows, dim)
+
+    def is_generating_each(self, block):
+        """The rank-2 rule of ``_is_generating`` on columns, in int64: None
+        for other ranks, and when a minor could leave int64."""
+        if len(self._abelian) != 2:
+            return None
+        # every minor is at most 2 * bound^2 in absolute value
+        bound = max([int(np.abs(block[:, :, :2]).max(initial=0)), *(m for m in self._abelian if m is not None)])
+        if bound >= 1 << 31:
+            return None
+        rows = [(block[:, i, 0], block[:, i, 1]) for i in range(block.shape[1])] + self._modulus_rows
+        g = np.zeros(len(block), dtype=np.int64)
+        for (a, b), (c, d) in combinations(rows, 2):
+            g = np.gcd(g, a * d - b * c)
+        return g == 1
 
     def standard_generators(self):
         """The unit vectors of the abelian coordinates."""
@@ -471,6 +508,8 @@ class InfiniteDihedral(IntVectorGroup):
         vals = [t for t, e in entries if e == 0]
         vals.extend(t - refl[0] for t in refl[1:])
         return math.gcd(*vals) == 1 if vals else False
+
+    is_generating_each = Group.is_generating_each  # not nilpotent: no rule on the abelian image
 
     def standard_generators(self):
         return ((1, 0), (0, 1))
@@ -536,6 +575,9 @@ class FiniteCayley(Group):
 
     def random_element(self, rng, size=10):
         return rng.randrange(self.order)
+
+    def uniform_draw(self, size):
+        return 0, self.order
 
     def _is_generating(self, entries):
         return bool(self._finite_table.closure([entries]).all())

@@ -9,7 +9,9 @@ import time
 
 import pytest
 
+from nielsen import covering
 from nielsen.cli import build_parser, main
+from nielsen.groups import DEFAULT_VERTEX_CAP
 
 from conftest import elementary_abelian_table, quaternion_table
 from oracles import content_equal
@@ -339,6 +341,17 @@ def test_tame_rank_search_is_bounded(capsys, k, d):
     assert code == 3 and out == ""
     assert err.startswith("resource error") and "Traceback" not in err
     assert time.perf_counter() - start < 20
+
+
+def test_cover_samples_are_capped(capsys, monkeypatch):
+    # refused before the first draw
+    monkeypatch.setattr(covering, "random_generating_tuples", None)
+    code, out, err = run_cli(
+        capsys, "cover", "verify", "--pi", '{"rule":"abelianize","domain":{"kind":"Heisenberg"}}', "--n", "2",
+        "--samples", str(DEFAULT_VERTEX_CAP + 1),
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("resource error") and "samples exceed cap" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("table", ['"ab"', "[[0,1],[1]]", "[[100000000000000000000000]]", "{}", "[[0.0]]"])

@@ -1,5 +1,7 @@
 """Covering kit: rule catalogue, star commutation, path lifting, walk bounds."""
 
+import random
+
 import pytest
 
 from nielsen.amenability import closed_walks
@@ -13,6 +15,7 @@ from nielsen.covering import (
     projection,
     push,
     random_generating_tuple,
+    random_generating_tuples,
     reflection_bit,
     verify_star_bijection,
     verify_surjectivity_on_fragment,
@@ -270,6 +273,14 @@ SAMPLER_CASES = [
         FreeAbelian(2), Heisenberg(), InfiniteDihedral(), FiniteAbelianExp(3, 2), BurnsideB23(), FreeGroup(2),
     )),
     (FreeAbelian(3), 4),
+    # decoded in blocks, decided one candidate at a time
+    (Integers(), 1),
+    (Integers(), 2),
+    (FiniteCayley(quaternion_table(), 0), 2),
+    # decoded in blocks and decided a block at a time; n keeps each id unique
+    (FiniteAbelianExp(5, 2), 4),
+    # each coordinate reads more than one 32-bit word: one candidate at a time
+    (FiniteAbelianExp(2**32 + 15, 2), 5),
 ]
 
 
@@ -282,6 +293,98 @@ def test_sampler_matches_the_reference_sampler(group, n):
 
     for seed in range(32):
         assert stream(random_generating_tuple, seed) == stream(sample_generating_tuple, seed)
+
+
+def _draws(sample, group, n, rng, runs, **kw):
+    """``runs`` samples, or the message that stopped them, then the next 64 bits."""
+    out = []
+    try:
+        for _ in range(runs):
+            out.append(sample(group, n, rng, **kw))
+    except UsageError as e:
+        out.append(str(e))
+    return out, rng.getrandbits(64)
+
+
+@pytest.mark.parametrize(
+    ("group", "n", "size"),
+    [
+        # the widest block: every minor below 2 * (2^31 - 1)^2 < 2^63
+        (FreeAbelian(2), 3, 2**31 - 1),
+        (Heisenberg(), 3, 2**31 - 1),
+        # 2^32 and 2^32 + 1 values: more than one word a draw
+        (FiniteAbelianExp(2**32, 2), 2, 12),
+        (FreeAbelian(2), 3, 2**31),
+        # a rank-3 lattice: one candidate at a time
+        (FreeAbelian(3), 4, 2**31 - 1),
+        (Integers(), 2, 2**31 - 1),
+        # a block of draws whose minors may leave int64: one candidate at a time
+        (FiniteAbelianExp(2**32 - 5, 2), 2, 12),
+        (FiniteAbelianExp(2**31 + 11, 2), 3, 12),
+    ],
+    ids=lambda c: c.kind if hasattr(c, "kind") else str(c),
+)
+def test_sampler_matches_the_reference_sampler_on_wide_draws(group, n, size):
+    for seed in range(32):
+        ours = _draws(random_generating_tuple, group, n, seeded(seed), 3, size=size)
+        assert ours == _draws(sample_generating_tuple, group, n, seeded(seed), 3, size=size)
+
+
+@pytest.mark.parametrize(("group", "n"), SAMPLER_CASES, ids=lambda c: c if isinstance(c, int) else c.kind)
+def test_a_run_of_samples_matches_the_reference_sampler(group, n):
+    # one stream of candidates for all of them: the samples after the first
+    # come from the block that held the one before
+    for seed in range(8):
+        rng = seeded(seed)
+        ours = random_generating_tuples(group, n, rng, 9), rng.getrandbits(64)
+        assert ours == _draws(sample_generating_tuple, group, n, seeded(seed), 9)
+
+
+@pytest.mark.parametrize(
+    ("group", "n", "size"),
+    [(FreeAbelian(2), 2, 12), (Heisenberg(), 2, 12), (Integers(), 2, 12), (Integers(), 1, 0),
+     (InfiniteDihedral(), 2, 12), (FiniteAbelianExp(2, 2), 2, 12)],
+    ids=lambda c: c.kind if hasattr(c, "kind") else str(c),
+)
+def test_too_few_tries_fail_as_the_reference_sampler_does(group, n, size):
+    # the same error after the same number of candidates, with the same state after it
+    for tries in (0, 1, 3, 40):
+        for seed in range(16):
+            ref = _draws(sample_generating_tuple, group, n, seeded(seed), 6, size=size, tries=tries)
+            assert _draws(random_generating_tuple, group, n, seeded(seed), 6, size=size, tries=tries) == ref
+            rng = seeded(seed)
+            try:
+                ours = random_generating_tuples(group, n, rng, 6, size, tries)
+            except UsageError as e:
+                ours = [*ref[0][:-1], str(e)]  # the samples before it are not returned
+            assert (ours, rng.getrandbits(64)) == ref
+
+
+class _ByRandom(random.Random):
+    """randrange then scales random(), not the bits of getrandbits."""
+
+    def random(self):
+        return super().random()
+
+
+class _LowBits(random.Random):
+    """getrandbits(k) keeps the low k bits of a word, not the top ones."""
+
+    def random(self):
+        return super().random()
+
+    def getrandbits(self, k):
+        return super().getrandbits(32) & ((1 << k) - 1) if k <= 32 else super().getrandbits(k)
+
+
+@pytest.mark.parametrize("kind", [_ByRandom, _LowBits], ids=lambda k: k.__name__)
+@pytest.mark.parametrize(("group", "n"), [(FreeAbelian(2), 2), (Integers(), 2), (FiniteAbelianExp(5, 2), 2)],
+                         ids=lambda c: c if isinstance(c, int) else c.kind)
+def test_other_generators_draw_one_candidate_at_a_time(kind, group, n):
+    for seed in range(8):
+        rng = kind(seed)
+        ours = random_generating_tuples(group, n, rng, 3), rng.getrandbits(64)
+        assert ours == _draws(sample_generating_tuple, group, n, kind(seed), 3)
 
 
 def test_abelianize_needs_the_heisenberg_group_itself():
