@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceCapError, UsageError, VerificationError
+from .errors import ResourceCapError, UsageError, VerificationError, count_text
 from .explore import GraphFragment
 from .groups import (
     DEFAULT_VERTEX_CAP,
@@ -83,7 +83,9 @@ class Epimorphism:
         in row-major order over ``elements()`` is named."""
         order = max(self.domain.order, self.codomain.order)
         if order**2 > DEFAULT_VERTEX_CAP:
-            raise ResourceCapError(f"multiplication table of {order}^2 entries exceeds cap {DEFAULT_VERTEX_CAP}")
+            raise ResourceCapError(
+                f"multiplication table of {count_text(order)}^2 entries exceeds cap {DEFAULT_VERTEX_CAP}"
+            )
         dom, cod = FiniteTable.of(self.domain), FiniteTable.of(self.codomain)
         image = np.array([cod.index[self.apply(a)] for a in dom.elements], dtype=np.intp)
         bad = np.flatnonzero(image[dom.table] != cod.table[image[:, None], image])
@@ -257,9 +259,11 @@ def random_generating_tuples(
     last sample, or the last candidate tried, so the tuples and the state
     afterwards are those of drawing one candidate at a time.
     """
-    draw = group.uniform_draw(size)
-    if draw is not None and 0 < draw[1] < 1 << 32 and n > 0 and tries > 0 and type(rng) is random.Random:
-        return _samples_in_blocks(group, n, rng, count, tries, *draw)
+    draws = set(group.draws(size) or ())
+    if len(draws) == 1 and n > 0 and tries > 0 and type(rng) is random.Random:
+        (start, width), = draws
+        if 0 < width < 1 << 32:
+            return _samples_in_blocks(group, n, rng, count, tries, start, width)
     return [_sample_one_by_one(group, n, rng, size, tries) for _ in range(count)]
 
 

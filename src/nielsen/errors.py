@@ -4,6 +4,17 @@ The CLI maps these onto exit codes: UsageError -> 2, ResourceCapError -> 3,
 VerificationError -> 1.
 """
 
+import math
+
+
+def count_text(x: int) -> str:
+    """A positive int for a message: its digits, or its order of magnitude
+    where Python refuses to convert that many digits to text."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"(about 10^{math.floor(math.log10(x))})"
+
 
 class UsageError(ValueError):
     """A precondition on user-supplied input was violated."""

@@ -13,10 +13,10 @@ Every element kind keeps its elements in a canonical normal form with an
 injective encoding, so two tuples are equal exactly when their byte keys
 are; the key fixes only the order of the vertices within a layer. ``_grow``
 is one BFS, in ``nielsen.layers``, that keeps each vertex as an int32 row
-in one of two law forms: the coordinates of a fixed-width kind (``Integers``
-and every ``IntVectorGroup``), or interned element ids for every other kind
-and for balls whose ints reach that module's guard. Tuples and keys are
-decoded from the rows when asked for.
+in one of two law forms: the coordinates of a fixed-width kind (``Integers``,
+every ``IntVectorGroup``, and ``FiniteCayley`` on its table indices), or
+interned element ids for ``FreeGroup`` and for balls whose ints reach that
+module's guard. Tuples and keys are decoded from the rows when asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceCapError, UsageError, VerificationError
+from .errors import ResourceCapError, UsageError, VerificationError, count_text
 from .groups import DEFAULT_VERTEX_CAP, FiniteTable, Group, State
 from .moves import I, Move, R, move_inverse, move_set
 
@@ -233,6 +233,8 @@ def fragment_from_jsonl(group: Group, n: int, text: str) -> GraphFragment:
             row = json.loads(line)
         except json.JSONDecodeError as e:
             raise UsageError(f"fragment line {lineno} is not JSON: {e}") from None
+        except ValueError as e:  # an int of more digits than Python converts
+            raise UsageError(f"fragment line {lineno}: {e}") from None
         if not (isinstance(row, dict) and {"v", "tuple", "depth", "adj"} <= row.keys()):
             raise UsageError(f"fragment line {lineno} must be an object with fields v, tuple, depth, adj")
         if not (isinstance(row["tuple"], list) and len(row["tuple"]) == n):
@@ -336,13 +338,15 @@ class ComponentsReport:
 def check_finite_sizes(order: int, n: int, cap: int) -> int:
     """The number |G|^n of n-tuples, once it fits int32 labels and the cap
     and the |G|^2 multiplication table fits the cap; ResourceCapError if not."""
+    if order > 1 and n * order.bit_length() > 1 << 16:  # |G|^n is not even computed
+        raise ResourceCapError(f"state count {count_text(order)}^{n} exceeds the int32 label limit {_LABEL_LIMIT - 1}")
     total = order**n
     if total >= _LABEL_LIMIT:
-        raise ResourceCapError(f"state count {total} exceeds the int32 label limit {_LABEL_LIMIT - 1}")
+        raise ResourceCapError(f"state count {count_text(total)} exceeds the int32 label limit {_LABEL_LIMIT - 1}")
     if total > cap:
-        raise ResourceCapError(f"state count {total} exceeds cap {cap}")
+        raise ResourceCapError(f"state count {count_text(total)} exceeds cap {cap}")
     if order**2 > cap:
-        raise ResourceCapError(f"multiplication table of {order}^2 entries exceeds cap {cap}")
+        raise ResourceCapError(f"multiplication table of {count_text(order)}^2 entries exceeds cap {cap}")
     return total
 
 
@@ -416,7 +420,8 @@ def euclid_reduce(state: State) -> tuple[Move, ...]:
     Classic division-based reduction; each division step with quotient q is
     emitted as |q| single moves, so the word length is the quotient sum plus
     O(n) bookkeeping. The certificate eval_word(state, word) == (1, 0, ..., 0)
-    is exact.
+    is exact. A step that would take the word past ``DEFAULT_VERTEX_CAP``
+    moves raises ResourceCapError before it is taken.
     """
     n = len(state)
     if n == 0:
@@ -430,6 +435,8 @@ def euclid_reduce(state: State) -> tuple[Move, ...]:
     word: list[Move] = []
 
     def shift(i: int, j: int, times: int, sign: int):
+        if len(word) + times > DEFAULT_VERTEX_CAP:
+            raise ResourceCapError(f"euclid word of more than {DEFAULT_VERTEX_CAP} moves exceeds the cap")
         move = R(i + 1, j + 1, sign)
         for _ in range(times):
             xs[i] += sign * xs[j]

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import combinations, product as iproduct
 
-from .errors import ResourceCapError, UsageError, VerificationError
+from .errors import ResourceCapError, UsageError, VerificationError, count_text
 from .moves import Move, R
 
 Reason = str  # 'kept' | 'dup_of_12' | 'dup_of_21' | 'lex_loser' | 'none'
@@ -272,7 +272,7 @@ def verify_forest(n: int, window: int) -> ForestReport:
     if window < 2:
         raise UsageError("window too small to contain any interior vertex; need window >= 2")
     if (2 * window + 1) ** n > STATE_CAP:
-        raise ResourceCapError(f"window scan of {(2 * window + 1) ** n} states exceeds cap {STATE_CAP}")
+        raise ResourceCapError(f"window scan of {count_text((2 * window + 1) ** n)} states exceeds cap {STATE_CAP}")
 
     acyclic = True
     descent_ok = True
@@ -354,8 +354,9 @@ def component_dot(spec: ForestSpec) -> str:
     """
     from . import __version__
 
-    if spec.window ** len(spec.free) > STATE_CAP:
-        raise ResourceCapError(f"window scan of {spec.window ** len(spec.free)} states exceeds cap {STATE_CAP}")
+    states = spec.window ** len(spec.free)
+    if states > STATE_CAP:
+        raise ResourceCapError(f"window scan of {count_text(states)} states exceeds cap {STATE_CAP}")
     img_verts = list(_image_vertices(spec))
     root = spec.root()
     lines = ["graph forest_component {"]

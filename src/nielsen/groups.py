@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, count, product as iproduct
 from typing import Any, Iterator
 
@@ -138,9 +139,9 @@ class Group:
     is_finite: bool = False
     _finite_table: FiniteTable | None = None  # the index form, see FiniteTable.of
     # The array form of a fixed-width kind: an element is ``width`` int
-    # coordinates, and the law also runs on a stack of coordinate arrays
-    # (axis 0 the coordinate). ``unbounded`` lists the coordinates that range
-    # over Z. Kinds without it (width None) grow their balls on interned ids.
+    # coordinates (a table index is one), and the law also runs on stacks of
+    # them (axis 0 the coordinate); ``unbounded`` lists those that range over
+    # Z. Kinds without it (width None) grow their balls on interned ids.
     width: int | None = None
     unbounded: tuple[int, ...] = ()
 
@@ -172,14 +173,15 @@ class Group:
         """Size of an element for windowed exploration (0 for finite kinds)."""
         return 0
 
-    def random_element(self, rng, size: int = 10) -> Element:
-        raise NotImplementedError
-
-    def uniform_draw(self, size: int) -> tuple[int, int] | None:
-        """(start, width) when ``random_element(rng, size)`` draws each of its
-        coordinates in turn as ``start + rng.randrange(width)``; None when
-        its draws differ from that, so a sampler cannot decode them in bulk."""
+    def draws(self, size: int) -> list[tuple[int, int]] | None:
+        """The draw rule of ``random_element(rng, size)``: one (start, width)
+        per coordinate, each drawn in turn as ``start + rng.randrange(width)``;
+        None for a kind that draws otherwise."""
         return None
+
+    def random_element(self, rng, size: int = 10) -> Element:
+        (start, width), = self.draws(size)
+        return start + rng.randrange(width)
 
     # -- generation ------------------------------------------------------
     def is_generating(self, entries: State) -> bool:
@@ -188,7 +190,7 @@ class Group:
         return self._is_generating(entries)
 
     def _is_generating(self, entries: State) -> bool:
-        raise NotImplementedError
+        return bool(self.is_generating_each(np.array([entries]))[0])
 
     def is_generating_each(self, block: np.ndarray) -> np.ndarray | None:
         """The verdict of ``is_generating`` on every row of an int64 array of
@@ -342,11 +344,8 @@ class Integers(Group):
     def measure(self, a):
         return abs(a)
 
-    def random_element(self, rng, size=10):
-        return rng.randint(-size, size)
-
-    def uniform_draw(self, size):
-        return -size, 2 * size + 1
+    def draws(self, size):
+        return [(-size, 2 * size + 1)]
 
     def _is_generating(self, entries):
         return math.gcd(*entries) == 1 if len(entries) > 1 else abs(entries[0]) == 1
@@ -379,8 +378,13 @@ class IntVectorGroup(Group):
         self.width = len(moduli)
         self.unbounded = tuple(k for k, m in enumerate(moduli) if m is None)
         self._abelian = moduli[: self.abelian_coords]
+
+    @cached_property
+    def _modulus_rows(self) -> list[tuple[int, ...]]:
+        """The rows m * e_k of the bounded abelian coordinates, d rows of
+        length d: built on the first generation test, not with the group."""
         dim = len(self._abelian)
-        self._modulus_rows = [_unit_vector(dim, k, m) for k, m in enumerate(self._abelian) if m is not None]
+        return [_unit_vector(dim, k, m) for k, m in enumerate(self._abelian) if m is not None]
 
     @property
     def is_finite(self):
@@ -408,16 +412,12 @@ class IntVectorGroup(Group):
     def measure(self, a):
         return max((abs(a[k]) for k in self.unbounded), default=0)
 
-    def random_element(self, rng, size=10):
-        # randint(a, b) is documented as randrange(a, b + 1): the same draws
-        randrange = rng.randrange
-        return tuple([randrange(-size, size + 1) if m is None else randrange(m) for m in self.moduli])
+    def draws(self, size):
+        return [(-size, 2 * size + 1) if m is None else (0, m) for m in self.moduli]
 
-    def uniform_draw(self, size):
-        if len(set(self.moduli)) != 1:
-            return None
-        m = self.moduli[0]
-        return (-size, 2 * size + 1) if m is None else (0, m)
+    def random_element(self, rng, size=10):
+        randrange = rng.randrange
+        return tuple([start + randrange(width) for start, width in self.draws(size)])
 
     @property
     def order(self):
@@ -518,6 +518,7 @@ class InfiniteDihedral(IntVectorGroup):
 class FiniteCayley(Group):
     kind = "FiniteCayley"
     is_finite = True
+    width = 1
 
     def __init__(self, table: list[list[int]], identity: int):
         if not (isinstance(table, list) and all(isinstance(row, list) and all(map(_is_int, row)) for row in table)):
@@ -556,11 +557,13 @@ class FiniteCayley(Group):
     def identity(self):
         return self.id_index
 
+    # the table's gather, on index arrays and on indices (as Python ints)
     def mul(self, a, b):
-        return self.table.item(a, b)
+        return self.table[a, b] if isinstance(a, np.ndarray) else self.table.item(a, b)
 
     def inv(self, a):
-        return self._finite_table.inverses.item(a)
+        inverses = self._finite_table.inverses
+        return inverses[a] if isinstance(a, np.ndarray) else inverses.item(a)
 
     def check_element(self, a):
         if not _is_int(a) or not 0 <= a < self.order:
@@ -573,14 +576,13 @@ class FiniteCayley(Group):
     def element_from_json(self, obj):
         return self.check_element(obj)
 
-    def random_element(self, rng, size=10):
-        return rng.randrange(self.order)
+    def draws(self, size):
+        return [(0, self.order)]
 
-    def uniform_draw(self, size):
-        return 0, self.order
-
-    def _is_generating(self, entries):
-        return bool(self._finite_table.closure([entries]).all())
+    def is_generating_each(self, block):
+        step = max(1, (1 << 16) // self.order)  # rows per closure: bounds its masks and frontier
+        verdicts = [self._finite_table.closure(block[i : i + step]).all(axis=1) for i in range(0, len(block), step)]
+        return np.concatenate([np.zeros(0, dtype=bool), *verdicts])
 
     def standard_generators(self):
         """The lexicographically first generating tuple of least length.

@@ -1,9 +1,10 @@
 """The one BFS of Nielsen graphs, a whole layer at a time, in two law forms.
 
 A vertex is an int32 row, and the group law runs on whole columns of rows.
-``Integers`` and every ``IntVectorGroup`` keep coordinates: ``width`` ints
-per entry, with the kind's law run on stacked arrays in int64. Every other
-kind, and every ball whose ints reach ``_GUARD`` = 2^30 (below it, sums and
+The fixed-width kinds (``Integers``, every ``IntVectorGroup``, and
+``FiniteCayley`` on table indices) keep coordinates: ``width`` ints per
+entry, with the kind's law run on stacked arrays in int64. ``FreeGroup``,
+and every ball whose ints reach ``_GUARD`` = 2^30 (below it, sums and
 products of two coordinates fit int64), keeps interned element ids: a list
 of the distinct elements met and a dict from element to id. The inverse of
 each id is computed once, and ``group.mul`` runs once per distinct (id, id)
@@ -182,7 +183,7 @@ class _Coordinates:
 
 
 class _Interned:
-    """The law on rows of element ids, for every kind."""
+    """The law on rows of element ids: ``FreeGroup``'s, and any kind's past the guard."""
 
     keeps_targets = True  # each product cost a call of the group law
 

@@ -56,6 +56,15 @@ def quaternion_table() -> list[list[int]]:
     return [[mul(a, b) for b in range(8)] for a in range(8)]
 
 
+def relabelled_table(table: list[list[int]], perm: list[int]) -> list[list[int]]:
+    """The same group with element a renamed perm[a] (its identity too)."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[perm[a]][perm[b]] = perm[ab]
+    return out
+
+
 def elementary_abelian_table(d: int) -> list[list[int]]:
     """The Cayley table of (Z/2)^d, built as a direct product."""
     table = cyclic_table(2)

@@ -387,6 +387,51 @@ def test_components_bounds_the_multiplication_table(capsys):
     assert err.startswith("resource error") and "multiplication table" in err and "Traceback" not in err
 
 
+# (Z/10^100)^50 has 10^5000 elements, and a window of 10^2000 scans about
+# 10^6000 states: past the 4300 digits Python converts to text
+_HUGE_GROUP = '{"kind":"FiniteAbelianExp","m":1' + "0" * 100 + ',"d":50}'
+_HUGE_WINDOW = "1" + "0" * 2000
+
+
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        (["components", "--group", _HUGE_GROUP, "--n", "1"], "state count (about 10^5000)"),
+        (["tame", "--group", _HUGE_GROUP, "--d", "2"], "state count (about 10^10000)"),
+        (["cover", "verify", "--pi", '{"rule":"identity","domain":' + _HUGE_GROUP + "}", "--n", "2"],
+         "multiplication table of (about 10^5000)^2 entries"),
+        (["forest", "verify", "--n", "3", "--window", _HUGE_WINDOW], "window scan of (about 10^6000) states"),
+        (["forest", "verify", "--n", "3", "--window", _HUGE_WINDOW, "--pattern", "+++"],
+         "window scan of (about 10^6000) states"),
+        # a state count too large to compute at all
+        (["tame", "--group", '{"kind":"FiniteAbelianExp","m":2,"d":1}', "--d", str(10**18)],
+         f"state count 2^{10**18} exceeds"),
+    ],
+    ids=["components", "tame", "cover_identity", "forest_verify", "forest_pattern", "tame_huge_d"],
+)
+def test_caps_name_sizes_too_long_to_print(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("resource error") and named in err and "Traceback" not in err
+
+
+def test_fragment_int_too_long_to_read_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "huge.jsonl"
+    path.write_text('{"v": "00", "tuple": [1' + "0" * 5000 + ', 1], "depth": 0, "adj": null}\n')
+    code, out, err = run_cli(
+        capsys, "cover", "verify", "--pi", '{"rule":"project","domain":{"kind":"FreeAbelian","d":2},"e":1}',
+        "--n", "2", "--samples", "1", "--fragment", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: fragment line 1:") and "Traceback" not in err
+
+
+def test_euclid_word_past_the_cap_is_a_resource_error(capsys):
+    code, out, err = run_cli(capsys, "euclid", "--root", f"[{DEFAULT_VERTEX_CAP + 2}, 1]")
+    assert code == 3 and out == ""
+    assert err.startswith("resource error") and "Traceback" not in err
+
+
 def test_console_entry_point_runs():
     out = subprocess.run(
         [sys.executable, "-m", "nielsen.cli", "euclid", "--root", "[2,3]"],

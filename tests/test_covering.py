@@ -260,6 +260,9 @@ SAMPLED_TUPLES = {
     Heisenberg(): [((-3, -4, 10), (-7, -9, 3)), ((-2, 3, 9), (3, -5, 10)), ((9, 5, -7), (2, 1, 11))],
     FiniteAbelianExp(3, 2): [((1, 1), (0, 1)), ((0, 1), (1, 1)), ((0, 2), (2, 1))],
     BurnsideB23(): [((1, 1, 0), (1, 2, 1)), ((0, 2, 0), (1, 0, 1)), ((2, 1, 1), (2, 0, 2))],
+    # drawn before these kinds derived random_element from their draw rule
+    Integers(): [(1, -11), (-4, -9), (-11, -10)],
+    FiniteCayley(quaternion_table(), 0): [(4, 7), (4, 3), (2, 4)],
 }
 
 
@@ -273,7 +276,7 @@ SAMPLER_CASES = [
         FreeAbelian(2), Heisenberg(), InfiniteDihedral(), FiniteAbelianExp(3, 2), BurnsideB23(), FreeGroup(2),
     )),
     (FreeAbelian(3), 4),
-    # decoded in blocks, decided one candidate at a time
+    # decoded in blocks; Integers decided one candidate at a time, the Q8 table a block at a time
     (Integers(), 1),
     (Integers(), 2),
     (FiniteCayley(quaternion_table(), 0), 2),

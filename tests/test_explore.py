@@ -30,7 +30,7 @@ from nielsen.groups import (
 )
 from nielsen.moves import I, R, eval_word
 
-from conftest import cyclic_table, dihedral_table, quaternion_table, seeded
+from conftest import cyclic_table, dihedral_table, quaternion_table, relabelled_table, seeded
 from oracles import ball_by_keys, components_unionfind, content_equal, fragment_lists
 
 Z = Integers()
@@ -134,9 +134,11 @@ ORACLE_CASES = {
     "Q8": (FiniteCayley(quaternion_table(), 0), None, 6, {}),
     "Z_mod_3_n3": (FiniteCayley(cyclic_table(3), 0), (1, 0, 0), 8, {}),
     "Z2_guard_root": (FreeAbelian(2), ((2**40 + 1, 2**40), (1, 1)), 3, {}),
+    # a table whose identity is element 3, not 0, and a window no finite kind can leave
+    "S3_relabelled": (FiniteCayley(relabelled_table(dihedral_table(3), [3, 5, 0, 4, 1, 2]), 3), None, 8, {}),
+    "Q8_window_0": (FiniteCayley(quaternion_table(), 0), None, 5, {"window": 0}),
 }
-INTERNED = {"F2_window", "FiniteCayley_D4", "Z_guard_root", "Heisenberg_past_guard", "F2", "F3_n3", "Q8",
-            "Z_mod_3_n3", "Z2_guard_root"}
+INTERNED = {"F2_window", "Z_guard_root", "Heisenberg_past_guard", "F2", "F3_n3", "Z2_guard_root"}
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
@@ -480,6 +482,20 @@ def test_euclid_examples():
     w = euclid_reduce((6, 10, 15))
     assert eval_word(Z, (6, 10, 15), w) == (1, 0, 0)
     assert euclid_reduce((-1,)) == (I(1),)
+
+
+def test_euclid_word_is_capped_before_it_is_built(monkeypatch):
+    from nielsen import explore
+    from nielsen.groups import DEFAULT_VERTEX_CAP
+
+    # one quotient of cap + 2 moves: refused before any of them is emitted
+    with pytest.raises(ResourceCapError, match=f"more than {DEFAULT_VERTEX_CAP} moves"):
+        euclid_reduce((DEFAULT_VERTEX_CAP + 2, 1))
+    # (k, 1) takes k moves and two more: a word of exactly the cap is allowed
+    monkeypatch.setattr(explore, "DEFAULT_VERTEX_CAP", 10)
+    assert len(euclid_reduce((8, 1))) == 10
+    with pytest.raises(ResourceCapError, match="more than 10 moves"):
+        euclid_reduce((9, 1))
 
 
 def test_euclid_rejects_non_generating():

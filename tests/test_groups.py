@@ -108,6 +108,19 @@ def test_dihedral_law_is_the_branch_law_on_scalars_and_arrays():
             assert tuple(prod[:, i, j].tolist()) == branch_mul(a, b)
 
 
+@pytest.mark.parametrize("table", [quaternion_table(), dihedral_table(4), cyclic_table(3)], ids=["Q8", "D4", "Z3"])
+def test_finite_cayley_law_on_index_arrays_is_the_scalar_law(table):
+    G = FiniteCayley(table, 0)
+    # on a stack of index arrays (axis 0 the one coordinate), as the BFS layers call it
+    A = np.arange(G.order)[None]
+    prod, inv = G.mul(A[:, :, None], A[:, None, :]), G.inv(A)
+    assert prod.shape == (1, G.order, G.order) and inv.shape == (1, G.order)
+    for a in range(G.order):
+        assert type(G.inv(a)) is int and G.inv(a) == inv[0, a]
+        for b in range(G.order):
+            assert type(G.mul(a, b)) is int and G.mul(a, b) == prod[0, a, b] == table[a][b]
+
+
 def test_heisenberg_product_example():
     H = Heisenberg()
     assert H.mul((1, 0, 0), (0, 1, 0)) == (1, 1, 1)
@@ -311,6 +324,18 @@ def test_finite_cayley_generation_matches_closure_exhaustively():
     for a in G.elements():
         for b in G.elements():
             assert G.is_generating((a, b)) == (len(capped_closure(G, (a, b), 0)) == 6)
+
+
+@pytest.mark.parametrize("table", [quaternion_table(), dihedral_table(4), cyclic_table(300)], ids=["Q8", "D4", "Z300"])
+def test_finite_cayley_block_verdict_matches_the_element_closure(table):
+    # Z/300 decides its block in chunks of 218 rows, the others in one
+    G = FiniteCayley(table, 0)
+    picks = range(0, G.order, max(1, G.order // 20))
+    block = np.array(list(iproduct(picks, repeat=2)), dtype=np.int64)
+    verdict = G.is_generating_each(block)
+    assert verdict.dtype == bool and len(verdict) == len(block)
+    assert verdict.tolist() == [len(element_closure(G, tuple(t))) == G.order for t in block.tolist()]
+    assert G.is_generating_each(block[:0]).shape == (0,)
 
 
 def test_burnside_invariants():
@@ -526,6 +551,17 @@ def test_table_validation_peak_memory_is_quadratic():
         tracemalloc.stop()
     # two k^3 int64 arrays would take 94 MB; the table itself is 262 KB
     assert peak < 8 * 2**20
+
+
+def test_finite_abelian_exp_builds_no_d_by_d_rows_up_front():
+    # the d rows m * e_k of the generation test would take d^2 ints
+    tracemalloc.start()
+    try:
+        FiniteAbelianExp(2, 1500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_group_json_round_trip(all_groups):
