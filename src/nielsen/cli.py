@@ -9,16 +9,18 @@ exceeded, 1 internal verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
+from itertools import islice
 
 from . import __version__
 from .amenability import cheeger_search, spectral_estimate
 from .covering import epimorphism_from_json, verify_star_bijection, verify_surjectivity_on_fragment
 from .errors import ResourceCapError, UsageError, VerificationError
 from .explore import DEFAULT_VERTEX_CAP, ball, components, euclid_reduce, fragment_from_jsonl, growth_profile
-from .forest import component_dot, pattern_spec, verify_forest
+from .forest import component_dot_lines, pattern_spec, verify_forest
 from .groups import Integers, group_from_json
 from .moves import eval_word, word_to_text
 from .tame import verify_component_structure
@@ -34,6 +36,9 @@ integers, --root '[[0,1],[1,1]]' over the infinite dihedral group (whose two
 designated generating pairs are [[1,0],[0,1]], a translation with a
 reflection, and [[0,1],[1,1]], two reflections), or --root '["a","b"]' over
 a free group."""
+
+# lines joined per write of an export
+_WRITE_LINES = 256
 
 
 def _json_arg(text: str):
@@ -58,12 +63,12 @@ def _emit(report: dict, out=None):
     (out or sys.stdout).write(json.dumps(report, sort_keys=True) + "\n")
 
 
-def _write_payload(payload: str, path: str | None):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+def _write_payload(lines, path: str | None):
+    """Write an iterator of lines to the file ``path``, or to stdout, as
+    they are made, ``_WRITE_LINES`` at a time."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
+        for chunk in iter(lambda: "".join(islice(lines, _WRITE_LINES)), ""):
+            out.write(chunk)
 
 
 def _add_fragment_args(p, need_radius=True):
@@ -169,9 +174,8 @@ def run(argv) -> int:
         return 0
 
     if args.command == "export":
-        _, _, frag = _fragment_from_args(args)
-        payload = frag.to_dot() if args.format == "dot" else frag.to_jsonl()
-        _write_payload(payload, args.output)
+        _, _, frag = _fragment_from_args(args)  # every cap is checked here, before a byte is written
+        _write_payload(frag.dot_lines() if args.format == "dot" else frag.jsonl_lines(), args.output)
         return 0
 
     if args.command == "growth":
@@ -229,7 +233,7 @@ def run(argv) -> int:
             spec = pattern_spec(args.pattern, args.window)
             if spec.n != args.n:
                 raise UsageError(f"pattern length {spec.n} does not match --n {args.n}")
-            _write_payload(component_dot(spec), args.output)
+            _write_payload(component_dot_lines(spec), args.output)
             return 0
         report = verify_forest(args.n, args.window)
         _emit(report.to_json())

@@ -17,11 +17,12 @@ in one of two law forms: the coordinates of a fixed-width kind (``Integers``,
 every ``IntVectorGroup``, and ``FiniteCayley`` on its table indices), or
 interned element ids for ``FreeGroup`` and for balls whose ints reach that
 module's guard. Tuples and keys are decoded from the rows when asked for.
+The JSONL and DOT text of a fragment is written, and JSONL read, by
+``nielsen.serialize``, which only an export or an import compiles.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -117,44 +118,27 @@ class GraphFragment:
 
     # -- serialization ----------------------------------------------------
 
+    def dot_lines(self):
+        """The DOT text, line by line: the header comments, one node per
+        vertex and one edge per dart."""
+        from . import serialize  # imported here, so that ``import nielsen`` does not compile it
+
+        return serialize.dot_lines(self)
+
     def to_dot(self) -> str:
-        from . import __version__
+        return "".join(self.dot_lines())
 
-        lines = ["graph nielsen {"]
-        meta = {
-            "group": self.group.spec_json(),
-            "n": self.n,
-            "root": [self.group.element_to_json(g) for g in self.root],
-            "radius": self.radius,
-            "window": self.window,
-        }
-        for k in ("group", "n", "root", "radius", "window"):
-            lines.append(f"  // {k}: {json.dumps(meta[k], sort_keys=True)}")
-        lines.append(f"  // tool: nielsen {__version__}")
-        names = [key.hex() for key in self.keys]
-        for name, state in zip(names, self.states):
-            label = ",".join(str(self.group.element_to_json(g)) for g in state)
-            lines.append(f'  "{name}" [label="({label})"];')
-        texts = [mv.text() for mv in self.moves]
-        for v in np.flatnonzero(self.expanded).tolist():
-            for text, w in zip(texts, self.darts[v].tolist()):
-                lines.append(f'  "{names[v]}" -- "{names[w]}" [label="{text}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    def jsonl_lines(self):
+        """The JSONL lines, one per vertex in order, each with its newline:
+        ``json.dumps(record, sort_keys=True)`` of the vertex's darts (a list
+        of ``{"move", "to"}`` in move order, or null when unexpanded), depth,
+        tuple and hex key, formatted from the arrays."""
+        from . import serialize
 
-    def record(self, v: int) -> dict:
-        """The JSONL record of vertex v: its key, tuple, depth and darts."""
-        keys = self.keys
-        return {
-            "v": keys[v].hex(),
-            "tuple": [self.group.element_to_json(g) for g in self.states[v]],
-            "depth": int(self.depths[v]),
-            "adj": [{"move": mv.text(), "to": keys[w].hex()} for mv, w in zip(self.moves, self.darts[v].tolist())]
-            if self.expanded[v] else None,
-        }
+        return serialize.jsonl_lines(self)
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(self.record(v), sort_keys=True) for v in range(len(self))) + "\n"
+        return "".join(self.jsonl_lines())
 
 
 def _grow(frag: GraphFragment, cap: int, only: dict | None = None) -> None:
@@ -211,11 +195,6 @@ def ball(
     return frag
 
 
-def _lines(text: str):
-    """The numbered lines of a text, blank lines skipped."""
-    return ((lineno, line) for lineno, line in enumerate(text.splitlines(), 1) if line.strip())
-
-
 def fragment_from_jsonl(group: Group, n: int, text: str) -> GraphFragment:
     """Read a fragment in the canonical form that ``to_jsonl`` writes.
 
@@ -223,70 +202,13 @@ def fragment_from_jsonl(group: Group, n: int, text: str) -> GraphFragment:
     tuples are expanded (their ``adj`` is a list) are taken as given: the
     fragment is grown again by the BFS of ``ball``, and every line must
     equal the record of its vertex. Any difference, or a malformed line, is
-    a UsageError.
+    a UsageError. A file that is exactly the text ``to_jsonl`` writes for
+    the regrown fragment is accepted on that comparison alone; any other is
+    parsed line by line (``nielsen.serialize``).
     """
-    moves = move_set(n)
-    rows = []  # (lineno, key, depth) per vertex line
-    marked: dict[State, bool] = {}  # tuple -> expanded, in file order
-    for lineno, line in _lines(text):
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"fragment line {lineno} is not JSON: {e}") from None
-        except ValueError as e:  # an int of more digits than Python converts
-            raise UsageError(f"fragment line {lineno}: {e}") from None
-        if not (isinstance(row, dict) and {"v", "tuple", "depth", "adj"} <= row.keys()):
-            raise UsageError(f"fragment line {lineno} must be an object with fields v, tuple, depth, adj")
-        if not (isinstance(row["tuple"], list) and len(row["tuple"]) == n):
-            raise UsageError(f"fragment line {lineno}: tuple must be a list of {n} elements")
-        if not (isinstance(row["depth"], int) and not isinstance(row["depth"], bool) and row["depth"] >= 0):
-            raise UsageError(f"fragment line {lineno}: depth must be an int >= 0")
-        if not (row["adj"] is None or isinstance(row["adj"], list)):
-            raise UsageError(f"fragment line {lineno}: adj must be a list or null")
-        state = tuple(group.element_from_json(e) for e in row["tuple"])
-        if state in marked:
-            first = rows[list(marked).index(state)][1]
-            raise UsageError(f"fragment vertices {first} and {row['v']} share a tuple")
-        marked[state] = row["adj"] is not None
-        rows.append((lineno, row["v"], row["depth"]))
-    if not rows or rows[0][2] != 0:
-        raise UsageError("fragment must start with its depth-0 vertex")
-    root = next(iter(marked))
-    if not group.is_generating(root):
-        raise UsageError(f"root tuple {root!r} does not generate the group")
-    radius = max(depth for _, _, depth in rows)
-    # only tuples of the file are expanded, so the BFS stays within this cap
-    frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=radius + 1, window=None)
-    _grow(frag, 1 + len(rows) * len(moves), only=marked)
-    keys, depths, expanded = frag.keys, frag.depths.tolist(), frag.expanded.tolist()
-    for v, state in enumerate(frag.states):
-        if state not in marked:
-            raise UsageError(f"fragment lacks vertex {keys[v].hex()} at distance {depths[v]} from the root")
-    for v, ((lineno, key, depth), state) in enumerate(zip(rows, marked)):
-        w = frag.index.get(state)
-        if w is None:
-            raise UsageError(f"fragment vertex {key} has depth {depth} but is unreachable from the root")
-        if w != v and depths[w] == depth:
-            raise UsageError(f"fragment line {lineno}: vertex {key} is out of canonical order (depth, then key)")
-        if key != keys[w].hex():
-            raise UsageError(f"fragment vertex {key} does not encode its tuple")
-        if depth != depths[w]:
-            raise UsageError(f"fragment vertex {key} has depth {depth} but is at distance {depths[w]} from the root")
-    del rows, marked  # the darts are read line by line again, to keep the peak low
-    for v, (lineno, line) in enumerate(_lines(text)):
-        if not expanded[v]:
-            continue  # adj is null, as the first pass found
-        adj, want = json.loads(line)["adj"], frag.record(v)["adj"]
-        if adj != want:
-            if len(adj) != len(want):
-                raise UsageError(f"fragment line {lineno}: {len(adj)} darts, not one per move ({len(want)})")
-            dart, ok = next((dart, ok) for dart, ok in zip(adj, want) if dart != ok)
-            if not (isinstance(dart, dict) and dart.keys() == ok.keys() and dart["move"] == ok["move"]):
-                raise UsageError(f"fragment line {lineno}: dart {dart!r} stands where move {ok['move']} belongs")
-            raise UsageError(f"fragment dart {ok['move']} of vertex {keys[v].hex()} does not lead to vertex {dart['to']}")
-    frag.radius = radius
-    frag.truncated_at = None
-    return frag
+    from . import serialize
+
+    return serialize.read_jsonl(group, n, text)
 
 
 def growth_profile(frag: GraphFragment) -> list[tuple[int, int]]:

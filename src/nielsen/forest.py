@@ -346,36 +346,44 @@ def verify_forest(n: int, window: int) -> ForestReport:
     )
 
 
-def component_dot(spec: ForestSpec) -> str:
-    """DOT rendering of one component restricted to the window, root doubled.
+def component_dot_lines(spec: ForestSpec):
+    """DOT rendering of one component restricted to the window, root doubled,
+    as an iterator of lines.
 
     The edges drawn are the parent edges of the window's non-root vertices:
-    a parent has no larger coordinates, so it is in the window too.
+    a parent has no larger coordinates, so it is in the window too. The
+    window is scanned, and its cap checked, before the iterator is returned;
+    each vertex's node id is formatted once.
     """
     from . import __version__
 
     states = spec.window ** len(spec.free)
     if states > STATE_CAP:
         raise ResourceCapError(f"window scan of {count_text(states)} states exceeds cap {STATE_CAP}")
-    img_verts = list(_image_vertices(spec))
-    root = spec.root()
-    lines = ["graph forest_component {"]
-    lines.append(f"  // pattern: {spec.pattern()}, window: {spec.window}, n: {spec.n}")
-    lines.append(f"  // tool: nielsen {__version__}")
-
-    def node_id(v):
-        return '"' + ",".join(str(x) for x in v) + '"'
-
-    for v in sorted(spec.from_image(v) for v in img_verts):
-        extra = ", peripheries=2" if v == root else ""
-        lines.append(f'  {node_id(v)} [label="{tuple(v)}"{extra}];')
-    edges = []
-    for z in img_verts:
+    edges = []  # (parent, i, j, vertex); the root's parent is None
+    for z in _image_vertices(spec):
         hit = _image_parent(spec, z)
-        if hit is not None:
-            src, (i, j) = hit
-            edges.append((spec.from_image(src), i, j, spec.from_image(z)))
-    for src, i, j, tgt in sorted(edges):
-        lines.append(f'  {node_id(src)} -- {node_id(tgt)} [label="{spec.ambient_move(i, j).text()}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        src, (i, j) = (spec.from_image(hit[0]), hit[1]) if hit else (None, (0, 0))
+        edges.append((src, i, j, spec.from_image(z)))
+    node_id = {v: '"' + ",".join(map(str, v)) + '"' for v in sorted(edge[3] for edge in edges)}
+    edges = sorted(edge for edge in edges if edge[0] is not None)
+    labels = {(i, j): spec.ambient_move(i, j).text() for _, i, j, _ in edges}
+    root = spec.root()
+
+    def lines():
+        yield "graph forest_component {\n"
+        yield f"  // pattern: {spec.pattern()}, window: {spec.window}, n: {spec.n}\n"
+        yield f"  // tool: nielsen {__version__}\n"
+        for v, name in node_id.items():
+            extra = ", peripheries=2" if v == root else ""
+            yield f'  {name} [label="{v}"{extra}];\n'
+        for src, i, j, tgt in edges:
+            yield f'  {node_id[src]} -- {node_id[tgt]} [label="{labels[i, j]}"];\n'
+        yield "}\n"
+
+    return lines()
+
+
+def component_dot(spec: ForestSpec) -> str:
+    """The text of ``component_dot_lines``."""
+    return "".join(component_dot_lines(spec))

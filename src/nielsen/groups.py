@@ -354,6 +354,13 @@ class Integers(Group):
         return (1,)
 
 
+def _check_rank(kind: str, d: int) -> None:
+    """A rank above the vertex cap can root no ball and fit no tuple space:
+    refused before its d coordinates are laid out."""
+    if d > DEFAULT_VERTEX_CAP:
+        raise UsageError(f"{kind} rank d must be at most the vertex cap {DEFAULT_VERTEX_CAP}")
+
+
 def _unit_vector(dim: int, k: int, scale: int = 1) -> tuple[int, ...]:
     return tuple(scale if c == k else 0 for c in range(dim))
 
@@ -470,6 +477,7 @@ class FreeAbelian(IntVectorGroup):
     def __init__(self, d: int):
         if not _is_int(d) or d < 1:
             raise UsageError("FreeAbelian rank d must be a positive int")
+        _check_rank(self.kind, d)
         self.d = d
         super().__init__((None,) * d)
 
@@ -635,6 +643,7 @@ class FiniteAbelianExp(IntVectorGroup):
             raise UsageError("FiniteAbelianExp modulus m must be an int >= 2")
         if not _is_int(d) or d < 1:
             raise UsageError("FiniteAbelianExp rank d must be a positive int")
+        _check_rank(self.kind, d)
         self.m = m
         self.d = d
         super().__init__((m,) * d)

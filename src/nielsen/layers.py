@@ -21,17 +21,19 @@ layer, numbered in the order of their rows. Once the ball is complete, one
 sort by depth and by the ranks of the rows' values in the byte order of
 their encodings (``int_ranks``, or ``encode_element`` over the element list)
 puts every vertex in canonical order. Tuples and byte keys are decoded from
-the rows only when something prints or looks them up.
+the rows only when something prints or looks them up; an export formats
+each distinct value of the rows once (``texts``).
 """
 
 from __future__ import annotations
 
+import json
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ResourceCapError
-from .groups import Group, IntVectorGroup, State
+from .groups import Group, IntVectorGroup, State, encode_int
 from .moves import Move
 
 if TYPE_CHECKING:
@@ -137,6 +139,12 @@ def _firsts(keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct values of an array, sorted."""
+    flat = np.sort(rows, axis=None)
+    return flat[_firsts(flat)]
+
+
 class _PastGuard(Exception):
     """A coordinate reached ``_GUARD``."""
 
@@ -180,6 +188,17 @@ class _Coordinates:
         if not isinstance(self.group, IntVectorGroup):
             return list(map(tuple, rows))
         return [tuple(zip(*[iter(r)] * self.group.width)) for r in rows]
+
+    def texts(self, rows: np.ndarray):
+        """The distinct values of the rows (sorted), the hex of ``encode_int``
+        and the JSON text (also the label) of each, and the template of an
+        element over the values of its coordinates."""
+        values = _distinct(rows)
+        ints = values.tolist()
+        strs = list(map(str, ints))
+        vector = isinstance(self.group, IntVectorGroup)
+        element = "[" + ", ".join(["{}"] * self.group.width) + "]" if vector else "{}"
+        return values, [encode_int(x).hex() for x in ints], strs, strs, element
 
 
 class _Interned:
@@ -244,6 +263,14 @@ class _Interned:
     def states(self, rows: np.ndarray) -> list[State]:
         el = self.elements
         return [tuple(map(el.__getitem__, r)) for r in rows.tolist()]
+
+    def texts(self, rows: np.ndarray):
+        """The distinct ids of the rows (sorted), the hex key, JSON text and
+        label of the element of each, and the template of an element."""
+        ids = _distinct(rows)
+        objs = [self.group.element_to_json(self.elements[i]) for i in ids.tolist()]
+        hexes = [self._codes[i].hex() for i in ids.tolist()]
+        return ids, hexes, list(map(json.dumps, objs)), list(map(str, objs)), "{}"
 
 
 def _expand_layer(law, X: np.ndarray, columns, known: np.ndarray, known_ids: np.ndarray, base: int):

@@ -1,15 +1,16 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
-``apply_move``, the key encoding, the fragment record, the forest's edge rule
-and report record, and the error types."""
+``apply_move``, the key encoding, a fragment's decoded keys and tuples, the
+forest's edge rule and report record, and the error types."""
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
 
-from nielsen import forest
+from nielsen import explore, forest
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
 from nielsen.groups import Group, IntVectorGroup, State, lattice_is_full
@@ -185,6 +186,117 @@ def ball_by_keys(
         layer = [index[wk] for wk in sorted(discovered)]
         if not layer:
             break
+    return frag
+
+
+def record(frag: GraphFragment, v: int) -> dict:
+    """The JSONL record of vertex v: its key, tuple, depth and darts."""
+    keys = frag.keys
+    return {
+        "v": keys[v].hex(),
+        "tuple": [frag.group.element_to_json(g) for g in frag.states[v]],
+        "depth": int(frag.depths[v]),
+        "adj": [{"move": mv.text(), "to": keys[w].hex()} for mv, w in zip(frag.moves, frag.darts[v].tolist())]
+        if frag.expanded[v] else None,
+    }
+
+
+def jsonl_by_records(frag: GraphFragment) -> str:
+    """The JSONL export as ``json.dumps`` of one record dict per vertex."""
+    return "\n".join(json.dumps(record(frag, v), sort_keys=True) for v in range(len(frag))) + "\n"
+
+
+def dot_by_darts(frag: GraphFragment) -> str:
+    """The DOT export formatted one vertex and one dart at a time."""
+    from nielsen import __version__
+
+    lines = ["graph nielsen {"]
+    meta = {
+        "group": frag.group.spec_json(),
+        "n": frag.n,
+        "root": [frag.group.element_to_json(g) for g in frag.root],
+        "radius": frag.radius,
+        "window": frag.window,
+    }
+    for k in ("group", "n", "root", "radius", "window"):
+        lines.append(f"  // {k}: {json.dumps(meta[k], sort_keys=True)}")
+    lines.append(f"  // tool: nielsen {__version__}")
+    names = [key.hex() for key in frag.keys]
+    for name, state in zip(names, frag.states):
+        label = ",".join(str(frag.group.element_to_json(g)) for g in state)
+        lines.append(f'  "{name}" [label="({label})"];')
+    texts = [mv.text() for mv in frag.moves]
+    for v in np.flatnonzero(frag.expanded).tolist():
+        for text, w in zip(texts, frag.darts[v].tolist()):
+            lines.append(f'  "{names[v]}" -- "{names[w]}" [label="{text}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def fragment_from_jsonl_by_records(group: Group, n: int, text: str) -> GraphFragment:
+    """The JSONL import that parses every line twice: once for the root, the
+    expanded tuples, keys and depths, and again for the darts, compared with
+    the record dict of each regrown vertex."""
+    moves = move_set(n)
+    rows = []  # (lineno, key, depth) per vertex line
+    marked: dict[State, bool] = {}  # tuple -> expanded, in file order
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1) if line.strip()]
+    for lineno, line in lines:
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise UsageError(f"fragment line {lineno} is not JSON: {e}") from None
+        except ValueError as e:
+            raise UsageError(f"fragment line {lineno}: {e}") from None
+        if not (isinstance(row, dict) and {"v", "tuple", "depth", "adj"} <= row.keys()):
+            raise UsageError(f"fragment line {lineno} must be an object with fields v, tuple, depth, adj")
+        if not (isinstance(row["tuple"], list) and len(row["tuple"]) == n):
+            raise UsageError(f"fragment line {lineno}: tuple must be a list of {n} elements")
+        if not (isinstance(row["depth"], int) and not isinstance(row["depth"], bool) and row["depth"] >= 0):
+            raise UsageError(f"fragment line {lineno}: depth must be an int >= 0")
+        if not (row["adj"] is None or isinstance(row["adj"], list)):
+            raise UsageError(f"fragment line {lineno}: adj must be a list or null")
+        state = tuple(group.element_from_json(e) for e in row["tuple"])
+        if state in marked:
+            first = rows[list(marked).index(state)][1]
+            raise UsageError(f"fragment vertices {first} and {row['v']} share a tuple")
+        marked[state] = row["adj"] is not None
+        rows.append((lineno, row["v"], row["depth"]))
+    if not rows or rows[0][2] != 0:
+        raise UsageError("fragment must start with its depth-0 vertex")
+    root = next(iter(marked))
+    if not group.is_generating(root):
+        raise UsageError(f"root tuple {root!r} does not generate the group")
+    radius = max(depth for _, _, depth in rows)
+    frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=radius + 1, window=None)
+    explore._grow(frag, 1 + len(rows) * len(moves), only=marked)
+    keys, depths, expanded = frag.keys, frag.depths.tolist(), frag.expanded.tolist()
+    for v, state in enumerate(frag.states):
+        if state not in marked:
+            raise UsageError(f"fragment lacks vertex {keys[v].hex()} at distance {depths[v]} from the root")
+    for v, ((lineno, key, depth), state) in enumerate(zip(rows, marked)):
+        w = frag.index.get(state)
+        if w is None:
+            raise UsageError(f"fragment vertex {key} has depth {depth} but is unreachable from the root")
+        if w != v and depths[w] == depth:
+            raise UsageError(f"fragment line {lineno}: vertex {key} is out of canonical order (depth, then key)")
+        if key != keys[w].hex():
+            raise UsageError(f"fragment vertex {key} does not encode its tuple")
+        if depth != depths[w]:
+            raise UsageError(f"fragment vertex {key} has depth {depth} but is at distance {depths[w]} from the root")
+    for v, (lineno, line) in enumerate(lines):
+        if not expanded[v]:
+            continue
+        adj, want = json.loads(line)["adj"], record(frag, v)["adj"]
+        if adj != want:
+            if len(adj) != len(want):
+                raise UsageError(f"fragment line {lineno}: {len(adj)} darts, not one per move ({len(want)})")
+            dart, ok = next((dart, ok) for dart, ok in zip(adj, want) if dart != ok)
+            if not (isinstance(dart, dict) and dart.keys() == ok.keys() and dart["move"] == ok["move"]):
+                raise UsageError(f"fragment line {lineno}: dart {dart!r} stands where move {ok['move']} belongs")
+            raise UsageError(f"fragment dart {ok['move']} of vertex {keys[v].hex()} does not lead to vertex {dart['to']}")
+    frag.radius = radius
+    frag.truncated_at = None
     return frag
 
 

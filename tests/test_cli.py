@@ -291,6 +291,68 @@ def test_export_into_missing_directory_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("i/o error")
 
 
+@pytest.mark.parametrize("argv", [
+    ["export", "--group", '{"kind":"Integers"}', "--root", "[1,1]", "--radius", "3", "--format", "jsonl", "--cap", "5"],
+    ["export", "--group", '{"kind":"FreeGroup","d":2}', "--root", '["a","b"]', "--radius", "2", "--format", "dot",
+     "--cap", "5"],
+    ["forest", "--n", "2", "--window", "100000000", "--pattern", "++"],
+], ids=["export_jsonl", "export_dot", "forest_pattern"])
+def test_caps_are_checked_before_the_first_byte(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("resource error") and "Traceback" not in err
+    path = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 3 and out == "" and not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--group", '{"kind":"Integers"}', "--root", "[1,1]", "--radius", "6", "--format", "jsonl"],
+    ["export", "--group", '{"kind":"Heisenberg"}', "--root", "[[1,0,0],[0,1,0]]", "--radius", "3", "--format", "dot"],
+    ["export", "--group", '{"kind":"FreeGroup","d":2}', "--root", '["a","b"]', "--radius", "3", "--format", "jsonl"],
+    ["forest", "--n", "3", "--window", "9", "--pattern", "+-0"],
+], ids=["jsonl", "dot", "free_jsonl", "forest"])
+def test_output_file_holds_the_bytes_of_stdout(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.txt"
+    code, printed, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_cover_lifts_a_compact_export(capsys, tmp_path):
+    # re-serialized without spaces: not the canonical text, read by the parsed checks
+    from nielsen.explore import ball
+    from nielsen.groups import Integers
+
+    rows = [json.loads(line) for line in ball(Integers(), (1, 1), 2).to_jsonl().splitlines()]
+    path = tmp_path / "compact.jsonl"
+    path.write_text("".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
+    code, out, err = run_cli(
+        capsys, "cover", "--pi", '{"rule":"project","domain":{"kind":"FreeAbelian","d":2},"e":1}',
+        "--n", "2", "--samples", "10", "--fragment", str(path), "--seed-tuple", "[[1,0],[1,1]]",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["lifted"] == len(rows) and json.loads(out)["unreached"] == 0
+
+
+@pytest.mark.parametrize("group", [
+    '{"kind":"FiniteAbelianExp","m":2,"d":100000000000000000000}',
+    '{"kind":"FreeAbelian","d":100000000000000000000}',
+    '{"kind":"FiniteAbelianExp","m":2,"d":%d}' % (DEFAULT_VERTEX_CAP + 1),
+])
+def test_a_rank_above_the_cap_is_a_usage_error(group):
+    import nielsen
+
+    src = os.path.dirname(os.path.dirname(nielsen.__file__))
+    run = subprocess.run([sys.executable, "-m", "nielsen", "components", "--group", group, "--n", "1"],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("usage error") and "rank d must be at most" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_bool_spec_is_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "growth", "--group", '{"kind":"FreeAbelian","d":true}', "--root", "[[1]]", "--radius", "1",

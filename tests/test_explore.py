@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
+from nielsen import serialize
 from nielsen.explore import (
     ball,
     components,
@@ -31,7 +33,15 @@ from nielsen.groups import (
 from nielsen.moves import I, R, eval_word
 
 from conftest import cyclic_table, dihedral_table, quaternion_table, relabelled_table, seeded
-from oracles import ball_by_keys, components_unionfind, content_equal, fragment_lists
+from oracles import (
+    ball_by_keys,
+    components_unionfind,
+    content_equal,
+    dot_by_darts,
+    fragment_from_jsonl_by_records,
+    fragment_lists,
+    jsonl_by_records,
+)
 
 Z = Integers()
 D = InfiniteDihedral()
@@ -274,6 +284,127 @@ def test_jsonl_import_regrows_the_export(name):
     for f in (clone, again):
         assert f.to_jsonl() == text
         assert (f.radius, f.window, f.truncated_at) == (max(frag.depths), None, None)
+
+
+WRITER_CASES = {
+    **ROUND_TRIP_CASES,
+    # entries past the 2^30 guard: the ball grows, and is written, on interned element ids
+    "Z_past_guard": (Z, (2**40 + 1, 2**40), 3, {}),
+    "Heisenberg_past_guard": (Heisenberg(), ((2**30 + 1, 1, 0), (2**30, 1, 0)), 2, {}),
+    "Z_radius_0": (Z, (2, 3), 0, {}),
+    "F2_radius_0": (FreeGroup(2), ((1,), (2,)), 0, {}),
+    "Heisenberg": (Heisenberg(), ((1, 0, 0), (0, 1, 0)), 3, {}),
+    "Z3_1": (FiniteAbelianExp(3, 1), ((1,), (0,)), 4, {}),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_CASES)
+def test_writers_match_the_record_oracle(name):
+    group, root, radius, kwargs = WRITER_CASES[name]
+    root = group.standard_generators() if root is None else root
+    frag = ball(group, root, radius, **kwargs)
+    assert type(frag.law).__name__ == ("_Interned" if "past_guard" in name or "F2" in name else "_Coordinates")
+    text = jsonl_by_records(frag)
+    assert "".join(frag.jsonl_lines()) == frag.to_jsonl() == text
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in frag.jsonl_lines())
+    assert frag.to_dot() == dot_by_darts(frag)
+    assert list(frag.dot_lines()) == frag.to_dot().splitlines(keepends=True)
+    # a canonical export is read on its tuple texts alone, to the fragment the parsed checks give
+    fast = serialize._canonical_import(group, len(root), text)
+    parsed = serialize._parsed_import(group, len(root), text)
+    assert fast is not None and content_equal(fast, parsed) and content_equal(fast, frag)
+
+
+def _reordered(row: dict) -> dict:
+    """The record with its fields, and those of its darts, in reverse order."""
+    adj = row["adj"] and [dict(reversed(dart.items())) for dart in row["adj"]]
+    return {"v": row["v"], "tuple": row["tuple"], "depth": row["depth"], "adj": adj}
+
+
+@pytest.mark.parametrize("name", ["Z_window", "F2", "B23", "Z_past_guard"])
+@pytest.mark.parametrize("dump", [lambda row: json.dumps(_reordered(row)),
+                                  lambda row: json.dumps(row, separators=(",", ":")),
+                                  lambda row: " " + json.dumps(row, sort_keys=True) + "  \n"],
+                         ids=["reordered", "compact", "padded"])
+def test_jsonl_import_accepts_other_serializations(name, dump):
+    group, root, radius, kwargs = WRITER_CASES[name]
+    root = group.standard_generators() if root is None else root
+    frag = ball(group, root, radius, **kwargs)
+    text = frag.to_jsonl()
+    other = "".join(dump(json.loads(line)) + "\n" for line in text.splitlines())
+    assert other != text and serialize._canonical_import(group, len(root), other) is None
+    clone = fragment_from_jsonl(group, len(root), other)
+    assert content_equal(clone, frag) and clone.to_jsonl() == text
+
+
+def test_jsonl_import_names_a_wrong_last_dart():
+    frag = ball(Z, (1, 1), 3)
+    lines = frag.to_jsonl().splitlines()
+    last = max(v for v in range(len(lines)) if frag.expanded[v])
+    row = json.loads(lines[last])
+    move, to = row["adj"][-1]["move"], row["adj"][-1]["to"]
+    wrong = json.loads(lines[0])["v"]
+    assert wrong != to
+    lines[last] = lines[last].replace(f'"to": "{to}"}}]', f'"to": "{wrong}"}}]')
+    message = f"fragment dart {move} of vertex {row['v']} does not lead to vertex {wrong}"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        fragment_from_jsonl(Z, 2, "\n".join(lines) + "\n")
+
+
+_MUTATED = {
+    "Z": (Z, (1, 1), 2, {}),
+    "Z_window": (Z, (1, 1), 3, {"window": 2}),
+    "F2": (FreeGroup(2), ((1,), (2,)), 1, {}),
+    "Z5": (FiniteCayley(cyclic_table(5), 0), (1, 0), 3, {}),
+}
+
+
+def _outcome(read, group, n, text):
+    try:
+        frag = read(group, n, text)
+    except (UsageError, ResourceCapError) as e:
+        return type(e).__name__, str(e)
+    return fragment_lists(frag), frag.root, frag.radius, frag.truncated_at
+
+
+@st.composite
+def _mutated_exports(draw):
+    name = draw(st.sampled_from(sorted(_MUTATED)))
+    group, root, radius, kwargs = _MUTATED[name]
+    lines = ball(group, root, radius, **kwargs).to_jsonl().splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["edit", "swap", "drop", "copy", "compact", "blank"]))
+        if kind == "edit":  # replace a span of one line
+            line = lines[k]
+            i = draw(st.integers(0, len(line)))
+            j = draw(st.integers(i, min(len(line), i + 4)))
+            lines[k] = line[:i] + draw(st.text('0123456789abcdef-[]{}",: nul', max_size=4)) + line[j:]
+        elif kind == "swap":
+            h = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[h] = lines[h], lines[k]
+        elif kind == "drop" and len(lines) > 1:
+            del lines[k]
+        elif kind == "copy":
+            lines.insert(k, lines[k])
+        elif kind == "compact":
+            try:
+                lines[k] = json.dumps(json.loads(lines[k]), separators=(",", ":"))
+            except ValueError:
+                pass
+        elif kind == "blank":
+            lines.insert(k, " ")
+    end = draw(st.sampled_from(["\n", "", "\r\n"]))
+    return group, len(root), end.join(lines) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_exports())
+def test_jsonl_import_matches_the_record_oracle_on_mutated_exports(case):
+    # every file is accepted, or refused with the same message, as by the
+    # import that parses each line twice and compares record dicts
+    group, n, text = case
+    assert _outcome(fragment_from_jsonl, group, n, text) == _outcome(fragment_from_jsonl_by_records, group, n, text)
 
 
 def test_jsonl_import_rejects_lines_out_of_canonical_order():

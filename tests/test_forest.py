@@ -8,10 +8,11 @@ import pytest
 
 from nielsen import forest
 from nielsen.cli import main
-from nielsen.errors import UsageError
+from nielsen.errors import ResourceCapError, UsageError
 from nielsen.forest import (
     ForestSpec,
     component_dot,
+    component_dot_lines,
     component_of,
     edge_status,
     kept_out_edges,
@@ -217,6 +218,17 @@ def test_component_dot_export():
     assert '"1,1"' in dot
     dot_neg = component_dot(pattern_spec("-+", 6))
     assert '"-1,1"' in dot_neg and 'label="R-:1,2"' in dot_neg
+
+
+def test_component_dot_lines_are_checked_then_streamed():
+    for pattern, window in (("++", 6), ("-+0", 5), ("+-", 1)):
+        lines = component_dot_lines(pattern_spec(pattern, window))
+        text = list(lines)
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in text)
+        assert "".join(text) == component_dot(pattern_spec(pattern, window))
+    # the window cap is checked when the lines are asked for, not when the first is read
+    with pytest.raises(ResourceCapError):
+        component_dot_lines(pattern_spec("++", 10**8))
 
 
 def _literal_deletion_oracle(n, zero, window):

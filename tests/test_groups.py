@@ -16,6 +16,7 @@ from nielsen.covering import epimorphism_from_json
 from nielsen.errors import ResourceCapError, UsageError
 from nielsen.explore import components
 from nielsen.groups import (
+    DEFAULT_VERTEX_CAP,
     BurnsideB23,
     FiniteAbelianExp,
     FiniteCayley,
@@ -480,6 +481,16 @@ def test_finite_cayley_rejects_bad_tables():
          [4, 3, 1, 2, 0]]
     with pytest.raises(UsageError):
         FiniteCayley(t, 0)
+
+
+def test_a_rank_above_the_vertex_cap_is_refused_before_its_coordinates():
+    # refused before (m,) * d is built: a d past the index range, or one
+    # whose coordinate tuple would take gigabytes, raises the same way
+    for d in (DEFAULT_VERTEX_CAP + 1, 10**20):
+        with pytest.raises(UsageError, match="FreeAbelian rank d must be at most the vertex cap"):
+            FreeAbelian(d)
+        with pytest.raises(UsageError, match="FiniteAbelianExp rank d must be at most the vertex cap"):
+            FiniteAbelianExp(2, d)
 
 
 def test_associativity_is_checked_through_the_last_row():
