@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ResourceCapError, UsageError, count_text
 from .explore import GraphFragment, ball
-from .groups import Group, State
+from .groups import DEFAULT_VERTEX_CAP, Group, State
 from .moves import move_set
 
 
@@ -103,12 +103,18 @@ def closed_walks(group: Group, root: State, k_max: int, window: int | None = Non
     an expanded vertex are those leaving it to an expanded vertex, and walks
     that reach the frontier cannot return in the remaining steps, so they
     are dropped. A count after k steps is at most m^k; the counts are int64
-    while that fits, Python ints after.
+    while that fits, Python ints after. A DP of more than the vertex cap in
+    k_max x ball vertices is refused before the ball outgrows it.
     """
     if k_max < 0:
         raise UsageError("k_max must be >= 0")
     need = k_max // 2
-    frag = ball(group, root, need + 1, window=window)
+    budget = DEFAULT_VERTEX_CAP // max(k_max, 1)
+    try:
+        frag = ball(group, root, need + 1, window=window, cap=budget)
+    except ResourceCapError:
+        raise ResourceCapError(f"walk DP of {count_text(k_max)} steps x over {budget} vertices "
+                               f"exceeds cap {DEFAULT_VERTEX_CAP}") from None
     if frag.truncated_at is not None and frag.truncated_at <= need:
         raise UsageError(
             f"window {window} too small for walks of length {k_max}: "
@@ -141,6 +147,9 @@ def spectral_estimate(
     n = len(root)
     m = len(move_set(n))
     a_k = closed_walks(group, root, k, window=window)[k]
+    text = count_text(a_k)
+    if not text.isdigit():
+        raise ResourceCapError(f"a_{k} = {text} has too many digits to print")
     rho = 0.0 if a_k == 0 else math.exp(math.log(a_k) / k) / m
     return SpectralEstimate(k=k, a_k=a_k, m=m, rho_hat=rho)
 

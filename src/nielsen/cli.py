@@ -42,10 +42,11 @@ _WRITE_LINES = 256
 
 
 def _json_arg(text: str):
+    # argparse shows the text of an ArgumentTypeError, but not of a ValueError
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise UsageError(f"invalid JSON argument {text!r}: {e}") from None
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"invalid JSON: {e}") from None
 
 
 def _parse_root(group, obj, n: int | None):
@@ -159,7 +160,7 @@ def run(argv) -> int:
 
     if args.command == "explore":
         group, root, frag = _fragment_from_args(args)
-        profile = None if frag.truncated else [[r, c] for r, c in growth_profile(frag)]
+        profile = None if frag.truncated else growth_profile(frag)
         _emit({
             "group": group.spec_json(),
             "n": frag.n,
@@ -183,7 +184,7 @@ def run(argv) -> int:
         _emit({
             "group": group.spec_json(),
             "root": [group.element_to_json(g) for g in root],
-            "profile": [[r, c] for r, c in growth_profile(frag)],
+            "profile": growth_profile(frag),
         })
         return 0
 

@@ -350,8 +350,8 @@ def verify_star_bijection(
     if tuples is None:
         if samples < 0:
             raise UsageError(f"samples must be >= 0, got {samples}")
-        if samples > DEFAULT_VERTEX_CAP:  # every sample is held in the list
-            raise ResourceCapError(f"{samples} samples exceed cap {DEFAULT_VERTEX_CAP}")
+        if samples * len(moves) > DEFAULT_VERTEX_CAP:  # every sample is held, and checked at every move
+            raise ResourceCapError(f"{samples} samples exceed cap {DEFAULT_VERTEX_CAP} on samples x {len(moves)} moves")
         tuples = random_generating_tuples(epi.domain, n, random.Random(seed), samples)
     report = StarReport(checked=len(tuples), moves=len(moves))
     for t in tuples:

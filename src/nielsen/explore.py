@@ -215,7 +215,8 @@ def growth_profile(frag: GraphFragment) -> list[tuple[int, int]]:
     """Cumulative ball sizes (r, |B_r|) for r = 0..radius.
 
     When the graph is exhausted before the radius, the trailing balls
-    repeat the final count (the whole graph has been found).
+    repeat the final count (the whole graph has been found); a profile of
+    more rows than the vertex cap is refused before it is padded.
     """
     if frag.truncated:
         raise UsageError(
@@ -227,6 +228,9 @@ def growth_profile(frag: GraphFragment) -> list[tuple[int, int]]:
         total += c
         out.append((r, total))
     if frag.expanded.all():  # graph exhausted before the radius
+        if frag.radius >= DEFAULT_VERTEX_CAP:
+            raise ResourceCapError(f"growth profile of {count_text(frag.radius + 1)} rows "
+                                   f"exceeds cap {DEFAULT_VERTEX_CAP}")
         out.extend((r, total) for r in range(len(out), frag.radius + 1))
     return out
 

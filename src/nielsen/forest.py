@@ -141,16 +141,13 @@ def _step(x: tuple[int, ...], i: int, j: int, sign: int) -> tuple[int, ...]:
 
 
 def _keeper(spec: ForestSpec, z_img: tuple[int, ...]) -> tuple[int, int] | None:
-    """The one in-edge of an image vertex that the rules keep, or None at a root."""
-    ins = [(i, j) for i in spec.free for j in spec.free if z_img[i - 1] > z_img[j - 1]]
-    if not ins:
-        return None
+    """The one in-edge of an image vertex that the rules keep, or None at a
+    root: a distinguished edge unless the pair's coordinates tie, else the
+    lexicographically largest in-edge."""
     i1, j1 = spec.distinguished_pair()
-    if (i1, j1) in ins:
-        return (i1, j1)
-    if (j1, i1) in ins:
-        return (j1, i1)
-    return max(ins)
+    if z_img[i1 - 1] != z_img[j1 - 1]:
+        return (i1, j1) if z_img[i1 - 1] > z_img[j1 - 1] else (j1, i1)
+    return max(((i, j) for i in spec.free for j in spec.free if z_img[i - 1] > z_img[j - 1]), default=None)
 
 
 def _kept_pairs(spec: ForestSpec, x_img: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -239,15 +236,12 @@ def _zero_sets(n: int):
         yield from (frozenset(c) for c in combinations(coords, size))
 
 
-def _image_vertices(spec: ForestSpec):
-    """Positive-image vertices of the spec's zero set inside its window."""
-    for vals in iproduct(range(1, spec.window + 1), repeat=len(spec.free)):
-        if math.gcd(*vals) != 1:
-            continue
-        x = [0] * spec.n
-        for k, v in zip(spec.free, vals):
-            x[k - 1] = v
-        yield tuple(x)
+def _window(spec: ForestSpec):
+    """The component's window vertices (real coordinates) in increasing tuple order."""
+    w = spec.window
+    ranges = [range(-w, 0) if k in spec.neg else (0,) if k in spec.zero else range(1, w + 1)
+              for k in range(1, spec.n + 1)]
+    return (x for x in iproduct(*ranges) if math.gcd(*x) == 1)
 
 
 def verify_forest(n: int, window: int) -> ForestReport:
@@ -284,7 +278,7 @@ def verify_forest(n: int, window: int) -> ForestReport:
         spec = ForestSpec(n=n, neg=frozenset(), zero=zero, window=window)
         root = spec.root()
         parent: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-        for v in _image_vertices(spec):
+        for v in _window(spec):
             hit = _image_parent(spec, v)
             deg = len(_kept_pairs(spec, v))
             if v == root:
@@ -351,34 +345,32 @@ def component_dot_lines(spec: ForestSpec):
     as an iterator of lines.
 
     The edges drawn are the parent edges of the window's non-root vertices:
-    a parent has no larger coordinates, so it is in the window too. The
-    window is scanned, and its cap checked, before the iterator is returned;
-    each vertex's node id is formatted once.
+    a parent has no larger coordinates, so it is in the window too. The cap
+    is checked before the iterator is returned. The window is then walked
+    twice in increasing order, once for the nodes and once for the edges
+    kept out of each vertex, so no vertex is held.
     """
     from . import __version__
 
     states = spec.window ** len(spec.free)
     if states > STATE_CAP:
         raise ResourceCapError(f"window scan of {count_text(states)} states exceeds cap {STATE_CAP}")
-    edges = []  # (parent, i, j, vertex); the root's parent is None
-    for z in _image_vertices(spec):
-        hit = _image_parent(spec, z)
-        src, (i, j) = (spec.from_image(hit[0]), hit[1]) if hit else (None, (0, 0))
-        edges.append((src, i, j, spec.from_image(z)))
-    node_id = {v: '"' + ",".join(map(str, v)) + '"' for v in sorted(edge[3] for edge in edges)}
-    edges = sorted(edge for edge in edges if edge[0] is not None)
-    labels = {(i, j): spec.ambient_move(i, j).text() for _, i, j, _ in edges}
+    labels = {(i, j): spec.ambient_move(i, j).text() for i in spec.free for j in spec.free if i != j}
     root = spec.root()
 
     def lines():
         yield "graph forest_component {\n"
         yield f"  // pattern: {spec.pattern()}, window: {spec.window}, n: {spec.n}\n"
         yield f"  // tool: nielsen {__version__}\n"
-        for v, name in node_id.items():
+        for v in _window(spec):
             extra = ", peripheries=2" if v == root else ""
-            yield f'  {name} [label="{v}"{extra}];\n'
-        for src, i, j, tgt in edges:
-            yield f'  {node_id[src]} -- {node_id[tgt]} [label="{labels[i, j]}"];\n'
+            yield f'  "{",".join(map(str, v))}" [label="{v}"{extra}];\n'
+        for v in _window(spec):
+            x, src = spec.to_image(v), ",".join(map(str, v))
+            for (i, j), label in labels.items():  # lexicographic
+                z = _step(x, i, j, 1)
+                if z[i - 1] <= spec.window and _keeper(spec, z) == (i, j):
+                    yield f'  "{src}" -- "{",".join(map(str, spec.from_image(z)))}" [label="{label}"];\n'
         yield "}\n"
 
     return lines()

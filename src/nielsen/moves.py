@@ -22,8 +22,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import UsageError
-from .groups import Group, State
+from .errors import ResourceCapError, UsageError, count_text
+from .groups import DEFAULT_VERTEX_CAP, Group, State
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,6 +95,8 @@ def move_inverse(move: Move) -> Move:
 def move_set(n: int) -> tuple[Move, ...]:
     if n < 1:
         raise UsageError("move_set requires n >= 1")
+    if 4 * n * (n - 1) + n > DEFAULT_VERTEX_CAP:
+        raise ResourceCapError(f"move set at n = {count_text(n)} exceeds cap {DEFAULT_VERTEX_CAP}")
     out = []
     for kind in ("R", "L"):
         for i in range(1, n + 1):
@@ -117,9 +119,6 @@ def apply_move(group: Group, state: State, move: Move) -> State:
     h = state[j] if move.sign > 0 else group.inv(state[j])
     new = group.mul(state[i], h) if move.kind == "R" else group.mul(h, state[i])
     return state[:i] + (new,) + state[i + 1 :]
-
-
-MoveWord = tuple[Move, ...]
 
 
 def eval_word(group: Group, state: State, word) -> State:

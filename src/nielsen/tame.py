@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ResourceCapError, UsageError, VerificationError
 from .explore import DEFAULT_VERTEX_CAP, ComponentsReport, check_finite_sizes, components
-from .groups import FiniteTable, Group, State
+from .groups import FiniteTable, Group
 from .moves import Move, apply_move, move_set
 
 
@@ -71,33 +71,27 @@ class AutAction:
         return self.after(dst, np.argsort(self.perms[src])[list(self.base)])
 
 
-def aut_group(group: Group, d: int, base: State | None = None) -> AutAction:
+def aut_group(group: Group, d: int) -> AutAction:
     """All automorphisms of a finite relatively free group of rank d.
 
-    Extends base -> t for every generating d-tuple t at once, one gather per
-    edge of a BFS tree of the Cayley graph of G with respect to the base,
-    and checks each map to be a bijective homomorphism; if any is not, the
-    group is not relatively free of rank d and NotRelativelyFreeError
-    reports the discrepancy. Sizes are checked against the vertex cap
-    before the default base is looked up and before each array is built.
+    Extends base -> t for every generating d-tuple t at once, where the base
+    is the group's standard generators, one gather per edge of a BFS tree of
+    the Cayley graph of G with respect to the base, and checks each map to
+    be a bijective homomorphism; if any is not, the group is not relatively
+    free of rank d and NotRelativelyFreeError reports the discrepancy. Sizes
+    are checked against the vertex cap before the base is looked up and
+    before each array is built.
     """
     if not group.is_finite:
         raise UsageError(f"{group.kind} is not a finite group")
     check_finite_sizes(group.order, d, DEFAULT_VERTEX_CAP)
-    if base is None:
-        base_vals = group.standard_generators()
-        if len(base_vals) != d:
-            raise UsageError(
-                f"default base tuple has length {len(base_vals)}; pass an explicit generating {d}-tuple"
-            )
-    else:
-        base_vals = tuple(group.check_element(g) for g in base)
-        if len(base_vals) != d:
-            raise UsageError("base tuple length must equal d")
+    base_vals = group.standard_generators()
+    if len(base_vals) != d:
+        raise UsageError(f"d = {d} must equal the rank {len(base_vals)} of the group")
     tab = FiniteTable.of(group)
     base_idx = tuple(tab.index[g] for g in base_vals)
     if not tab.closure([base_idx]).all():
-        raise UsageError("base tuple does not generate the group")
+        raise UsageError("standard generators do not generate the group")
 
     positions = np.flatnonzero(tab.generating_mask(d))
     if len(positions) * tab.order > DEFAULT_VERTEX_CAP:
@@ -137,7 +131,6 @@ class TameReport:
     aut_order: int
     tame_order: int
     index: int
-    generator_labels: list[str]
 
 
 def move_automorphisms(act: AutAction, base: tuple[int, ...] | None = None) -> dict[Move, int]:
@@ -178,7 +171,6 @@ def tame_subgroup(act: AutAction) -> TameReport:
         aut_order=act.order,
         tame_order=tame_order,
         index=act.order // tame_order,
-        generator_labels=[m.text() for m in gens],
     )
 
 

@@ -10,9 +10,10 @@ from nielsen.amenability import (
     iso_ratio,
     spectral_estimate,
 )
-from nielsen.errors import UsageError
+from nielsen.errors import ResourceCapError, UsageError
 from nielsen.explore import ball, fragment_from_jsonl
 from nielsen.groups import (
+    DEFAULT_VERTEX_CAP,
     BurnsideB23,
     FiniteAbelianExp,
     FiniteCayley,
@@ -102,6 +103,15 @@ def test_walks_window_precondition():
     assert "distance 6" in str(err.value)
     # a window that does contain the needed ball is accepted
     assert closed_walks(Z, (1, 1), 4, window=30) == closed_walks(Z, (1, 1), 4)
+
+
+def test_walk_dp_past_the_cap_is_refused_before_its_ball():
+    # N_1(Z) has two vertices: k x 2 over the cap is refused, k x 2 at it runs
+    with pytest.raises(ResourceCapError, match="walk DP of 2500001 steps"):
+        closed_walks(Z, (1,), DEFAULT_VERTEX_CAP // 2 + 1)
+    assert closed_walks(Z, (1,), 20) == [1, 0] * 10 + [1]
+    with pytest.raises(ResourceCapError, match="walk DP"):
+        closed_walks(Z, (1, 1), 10**100)
 
 
 def test_spectral_estimates():

@@ -385,7 +385,7 @@ def test_tame_checks_sizes_before_building_a_table(capsys, monkeypatch):
         capsys, "tame", "--group", '{"kind":"FiniteAbelianExp","m":2,"d":11}', "--d", "1",
     )
     assert code == 2 and out == ""
-    assert err == "usage error: default base tuple has length 11; pass an explicit generating 1-tuple\n"
+    assert err == "usage error: d = 1 must equal the rank 11 of the group\n"
     code, out, err = run_cli(
         capsys, "tame", "--group", '{"kind":"FiniteAbelianExp","m":2,"d":12}', "--d", "12",
     )
@@ -492,6 +492,42 @@ def test_euclid_word_past_the_cap_is_a_resource_error(capsys):
     code, out, err = run_cli(capsys, "euclid", "--root", f"[{DEFAULT_VERTEX_CAP + 2}, 1]")
     assert code == 3 and out == ""
     assert err.startswith("resource error") and "Traceback" not in err
+
+
+_Z3_TABLE = '{"kind":"FiniteCayley","table":[[0,1,2],[1,2,0],[2,0,1]],"identity":0}'
+
+
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        (["growth", "--group", '{"kind":"Integers"}', "--root", "[1]", "--radius", "100000000"],
+         "growth profile of 100000001 rows exceeds cap"),
+        (["explore", "--group", '{"kind":"Integers"}', "--root", "[1]", "--radius", "100000000"],
+         "growth profile of 100000001 rows exceeds cap"),
+        (["spectral", "--group", _Z3_TABLE, "--root", "[1,0]", "--k", "5000"],
+         "a_5000 = (about 10^4999) has too many digits"),
+        (["spectral", "--group", '{"kind":"InfiniteDihedral"}', "--root", "[[0,1],[1,1]]", "--k", "9000"],
+         "walk DP of 9000 steps"),
+        (["cover", "verify", "--pi", '{"rule":"abelianize","domain":{"kind":"Heisenberg"}}', "--n", "100000000"],
+         "move set at n = 100000000 exceeds cap"),
+    ],
+    ids=["growth_radius", "explore_radius", "spectral_digits", "spectral_dp", "cover_n"],
+)
+def test_sizes_past_the_caps_are_refused_up_front(capsys, argv, named):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("resource error") and named in err and "Traceback" not in err
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize(("text", "reason"), [("{bad", "Expecting property name"), ("1" * 5000, "Exceeds the limit")])
+def test_json_argument_errors_say_why(capsys, text, reason):
+    with pytest.raises(SystemExit) as stop:
+        main(["explore", "--group", text, "--root", "[1]", "--radius", "1"])
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    assert f"argument --group: invalid JSON: {reason}" in captured.err and "Traceback" not in captured.err
 
 
 def test_console_entry_point_runs():

@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,19 @@ def test_component_dot_lines_are_checked_then_streamed():
     # the window cap is checked when the lines are asked for, not when the first is read
     with pytest.raises(ResourceCapError):
         component_dot_lines(pattern_spec("++", 10**8))
+
+
+def test_component_dot_lines_hold_no_window():
+    # the lines come from two ordered walks of the window; 25^3 vertices as
+    # tuples, sorted, would take several MiB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in component_dot_lines(pattern_spec("+++", 25)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2 * 13_297 - 1 + 4  # nodes, tree edges, three header lines and the brace
+    assert peak < 1 << 20
 
 
 def _literal_deletion_oracle(n, zero, window):

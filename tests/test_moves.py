@@ -2,7 +2,7 @@
 
 import pytest
 
-from nielsen.errors import UsageError
+from nielsen.errors import ResourceCapError, UsageError
 from nielsen.groups import InfiniteDihedral, Integers
 from nielsen.moves import (
     I,
@@ -30,6 +30,14 @@ def test_move_set_sizes_and_order():
         "I:1", "I:2",
     ]
     assert move_set(1) == (I(1),)
+
+
+def test_move_sets_past_the_cap_are_refused_before_they_are_built():
+    # 4n(n-1) + n moves: 4,996,342 at n = 1118, 5,005,287 at n = 1119
+    with pytest.raises(ResourceCapError, match="move set at n = 1119 exceeds cap"):
+        move_set(1119)
+    with pytest.raises(ResourceCapError, match="move set at n = 100000000 exceeds cap"):
+        move_set(10**8)
 
 
 def test_move_text_round_trip():

@@ -78,7 +78,7 @@ def test_not_relatively_free_reports_discrepancy():
     assert err.value.generating == 18
     assert err.value.extending == 6  # |Aut S_3| = |Inn S_3| = 6
     with pytest.raises(UsageError):
-        aut_group(FiniteAbelianExp(3, 2), 3)  # base length mismatch
+        aut_group(FiniteAbelianExp(3, 2), 3)  # d is not the rank
 
 
 def test_automorphism_array_is_capped():
