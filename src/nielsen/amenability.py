@@ -13,6 +13,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,7 +92,9 @@ def iso_ratio(frag: GraphFragment, members, description: str = "custom") -> IsoR
     return IsoReport(size=len(idxs), boundary=boundary, ratio=Fraction(boundary, len(idxs)), description=description)
 
 
-def closed_walks(group: Group, root: State, k_max: int, window: int | None = None) -> list[int]:
+def closed_walks(
+    group: Group, root: State, k_max: int, window: int | None = None, printable: bool = False
+) -> list[int]:
     """Exact counts a_0..a_{k_max} of closed move sequences based at root.
 
     A closed walk of length k stays within distance floor(k/2) of the root,
@@ -105,6 +108,11 @@ def closed_walks(group: Group, root: State, k_max: int, window: int | None = Non
     are dropped. A count after k steps is at most m^k; the counts are int64
     while that fits, Python ints after. A DP of more than the vertex cap in
     k_max x ball vertices is refused before the ball outgrows it.
+
+    With ``printable`` an even k_max whose count is sure to have too many
+    digits to print is refused after the ball and before the DP: a move
+    word followed by its inverse word is a closed walk inside the ball, so
+    a_k >= m^(k/2).
     """
     if k_max < 0:
         raise UsageError("k_max must be >= 0")
@@ -120,13 +128,17 @@ def closed_walks(group: Group, root: State, k_max: int, window: int | None = Non
             f"window {window} too small for walks of length {k_max}: "
             f"every vertex within distance {need} of the root must lie inside the window"
         )
+    m = len(frag.moves)
+    # m >= 10 for n >= 2, so m^e past the digit limit e already prints too long
+    if printable and k_max % 2 == 0 and not count_text(m ** min(need, sys.get_int_max_str_digits())).isdigit():
+        raise ResourceCapError(f"a_{k_max} >= {m}^{need} has too many digits to print")
     rows = np.flatnonzero(frag.expanded)
     darts = frag.darts[rows]
     counts = np.zeros(len(frag), dtype=np.int64)
     counts[0] = 1  # the root
     out = [1]
     for k in range(1, k_max + 1):
-        if len(frag.moves) ** k >= 2**63 and counts.dtype != object:
+        if m ** k >= 2**63 and counts.dtype != object:
             counts = counts.astype(object)
         nxt = np.zeros_like(counts)
         nxt[rows] = counts[darts].sum(axis=1)
@@ -146,7 +158,7 @@ def spectral_estimate(
         raise UsageError("spectral estimate requires k >= 1 (a_k**(1/k) is undefined for k = 0)")
     n = len(root)
     m = len(move_set(n))
-    a_k = closed_walks(group, root, k, window=window)[k]
+    a_k = closed_walks(group, root, k, window=window, printable=True)[k]
     text = count_text(a_k)
     if not text.isdigit():
         raise ResourceCapError(f"a_{k} = {text} has too many digits to print")

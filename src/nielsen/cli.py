@@ -288,6 +288,9 @@ def main(argv=None) -> int:
     except ResourceCapError as e:
         print(f"resource error: {e}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("resource error: out of memory before any cap was reached; lower the size or --cap", file=sys.stderr)
+        return 3
     except VerificationError as e:
         print(f"verification failure (internal bug): {e}", file=sys.stderr)
         return 1

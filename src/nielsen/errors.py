@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: UsageError -> 2, ResourceCapError -> 3,
-VerificationError -> 1.
+VerificationError -> 1. It maps a MemoryError to 3 as well.
 """
 
 import math

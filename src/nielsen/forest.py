@@ -39,6 +39,8 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import combinations, product as iproduct
 
+import numpy as np
+
 from .errors import ResourceCapError, UsageError, VerificationError, count_text
 from .moves import Move, R
 
@@ -80,6 +82,11 @@ class ForestSpec:
     def free(self) -> tuple[int, ...]:
         """Coordinates outside the zero set, increasing."""
         return tuple(k for k in range(1, self.n + 1) if k not in self.zero)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Ordered pairs (i, j) of distinct free coordinates, lexicographic."""
+        return tuple((i, j) for i in self.free for j in self.free if i != j)
 
     def distinguished_pair(self) -> tuple[int, int]:
         return self.free[:2]
@@ -152,12 +159,7 @@ def _keeper(spec: ForestSpec, z_img: tuple[int, ...]) -> tuple[int, int] | None:
 
 def _kept_pairs(spec: ForestSpec, x_img: tuple[int, ...]) -> list[tuple[int, int]]:
     """Image pairs (i, j) whose out-edge x_i <- x_i + x_j at x_img is kept."""
-    return [
-        (i, j)
-        for i in spec.free
-        for j in spec.free
-        if i != j and _keeper(spec, _step(x_img, i, j, 1)) == (i, j)
-    ]
+    return [(i, j) for i, j in spec.pairs if _keeper(spec, _step(x_img, i, j, 1)) == (i, j)]
 
 
 def _image_of(spec: ForestSpec, state: tuple[int, ...]) -> tuple[int, ...]:
@@ -244,6 +246,33 @@ def _window(spec: ForestSpec):
     return (x for x in iproduct(*ranges) if math.gcd(*x) == 1)
 
 
+def _keepers(spec: ForestSpec, rows: np.ndarray) -> np.ndarray:
+    """``_keeper`` on every row of an (N, n) image array, as an index into
+    ``spec.pairs``, or -1 at a root: the distinguished pair's larger side
+    where its coordinates differ, else the last pair with z_i > z_j."""
+    pairs = spec.pairs
+    i1, j1 = spec.distinguished_pair()
+    gap = rows[:, i1 - 1] - rows[:, j1 - 1]
+    keep = np.where(gap > 0, pairs.index((i1, j1)), pairs.index((j1, i1))).astype(np.int32)
+    tie = np.flatnonzero(gap == 0)
+    tied, best = rows[tie], np.full(len(tie), -1, dtype=np.int32)
+    for p, (i, j) in enumerate(pairs):
+        best[tied[:, i - 1] > tied[:, j - 1]] = p
+    keep[tie] = best
+    return keep
+
+
+def _image_parents(spec: ForestSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_image_parent`` on every row: (parent rows, ``_keepers``); a row
+    with no kept in-edge is its own parent."""
+    keep = _keepers(spec, rows)
+    ij = np.array(spec.pairs, dtype=np.intp) - 1
+    has = np.flatnonzero(keep >= 0)
+    parents = rows.copy()
+    parents[has, ij[keep[has], 0]] -= rows[has, ij[keep[has], 1]]
+    return parents, keep
+
+
 def verify_forest(n: int, window: int) -> ForestReport:
     """Exhaustive window verification of the forest construction.
 
@@ -256,10 +285,15 @@ def verify_forest(n: int, window: int) -> ForestReport:
 
     Edge rules depend only on the zero set, and sign components are carried
     onto the all-positive image by construction, so (a), (b), (d) are
-    verified once per zero set on image vertices. The kept edges there form
-    one parent map (each non-root keeps exactly one in-edge), so an
-    undirected cycle of kept edges is a directed parent cycle: (a) is one
-    memoized walk along parents.
+    verified once per zero set on one int32 array of image vertices in
+    increasing tuple order, root first: one ``_image_parents`` call, one
+    ``_keepers`` call per move for the degrees. The kept edges form one
+    parent map, so an undirected cycle of kept edges is a directed parent
+    cycle: with the root its own parent, (a) holds iff ceil(log2 V)
+    squarings of the parent indices send every row to the root. (c) scans
+    [-w, w]^n in blocks of consecutive first coordinates, about 2^16 tuples
+    each, so memory stays bounded. A failed check names the first offending
+    vertex in (zero set, tuple) order.
     """
     if n not in (2, 3):
         raise UsageError("verify_forest supports n in {2, 3}")
@@ -268,64 +302,66 @@ def verify_forest(n: int, window: int) -> ForestReport:
     if (2 * window + 1) ** n > STATE_CAP:
         raise ResourceCapError(f"window scan of {count_text((2 * window + 1) ** n)} states exceeds cap {STATE_CAP}")
 
-    acyclic = True
-    descent_ok = True
-    min_interior: int | None = None
+    acyclic = descent_ok = True
+    interior: list[int] = []
     vertices_checked = 0
-
     per_zero_root_degree: dict[frozenset[int], int] = {}
     for zero in _zero_sets(n):
         spec = ForestSpec(n=n, neg=frozenset(), zero=zero, window=window)
-        root = spec.root()
-        parent: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-        for v in _window(spec):
-            hit = _image_parent(spec, v)
-            deg = len(_kept_pairs(spec, v))
-            if v == root:
-                if hit is not None:
-                    raise VerificationError(f"root {root} of {spec.pattern()} has a kept in-edge")
-                per_zero_root_degree[zero] = deg
-                parent[v] = None
-                continue
-            if hit is None:
-                raise VerificationError(f"non-root {v} in {spec.pattern()} has no kept in-edge")
-            src = parent[v] = hit[0]
-            if sum(src) >= sum(v):
-                descent_ok = False
-            if not (spec.contains(src) and max(src) <= window):
-                raise VerificationError("in-window vertex with out-of-window parent")
-            if min_interior is None or deg + 1 < min_interior:
-                min_interior = deg + 1
-        vertices_checked += len(parent)
+        free = [k - 1 for k in spec.free]
+        shape = (window,) * len(free)
+        grid = np.indices(shape, dtype=np.int32).reshape(len(free), -1).T + 1
+        inside = np.gcd.reduce(grid, axis=1) == 1
+        index = np.cumsum(inside, dtype=np.int32) - 1  # gcd-1 grid position -> row
+        rows = np.zeros((index[-1] + 1, n), dtype=np.int32)
+        rows[:, free] = grid[inside]
 
-        # walk each vertex up to a settled one; meeting the chain again is a cycle
-        settled = {root}
-        for v in parent:
-            chain = set()
-            while v not in settled and v not in chain:
-                chain.add(v)
-                v = parent[v]
-            if v in chain:
-                acyclic = False
-            settled |= chain
+        parents, keep = _image_parents(spec, rows)  # rows[0] is the root (all free coordinates 1)
+        owned = ((np.gcd.reduce(parents, axis=1) == 1) & (parents.max(axis=1) <= window)
+                 & (np.sign(parents) == np.sign(rows[0])).all(axis=1))
+        bad = np.flatnonzero(np.append(keep[0] >= 0, (keep[1:] < 0) | ~owned[1:]))
+        if len(bad):
+            v = tuple(rows[bad[0]].tolist())
+            raise VerificationError(f"root {v} of {spec.pattern()} has a kept in-edge" if bad[0] == 0 else
+                                    f"non-root {v} in {spec.pattern()} has no kept in-edge" if keep[bad[0]] < 0 else
+                                    "in-window vertex with out-of-window parent")
+        if (parents[1:].sum(axis=1, dtype=np.int64) >= rows[1:].sum(axis=1, dtype=np.int64)).any():
+            descent_ok = False
 
-    # coverage over real tuples in the window
+        degree = np.zeros(len(rows), dtype=np.int32)
+        for p, (i, j) in enumerate(spec.pairs):
+            stepped = rows.copy()
+            stepped[:, i - 1] += rows[:, j - 1]
+            degree += _keepers(spec, stepped) == p
+        per_zero_root_degree[zero] = int(degree[0])
+        interior.append(int(degree[1:].min()) + 1)  # window >= 2 holds a non-root
+        vertices_checked += len(rows)
+
+        up = index[np.ravel_multi_index(tuple((parents[:, free] - 1).T), shape)]
+        for _ in range((len(rows) - 1).bit_length()):
+            up = up[up]
+        acyclic &= bool((up == 0).all())
+
+    # coverage over real tuples in the window, a block of first coordinates at a time
     coverage_ok = True
-    components_seen: set[tuple[frozenset[int], frozenset[int]]] = set()
-    basis = {tuple(s if p == k else 0 for p in range(n)) for k in range(n) for s in (1, -1)}
-    for x in iproduct(range(-window, window + 1), repeat=n):
-        if math.gcd(*x) != 1:
-            continue
-        comp = component_of(x)
-        if (comp is None) != (x in basis):
+    side = 2 * window + 1
+    tail = np.indices((side,) * (n - 1), dtype=np.int32).reshape(n - 1, -1).T - window
+    step = max(1, (1 << 16) // len(tail))
+    present = np.zeros(3**n, dtype=bool)  # by sign code: base 3, digit k the sign of x_k plus 1
+    for lo in range(-window, window + 1, step):
+        heads = np.arange(lo, min(lo + step, window + 1), dtype=np.int32)
+        x = np.column_stack((np.repeat(heads, len(tail)), np.tile(tail, (len(heads), 1))))
+        x = x[np.gcd.reduce(x, axis=1) == 1]
+        excluded = (x == 0).sum(axis=1) > n - 2  # component_of gives None
+        if (excluded != (np.abs(x).sum(axis=1) == 1)).any():
             coverage_ok = False
-        if comp is not None:
-            components_seen.add(comp)
-
-    root_degrees = {}
-    for neg, zero in sorted(components_seen, key=lambda ab: (sorted(ab[1]), sorted(ab[0]))):
-        spec = ForestSpec(n=n, neg=neg, zero=zero, window=window)
-        root_degrees[spec.pattern()] = per_zero_root_degree[zero]
+        code = np.zeros(len(x), dtype=np.int32)
+        for k in reversed(range(n)):
+            code = code * 3 + np.sign(x[:, k]) + 1
+        present[code[~excluded]] = True
+    seen = [pattern_spec("".join("-0+"[c // 3**k % 3] for k in range(n)), window)
+            for c in np.flatnonzero(present).tolist()]
+    seen.sort(key=lambda spec: (sorted(spec.zero), sorted(spec.neg)))
 
     return ForestReport(
         n=n,
@@ -333,9 +369,9 @@ def verify_forest(n: int, window: int) -> ForestReport:
         acyclic=acyclic,
         coverage_ok=coverage_ok,
         descent_ok=descent_ok,
-        min_interior_degree=min_interior,
-        root_degrees=root_degrees,
-        components_checked=len(components_seen),
+        min_interior_degree=min(interior),
+        root_degrees={spec.pattern(): per_zero_root_degree[spec.zero] for spec in seen},
+        components_checked=len(seen),
         vertices_checked=vertices_checked,
     )
 
@@ -355,7 +391,7 @@ def component_dot_lines(spec: ForestSpec):
     states = spec.window ** len(spec.free)
     if states > STATE_CAP:
         raise ResourceCapError(f"window scan of {count_text(states)} states exceeds cap {STATE_CAP}")
-    labels = {(i, j): spec.ambient_move(i, j).text() for i in spec.free for j in spec.free if i != j}
+    labels = {(i, j): spec.ambient_move(i, j).text() for i, j in spec.pairs}
     root = spec.root()
 
     def lines():

@@ -489,7 +489,10 @@ def verify_forest_reference(n: int, window: int, state_cap: int = 2_000_000) -> 
     pass that walks every descent chain to the root.
 
     The edge rule is read through the module (``forest._image_parent`` and
-    ``forest._keeper``), so a patched rule reaches both implementations.
+    ``forest._keeper``). ``verify_forest`` reads the same rules as whole
+    arrays (``forest._image_parents`` and ``forest._keepers``), so a test
+    that changes the parent rule patches both ``forest._image_parent`` and
+    ``forest._image_parents`` with the same substitution.
     """
     if n not in (2, 3):
         raise UsageError("verify_forest supports n in {2, 3}")

@@ -521,6 +521,27 @@ def test_sizes_past_the_caps_are_refused_up_front(capsys, argv, named):
     assert time.perf_counter() - start < 10
 
 
+def test_even_walk_count_too_long_to_print_is_refused_before_the_dp(capsys):
+    # a_k >= 10^(k/2) at n = 2, so a_20000 has more digits than Python prints
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectral", "--group", _Z3_TABLE, "--root", "[1,0]", "--k", "20000")
+    assert code == 3 and out == ""
+    assert err == "resource error: a_20000 >= 10^10000 has too many digits to print\n"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    from nielsen import cli
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ball", no_memory)
+    code, out, err = run_cli(capsys, "growth", "--group", '{"kind":"Integers"}', "--root", "[1,1]", "--radius", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("resource error: out of memory") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(("text", "reason"), [("{bad", "Expecting property name"), ("1" * 5000, "Exceeds the limit")])
 def test_json_argument_errors_say_why(capsys, text, reason):
     with pytest.raises(SystemExit) as stop:

@@ -5,11 +5,12 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nielsen import forest
 from nielsen.cli import main
-from nielsen.errors import ResourceCapError, UsageError
+from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.forest import (
     ForestSpec,
     component_dot,
@@ -327,9 +328,17 @@ def test_golden_forest_outputs(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FOREST[args]
 
 
-@pytest.mark.parametrize("n,window", [(2, 2), (2, 3), (2, 5), (2, 12), (2, 40), (3, 2), (3, 3), (3, 6), (3, 12)])
+@pytest.mark.parametrize(
+    "n,window", [(2, 2), (2, 3), (2, 5), (2, 12), (2, 40), (2, 100), (3, 2), (3, 3), (3, 6), (3, 12)]
+)
 def test_verify_forest_matches_reference(n, window):
     assert verify_forest(n, window).to_json() == verify_forest_reference(n, window).to_json()
+
+
+def test_blocked_coverage_scan_matches_reference():
+    # at n=3 window 20 the coverage scan runs in two blocks of first coordinates
+    assert (2 * 20 + 1) ** 3 > 1 << 16
+    assert verify_forest(3, 20).to_json() == verify_forest_reference(3, 20).to_json()
 
 
 @pytest.mark.parametrize(
@@ -340,13 +349,19 @@ def test_verify_forest_matches_reference(n, window):
     ],
 )
 def test_verify_forest_on_patched_parents(monkeypatch, child, parent, acyclic):
-    real = forest._image_parent
+    real, real_rows = forest._image_parent, forest._image_parents
 
     def patched(spec, z):
         hit = real(spec, z)
         return (parent, hit[1]) if z == child else hit
 
+    def patched_rows(spec, rows):
+        parents, keep = real_rows(spec, rows)
+        parents[(rows == child).all(axis=1)] = parent
+        return parents, keep
+
     monkeypatch.setattr(forest, "_image_parent", patched)
+    monkeypatch.setattr(forest, "_image_parents", patched_rows)
     rep = verify_forest(2, 5)
     assert rep.acyclic is acyclic and rep.descent_ok is False
     assert rep.to_json() == verify_forest_reference(2, 5).to_json()
@@ -358,3 +373,72 @@ def test_forest_pattern_window_is_capped(capsys):
     err = capsys.readouterr().err
     assert code == 3 and "exceeds cap" in err and "Traceback" not in err
     assert time.perf_counter() - start < 1.0
+
+
+def _keeper_rows(n, zero, window):
+    """Positive window rows of one zero set, their one-step targets (past
+    the window) and rows whose distinguished coordinates tie."""
+    spec = ForestSpec(n=n, neg=frozenset(), zero=zero, window=window)
+    free = [k - 1 for k in spec.free]
+    grid = np.indices((window,) * len(free)).reshape(len(free), -1).T + 1
+    rows = np.zeros((len(grid), n), dtype=np.int32)
+    rows[:, free] = grid
+    rows = rows[np.gcd.reduce(rows, axis=1) == 1]
+    steps = []
+    for i, j in spec.pairs:
+        stepped = rows.copy()
+        stepped[:, i - 1] += rows[:, j - 1]
+        steps.append(stepped)
+    i1, j1 = spec.distinguished_pair()
+    tied = rows.copy()
+    tied[:, j1 - 1] = tied[:, i1 - 1]
+    return spec, np.concatenate([rows, *steps, tied])
+
+
+@pytest.mark.parametrize("n,zero", [(n, zero) for n in (2, 3) for zero in forest._zero_sets(n)])
+def test_array_keeper_matches_scalar_keeper(n, zero):
+    spec, rows = _keeper_rows(n, zero, 9)
+    keep = forest._keepers(spec, rows)
+    assert (keep == -1).any() and (keep >= 0).any()
+    for row, k in zip(rows.tolist(), keep.tolist()):
+        assert forest._keeper(spec, tuple(row)) == (None if k < 0 else spec.pairs[k]), row
+
+
+def _patch_parent_rule(monkeypatch, case):
+    """Patch the scalar and the array parent rule together at one vertex of
+    N_2(Z)'s one zero set."""
+    real, real_rows = forest._image_parent, forest._image_parents
+    at = {"root": (1, 1), "orphan": (2, 1), "escape": (3, 2)}[case]
+
+    def patched(spec, z):
+        hit = real(spec, z)
+        if z != at:
+            return hit
+        if case == "root":
+            return (1, 0), (1, 2)
+        return None if case == "orphan" else ((spec.window + 1, 1), hit[1])
+
+    def patched_rows(spec, rows):
+        parents, keep = real_rows(spec, rows)
+        hit = (rows == at).all(axis=1)
+        if case == "root":
+            parents[hit], keep[hit] = (1, 0), 0
+        elif case == "orphan":
+            keep[hit] = -1
+        else:
+            parents[hit] = (spec.window + 1, 1)
+        return parents, keep
+
+    monkeypatch.setattr(forest, "_image_parent", patched)
+    monkeypatch.setattr(forest, "_image_parents", patched_rows)
+
+
+@pytest.mark.parametrize("case", ["root", "orphan", "escape"])
+def test_verify_forest_errors_match_reference(monkeypatch, case):
+    _patch_parent_rule(monkeypatch, case)
+    with pytest.raises(Exception) as got:
+        verify_forest(2, 5)
+    with pytest.raises(Exception) as want:
+        verify_forest_reference(2, 5)
+    assert type(got.value) is type(want.value) is VerificationError
+    assert str(got.value) == str(want.value)
