@@ -92,9 +92,7 @@ def iso_ratio(frag: GraphFragment, members, description: str = "custom") -> IsoR
     return IsoReport(size=len(idxs), boundary=boundary, ratio=Fraction(boundary, len(idxs)), description=description)
 
 
-def closed_walks(
-    group: Group, root: State, k_max: int, window: int | None = None, printable: bool = False
-) -> list[int]:
+def closed_walks(group: Group, root: State, k_max: int, window: int | None = None) -> list[int]:
     """Exact counts a_0..a_{k_max} of closed move sequences based at root.
 
     A closed walk of length k stays within distance floor(k/2) of the root,
@@ -109,10 +107,9 @@ def closed_walks(
     while that fits, Python ints after. A DP of more than the vertex cap in
     k_max x ball vertices is refused before the ball outgrows it.
 
-    With ``printable`` an even k_max whose count is sure to have too many
-    digits to print is refused after the ball and before the DP: a move
-    word followed by its inverse word is a closed walk inside the ball, so
-    a_k >= m^(k/2).
+    An even k_max whose count is sure to have too many digits to print is
+    refused after the ball and before the DP: a move word followed by its
+    inverse word is a closed walk inside the ball, so a_k >= m^(k/2).
     """
     if k_max < 0:
         raise UsageError("k_max must be >= 0")
@@ -129,8 +126,10 @@ def closed_walks(
             f"every vertex within distance {need} of the root must lie inside the window"
         )
     m = len(frag.moves)
-    # m >= 10 for n >= 2, so m^e past the digit limit e already prints too long
-    if printable and k_max % 2 == 0 and not count_text(m ** min(need, sys.get_int_max_str_digits())).isdigit():
+    # m >= 10 for n >= 2, so m^e past the digit limit e already prints too long;
+    # Pythons before 3.10.7 have no limit, read as 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if k_max % 2 == 0 and not count_text(m ** min(need, limit)).isdigit():
         raise ResourceCapError(f"a_{k_max} >= {m}^{need} has too many digits to print")
     rows = np.flatnonzero(frag.expanded)
     darts = frag.darts[rows]
@@ -158,7 +157,7 @@ def spectral_estimate(
         raise UsageError("spectral estimate requires k >= 1 (a_k**(1/k) is undefined for k = 0)")
     n = len(root)
     m = len(move_set(n))
-    a_k = closed_walks(group, root, k, window=window, printable=True)[k]
+    a_k = closed_walks(group, root, k, window=window)[k]
     text = count_text(a_k)
     if not text.isdigit():
         raise ResourceCapError(f"a_{k} = {text} has too many digits to print")

@@ -150,11 +150,12 @@ def _step(x: tuple[int, ...], i: int, j: int, sign: int) -> tuple[int, ...]:
 def _keeper(spec: ForestSpec, z_img: tuple[int, ...]) -> tuple[int, int] | None:
     """The one in-edge of an image vertex that the rules keep, or None at a
     root: a distinguished edge unless the pair's coordinates tie, else the
-    lexicographically largest in-edge."""
+    lexicographically largest in-edge. ``_keepers`` restates this rule on
+    arrays; test_array_keeper_matches_scalar_keeper ties the two together."""
     i1, j1 = spec.distinguished_pair()
     if z_img[i1 - 1] != z_img[j1 - 1]:
         return (i1, j1) if z_img[i1 - 1] > z_img[j1 - 1] else (j1, i1)
-    return max(((i, j) for i in spec.free for j in spec.free if z_img[i - 1] > z_img[j - 1]), default=None)
+    return max(((i, j) for i, j in spec.pairs if z_img[i - 1] > z_img[j - 1]), default=None)
 
 
 def _kept_pairs(spec: ForestSpec, x_img: tuple[int, ...]) -> list[tuple[int, int]]:
