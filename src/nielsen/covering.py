@@ -5,6 +5,16 @@ into N_n(H), commutes with every move, and maps vertex stars bijectively.
 This module carries a closed catalogue of epimorphism rules (so that the
 homomorphism and surjectivity checks stay decidable), verifies the star
 commutation on samples, and lifts codomain fragments back along the map.
+
+The checks run on element stacks: one array per tuple entry, with axis 0
+the coordinate. A fixed-width kind stacks (width, N) int64 coordinates, or
+Python ints in an object array once an entry reaches 2^31 in absolute value,
+so that one product of two entries stays exact; ``FreeGroup`` stacks its
+words in a 1-D object array, its law run on each element by
+``np.frompyfunc``. Every kind's law and every rule's map run on stacks as on
+elements, so the star check makes one ``apply_move`` per move and side on
+all samples at once, the lift one per move on each BFS layer, and the law
+check on an infinite domain one law call per side on its 1000 seeded pairs.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,6 +46,11 @@ from .moves import apply_move, move_set
 
 _HOM_SAMPLE = 1000
 _HOM_SEED = 0x5EED
+# int64 stacks keep every entry below this in absolute value: one product of
+# two entries, plus two more, stays exact
+_STACK_BOUND = 2**31
+# samples checked at once by the star check: bounds its arrays
+_STAR_CHUNK = 1 << 13
 
 
 class Epimorphism:
@@ -44,7 +60,7 @@ class Epimorphism:
     ``mod`` (coordinatewise reduction of Z or Z^d mod m); ``reflection``
     (infinite dihedral onto Z/2 by the reflection bit); ``abelianize``
     (Heisenberg onto Z^2); ``finite_quotient`` (FiniteCayley by a listed
-    normal subgroup).
+    normal subgroup). Each rule's map runs on elements and on stacks.
     """
 
     def __init__(self, rule: str, domain: Group, codomain: Group, fn, params: dict):
@@ -67,15 +83,25 @@ class Epimorphism:
         if self.domain.is_finite:
             self._validate_on_tables()
         else:
-            rng = random.Random(_HOM_SEED)
-            for _ in range(_HOM_SAMPLE):
-                a, b = self.domain.random_element(rng, 12), self.domain.random_element(rng, 12)
-                if self.apply(self.domain.mul(a, b)) != self.codomain.mul(self.apply(a), self.apply(b)):
-                    raise VerificationError(f"rule {self.rule} is not a homomorphism at {a!r}, {b!r}")
+            self._validate_on_samples()
         gens = self.domain.standard_generators()
         images = tuple(self.apply(g) for g in gens)
         if not self.codomain.is_generating(images):
             raise VerificationError(f"rule {self.rule} is not surjective: generator images do not generate")
+
+    def _validate_on_samples(self):
+        """The law on 1000 seeded pairs of an infinite domain, one law call
+        per side: f(a*b) against f(a)*f(b) on the stacks of the pairs, drawn
+        a, b, a, b, ... from one seeded stream; the first failing pair is
+        named."""
+        draws = _random_stack(self.domain, random.Random(_HOM_SEED), 2 * _HOM_SAMPLE, 12)
+        a, b = draws[..., 0::2], draws[..., 1::2]
+        lhs = _image(self, _law(self.domain).mul(a, b))
+        bad = np.flatnonzero(_differ(lhs, _law(self.codomain).mul(_image(self, a), _image(self, b))))
+        if bad.size:
+            k = int(bad[0])
+            a, b = _elements(self.domain, a)[k], _elements(self.domain, b)[k]
+            raise VerificationError(f"rule {self.rule} is not a homomorphism at {a!r}, {b!r}")
 
     def _validate_on_tables(self):
         """The law on all pairs of a finite domain at once: f(a*b) against
@@ -170,9 +196,9 @@ def finite_quotient(domain: Group, normal: list[int]) -> Epimorphism:
     if not member[tab[tab[:, sub], inv[:, None]]].all():
         raise UsageError("listed subgroup is not normal")
     reps, coset = np.unique(tab[:, sub].min(axis=1), return_inverse=True)
-    coset_of = coset.tolist()
-    codomain = FiniteCayley(coset[tab[np.ix_(reps, reps)]].tolist(), coset_of[domain.id_index])
-    return Epimorphism("finite_quotient", domain, codomain, lambda g: coset_of[g], {"normal": sub})
+    codomain = FiniteCayley(coset[tab[np.ix_(reps, reps)]].tolist(), coset.item(domain.id_index))
+    fn = lambda g: coset[g] if isinstance(g, np.ndarray) else coset.item(g)
+    return Epimorphism("finite_quotient", domain, codomain, fn, {"normal": sub})
 
 
 def epimorphism_from_json(obj: dict) -> Epimorphism:
@@ -279,29 +305,24 @@ def _sample_one_by_one(group: Group, n: int, rng: random.Random, size: int, trie
 def _samples_in_blocks(
     group: Group, n: int, rng: random.Random, count: int, tries: int, start: int, width: int
 ) -> list[State]:
-    """``randrange(width)`` is ``_randbelow(width)``: the top ``k`` bits of
-    one word, k = width.bit_length(), drawn again while they reach
-    ``width``. ``getrandbits(32 * N)`` holds the next N words, least
-    significant first, so a block of words decodes at once. The state is
-    saved before each block; the stream ends inside the block that completes
-    its last candidate, and ``rng`` is put back to that block's start and
-    moved on by exactly the words through that candidate."""
+    """Candidates decoded a block of words at a time by ``_draw_words``. The
+    state is saved before each block; the stream ends inside the block that
+    completes its last candidate, and ``rng`` is put back to that block's
+    start and moved on by exactly the words through that candidate."""
     if isinstance(group, IntVectorGroup):
         shape, state = (n, group.width), lambda c: tuple(map(tuple, c))
     else:
         shape, state = (n,), tuple
     per = math.prod(shape)  # draws per candidate
-    shift = 32 - width.bit_length()
     out: list[State] = []
     carry = np.empty(0, dtype=np.int64)  # draws kept but not yet in a whole candidate
     since = 0  # candidates tried after the last sample, before candidate last + 1 of the block
     words = _FIRST_BLOCK
     while len(out) < count:
         saved = rng.getstate()
-        block = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4") >> shift
-        kept = np.flatnonzero(block < width)
-        through = kept[per - 1 - len(carry) :: per] + 1  # words read through each whole candidate
-        vals = np.concatenate((carry, block[kept]))
+        drawn, read = _draw_words(rng, words, width)
+        through = read[per - 1 - len(carry) :: per]  # words read through each whole candidate
+        vals = np.concatenate((carry, drawn))
         whole = len(vals) // per
         cands = (vals[: whole * per] + start).reshape(whole, *shape)
         verdict = group.is_generating_each(cands)
@@ -327,10 +348,144 @@ def _samples_in_blocks(
     return out
 
 
+def _draw_words(rng: random.Random, words: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``randrange(width)`` draws held in the next ``words`` 32-bit words
+    of ``rng``, as int64, and for each the number of words read through it.
+
+    ``randrange(width)`` is ``_randbelow(width)``: the top ``k`` bits of one
+    word, k = width.bit_length(), drawn again while they reach ``width``.
+    ``getrandbits(32 * N)`` holds the next N words, least significant first,
+    so a block of words decodes at once."""
+    block = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4")
+    block = block >> (32 - width.bit_length())
+    kept = np.flatnonzero(block < width)
+    return block[kept].astype(np.int64), kept + 1
+
+
 def _rewind(rng: random.Random, state: tuple, words: int) -> None:
     """Put ``rng`` at ``state`` moved on by ``words`` 32-bit words."""
     rng.setstate(state)
     rng.getrandbits(32 * words)
+
+
+def _random_stack(group: Group, rng: random.Random, count: int, size: int) -> np.ndarray:
+    """The stack of ``count`` calls of ``random_element(rng, size)``, with
+    ``rng`` left where they leave it. A kind that draws every coordinate as
+    ``start + randrange(width)`` from one (start, width), width below 2^32,
+    is decoded from blocks of words when ``rng`` is a plain ``random.Random``;
+    ``rng`` is then put back and moved on by the words through the last draw."""
+    draws = set(group.draws(size) or ())
+    if len(draws) == 1 and type(rng) is random.Random:
+        (start, width), = draws
+        if 0 < width < 1 << 32:
+            need, parts, read, saved = count * group.width, [], 0, rng.getstate()
+            while need:
+                words = 2 * need + _FIRST_BLOCK  # more than half of all words are kept
+                drawn, through = _draw_words(rng, words, width)
+                parts.append(drawn[:need])
+                read += int(through[need - 1]) if len(drawn) >= need else words
+                need -= len(parts[-1])
+            _rewind(rng, saved, read)
+            return (np.concatenate(parts) + start).reshape(count, group.width).T
+    return _stack(group, [group.random_element(rng, size) for _ in range(count)])
+
+
+# -- element stacks ---------------------------------------------------------
+
+
+def _stack(group: Group, elements: list) -> np.ndarray:
+    """The stack of one tuple entry: the (width, N) coordinates of a
+    fixed-width kind, int64 while every entry stays below 2^31 in absolute
+    value and Python ints otherwise; a 1-D object array for a kind without a
+    width."""
+    if group.width is None:
+        return np.fromiter(elements, dtype=object, count=len(elements))
+    try:
+        return _bounded(np.array(elements, dtype=np.int64).reshape(len(elements), group.width).T)
+    except OverflowError:
+        return np.array(elements, dtype=object).reshape(len(elements), group.width).T
+
+
+def _bounded(stack: np.ndarray) -> np.ndarray:
+    """An int64 stack as Python ints once an entry reaches 2^31 in absolute value."""
+    if stack.dtype != object and stack.size and not (-_STACK_BOUND < stack.min() and stack.max() < _STACK_BOUND):
+        return stack.astype(object)
+    return stack
+
+
+def _elements(group: Group, stack: np.ndarray) -> list:
+    """The elements of a stack, in the kind's normal form."""
+    if group.width is None:
+        return stack.tolist()
+    rows = stack.tolist()
+    return list(zip(*rows)) if isinstance(group, IntVectorGroup) else rows[0]
+
+
+def _law(group: Group):
+    """The law on stacks: the kind's own, or for a kind without a width its
+    law on each element of object arrays."""
+    if group.width is not None:
+        return group
+    return SimpleNamespace(mul=np.frompyfunc(group.mul, 2, 1), inv=np.frompyfunc(group.inv, 1, 1))
+
+
+def _image(epi: Epimorphism, stack) -> np.ndarray:
+    """The rule on a domain stack (or on the entry ``apply_move`` makes), as
+    a codomain stack."""
+    out = np.asarray(epi.apply(stack))
+    return out if epi.codomain.width is None else _bounded(out.reshape(epi.codomain.width, -1))
+
+
+def _differ(a, b) -> np.ndarray:
+    """For each position of two stacks of one kind: do their elements differ?"""
+    ne = np.asarray(a) != np.asarray(b)
+    return ne if ne.ndim == 1 else ne.any(axis=0)
+
+
+def _generating(group: Group, stacks: list) -> np.ndarray:
+    """``is_generating`` on the tuple at each position of the stacks: one
+    ``is_generating_each`` call on their int64 block where the kind has one,
+    else tuple by tuple."""
+    verdict = None
+    if group.width is not None and all(s.dtype != object for s in stacks):
+        block = np.stack(stacks).transpose(2, 0, 1)  # (tuples, entries, width)
+        verdict = group.is_generating_each(block if isinstance(group, IntVectorGroup) else block[:, :, 0])
+    if verdict is None:
+        verdict = [group.is_generating(t) for t in zip(*(_elements(group, s) for s in stacks))]
+    return np.asarray(verdict, dtype=bool)
+
+
+def _elements_valid(group: Group, tuples: list[State]) -> bool:
+    """Does ``check_element`` take every entry of every tuple?"""
+    try:
+        for t in tuples:
+            for g in t:
+                group.check_element(g)
+    except UsageError:
+        return False
+    return True
+
+
+def _pushed(epi: Epimorphism, tuples: list[State], n: int) -> tuple[tuple, tuple]:
+    """The stacks of the tuples' first n entries and of their images.
+
+    Every tuple must pass ``push`` and hold the n entries the moves read.
+    Tuples of one length, at least n, are checked on stacks. Otherwise, or
+    when a check fails there, ``push`` and the moves run on each tuple in
+    turn, so the first tuple they refuse raises what they raise."""
+    lengths = set(map(len, tuples))
+    if len(lengths) == 1 and min(lengths) >= n and _elements_valid(epi.domain, tuples):
+        dom = [_stack(epi.domain, list(col)) for col in zip(*tuples)]
+        img = [_image(epi, s) for s in dom]
+        if _generating(epi.domain, dom).all() and _generating(epi.codomain, img).all():
+            return tuple(dom[:n]), tuple(img[:n])
+    moves = move_set(n)
+    for t in tuples:
+        push(epi, t)
+        for mv in moves:
+            apply_move(epi.domain, t, mv)
+    dom = tuple(_stack(epi.domain, [t[e] for t in tuples]) for e in range(n))
+    return dom, tuple(_image(epi, s) for s in dom)
 
 
 def verify_star_bijection(
@@ -344,7 +499,9 @@ def verify_star_bijection(
 
     With one dart per move label on both sides, commutation makes the star
     map a label-preserving bijection; any violation indicates a bug, since
-    the property is a theorem.
+    the property is a theorem. The samples are checked ``_STAR_CHUNK`` at a
+    time: one ``apply_move`` per move on the domain stacks and one on the
+    pushed stacks. Violations are listed in (sample, move) order.
     """
     moves = move_set(n)
     if tuples is None:
@@ -354,13 +511,16 @@ def verify_star_bijection(
             raise ResourceCapError(f"{samples} samples exceed cap {DEFAULT_VERTEX_CAP} on samples x {len(moves)} moves")
         tuples = random_generating_tuples(epi.domain, n, random.Random(seed), samples)
     report = StarReport(checked=len(tuples), moves=len(moves))
-    for t in tuples:
-        image = push(epi, t)
-        for mv in moves:
-            lhs = tuple(epi.apply(g) for g in apply_move(epi.domain, t, mv))
-            rhs = apply_move(epi.codomain, image, mv)
-            if lhs != rhs:
-                report.violations.append({"tuple": repr(t), "move": mv.text()})
+    dom_law, cod_law = _law(epi.domain), _law(epi.codomain)
+    for at in range(0, len(tuples), _STAR_CHUNK):
+        part = tuples[at : at + _STAR_CHUNK]
+        dom, img = _pushed(epi, part, n)
+        bad = np.zeros((len(moves), len(part)), dtype=bool)
+        for k, mv in enumerate(moves):
+            for a, b in zip(apply_move(dom_law, dom, mv), apply_move(cod_law, img, mv)):
+                bad[k] |= _differ(_image(epi, a), b)
+        for s, k in zip(*np.nonzero(bad.T)):
+            report.violations.append({"tuple": repr(part[s]), "move": moves[k].text()})
     return report
 
 
@@ -385,36 +545,75 @@ def verify_surjectivity_on_fragment(epi: Epimorphism, frag: GraphFragment, seed_
     expanded vertices) lifts each reached vertex to a domain tuple pushing
     onto it; vertices the BFS cannot reach are reported as unreached, which
     cannot happen when the codomain graph is connected and the fragment is a
-    ball around push(seed)'s component.
+    ball around push(seed)'s component. The BFS runs a layer at a time: a
+    vertex's parent is the first (queue position, move) that reaches it, each
+    move is applied once per layer to the stacks of the parents it lifts,
+    and each layer's lifts are pushed and compared with the fragment's rows.
     """
     if frag.group != epi.codomain:
         raise UsageError("fragment group does not match the epimorphism codomain")
     seed_tuple = tuple(epi.domain.check_element(g) for g in seed_tuple)
     if len(seed_tuple) != frag.n:
         raise UsageError("seed tuple length does not match the fragment")
-    start_state = push(epi, seed_tuple)
-    start = frag.index.get(start_state)
-    lifts: dict[int, State] = {}
-    unreached = []
+    start = _vertex_of(frag, push(epi, seed_tuple))
+    lifted = np.zeros(len(frag), dtype=bool)
     if start is not None:
-        lifts[start] = seed_tuple
-        queue = [start]
-        qpos = 0
-        darts, expanded = frag.darts.tolist(), frag.expanded.tolist()
-        while qpos < len(queue):
-            v = queue[qpos]
-            qpos += 1
-            if not expanded[v]:
-                continue
-            for k, w in enumerate(darts[v]):
-                if w not in lifts:
-                    lifts[w] = apply_move(epi.domain, lifts[v], frag.moves[k])
-                    queue.append(w)
-    for v in range(len(frag)):
-        if v in lifts:
-            if tuple(epi.apply(g) for g in lifts[v]) != frag.states[v]:
+        law, m = _law(epi.domain), len(frag.moves)
+        layer, stacks = np.array([start]), tuple(_stack(epi.domain, [g]) for g in seed_tuple)
+        lifted[start] = True
+        while True:
+            if any(_differ(_image(epi, s), v).any() for s, v in zip(stacks, _vertex_stacks(frag, layer))):
                 raise VerificationError("lifted tuple does not push onto its fragment vertex")
-        else:
-            unreached.append(frag.keys[v].hex())
-    return LiftReport(total=len(frag), lifted=len(lifts), unreached=unreached)
+            parents = np.flatnonzero(frag.expanded[layer])
+            targets = frag.darts[layer[parents]].ravel()  # in (queue position, move) order
+            at = np.flatnonzero(~lifted[targets])
+            order = np.argsort(targets[at], kind="stable")
+            found = targets[at[order]]
+            first = np.ones(len(at), dtype=bool)
+            first[1:] = found[1:] != found[:-1]
+            at = np.sort(at[order[first]])  # where each new vertex is first reached
+            if not len(at):
+                break
+            layer = targets[at]
+            lifted[layer] = True
+            src, move = np.divmod(at, m)
+            stacks = _moved(law, stacks, parents[src], move, frag.moves)
+    unreached = np.flatnonzero(~lifted)
+    keys = frag.law.keys(frag.rows[unreached]) if unreached.size else []
+    return LiftReport(total=len(frag), lifted=int(lifted.sum()), unreached=[k.hex() for k in keys])
 
+
+def _moved(law, stacks: tuple, parents: np.ndarray, move: np.ndarray, moves) -> tuple:
+    """The stacks of lift k = the lift at ``parents[k]`` moved by
+    ``moves[move[k]]``: one ``apply_move`` per move, on the parents it takes."""
+    taking = [np.flatnonzero(move == k) for k in range(len(moves))]
+    parts = [apply_move(law, tuple(s[..., parents[i]] for s in stacks), mv) for i, mv in zip(taking, moves) if len(i)]
+    back = np.argsort(np.concatenate(taking))
+    return tuple(
+        _bounded(np.concatenate([np.asarray(p[e]) for p in parts], axis=-1)[..., back]) for e in range(len(stacks))
+    )
+
+
+def _vertex_of(frag: GraphFragment, state: State) -> int | None:
+    """The vertex of a tuple, found among the fragment's rows; None if none."""
+    from . import layers  # loaded with every fragment
+
+    if isinstance(frag.law, layers._Interned):
+        row = [frag.law.ids.get(g, -1) for g in state]
+    else:
+        row = frag.law.row(state)
+        if not all(-(2**31) <= x < 2**31 for x in row):  # rows are int32
+            return None
+    hit = np.flatnonzero((frag.rows == np.array(row, dtype=np.int32)).all(axis=1))
+    return int(hit[0]) if hit.size else None
+
+
+def _vertex_stacks(frag: GraphFragment, vertices: np.ndarray) -> list:
+    """The codomain stacks of fragment vertices, read from their rows:
+    coordinates, or the ids of the elements an interned law keeps."""
+    from . import layers
+
+    rows = frag.rows[vertices]
+    if isinstance(frag.law, layers._Interned):
+        return [_stack(frag.group, [frag.law.elements[i] for i in col]) for col in rows.T.tolist()]
+    return list(rows.reshape(len(rows), frag.n, frag.group.width).transpose(1, 2, 0))

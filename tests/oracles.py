@@ -1,16 +1,19 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
 ``apply_move``, the key encoding, a fragment's decoded keys and tuples, the
-forest's edge rule and report record, and the error types."""
+forest's edge rule and report record, ``covering.push`` and the covering
+reports, and the error types."""
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
 
 from nielsen import explore, forest
+from nielsen.covering import _HOM_SAMPLE, _HOM_SEED, LiftReport, StarReport, push
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
 from nielsen.groups import Group, IntVectorGroup, State, lattice_is_full
@@ -342,6 +345,69 @@ def homomorphism_failure_by_pairs(rule: str, domain: Group, codomain: Group, fn)
             if fn(domain.mul(a, b)) != codomain.mul(fn(a), fn(b)):
                 return f"rule {rule} is not a homomorphism at {a!r}, {b!r}"
     return None
+
+
+def homomorphism_failure_by_samples(rule: str, domain: Group, codomain: Group, fn) -> str | None:
+    """The message ``Epimorphism`` must raise when ``fn`` breaks the law on
+    an infinite domain: 1000 pairs a, b of ``random_element`` draws from one
+    seeded stream, each pair tried as it is drawn; None when all hold."""
+    rng = random.Random(_HOM_SEED)
+    for _ in range(_HOM_SAMPLE):
+        a, b = domain.random_element(rng, 12), domain.random_element(rng, 12)
+        if fn(domain.mul(a, b)) != codomain.mul(fn(a), fn(b)):
+            return f"rule {rule} is not a homomorphism at {a!r}, {b!r}"
+    return None
+
+
+def star_bijection_reference(epi, n: int, tuples: list) -> StarReport:
+    """What ``verify_star_bijection`` must report on the given tuples: each
+    tuple pushed, then every move applied on both sides, one ``apply_move``
+    per tuple, move and side; the first tuple ``push`` or a move refuses
+    raises."""
+    moves = move_set(n)
+    report = StarReport(checked=len(tuples), moves=len(moves))
+    for t in tuples:
+        image = push(epi, t)
+        for mv in moves:
+            lhs = tuple(epi.apply(g) for g in apply_move(epi.domain, t, mv))
+            rhs = apply_move(epi.codomain, image, mv)
+            if lhs != rhs:
+                report.violations.append({"tuple": repr(t), "move": mv.text()})
+    return report
+
+
+def lift_reference(epi, frag: GraphFragment, seed_tuple: State) -> LiftReport:
+    """What ``verify_surjectivity_on_fragment`` must report: a BFS one vertex
+    at a time from push(seed) through the fragment's tuple index, each
+    vertex lifted by one ``apply_move`` from the first vertex (in queue
+    order, then move order) that reaches it, and every lift pushed and
+    compared with the fragment's tuple."""
+    if frag.group != epi.codomain:
+        raise UsageError("fragment group does not match the epimorphism codomain")
+    seed_tuple = tuple(epi.domain.check_element(g) for g in seed_tuple)
+    if len(seed_tuple) != frag.n:
+        raise UsageError("seed tuple length does not match the fragment")
+    start = frag.index.get(push(epi, seed_tuple))
+    lifts: dict[int, State] = {}
+    unreached = []
+    if start is not None:
+        lifts[start] = seed_tuple
+        queue = [start]
+        darts, expanded = frag.darts.tolist(), frag.expanded.tolist()
+        for v in queue:
+            if not expanded[v]:
+                continue
+            for k, w in enumerate(darts[v]):
+                if w not in lifts:
+                    lifts[w] = apply_move(epi.domain, lifts[v], frag.moves[k])
+                    queue.append(w)
+    for v in range(len(frag)):
+        if v in lifts:
+            if tuple(epi.apply(g) for g in lifts[v]) != frag.states[v]:
+                raise VerificationError("lifted tuple does not push onto its fragment vertex")
+        else:
+            unreached.append(frag.keys[v].hex())
+    return LiftReport(total=len(frag), lifted=len(lifts), unreached=unreached)
 
 
 def first_generating_tuple(group: Group) -> State:

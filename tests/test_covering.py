@@ -1,9 +1,12 @@
 """Covering kit: rule catalogue, star commutation, path lifting, walk bounds."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from nielsen import covering
 from nielsen.amenability import closed_walks
 from nielsen.covering import (
     Epimorphism,
@@ -35,7 +38,13 @@ from nielsen.groups import (
 from nielsen.moves import eval_word, move_set
 
 from conftest import cyclic_table, dihedral_table, quaternion_table, seeded
-from oracles import homomorphism_failure_by_pairs, sample_generating_tuple
+from oracles import (
+    homomorphism_failure_by_pairs,
+    homomorphism_failure_by_samples,
+    lift_reference,
+    sample_generating_tuple,
+    star_bijection_reference,
+)
 
 
 def test_push_examples():
@@ -393,3 +402,202 @@ def test_other_generators_draw_one_candidate_at_a_time(kind, group, n):
 def test_abelianize_needs_the_heisenberg_group_itself():
     with pytest.raises(UsageError):
         abelianization(BurnsideB23())
+
+
+# -- the stack checks against their one-at-a-time references ----------------
+
+S3 = FiniteCayley(dihedral_table(3), 0)  # rotations at even indices
+STAR_RULES = {
+    "identity-Z": (identity_epi(Integers()), 2),
+    "identity-F2": (identity_epi(FreeGroup(2)), 2),
+    "identity-Q8": (identity_epi(FiniteCayley(quaternion_table(), 0)), 2),
+    "project-Z3": (projection(FreeAbelian(3), 2), 3),
+    "mod-Z": (mod_reduction(Integers(), 5), 2),
+    "mod-Z2": (mod_reduction(FreeAbelian(2), 4), 2),
+    "reflection": (reflection_bit(), 2),
+    "abelianize": (abelianization(), 2),
+    "quotient-S3": (finite_quotient(S3, [0, 2, 4]), 2),
+}
+
+# generating tuples with entries past 2^31 (past 2^63 for some): object stacks
+BIG = 2**31
+WIDE_TUPLES = {
+    "identity-Z": [(BIG, BIG + 1), (-BIG, 1), (2**70, 1), (2, 3)],
+    "project-Z3": [((1, 2**40, 0), (0, 1, 2**35), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))],
+    "mod-Z": [(BIG, BIG + 1), (2**64, 2**64 + 1)],
+    # the second: sums of two entries past 2^63, which int64 stacks would wrap
+    "mod-Z2": [((2**32 + 1, 2**32), (2**32, 2**32 - 1)), ((2**62 + 1, 2**62), (2**62, 2**62 - 1)),
+               ((1, 2**40), (0, 1))],
+    "reflection": [((2**40, 1), (2**40 + 1, 1)), ((1, 0), (-(2**50), 1))],
+    "abelianize": [((1, 2**40, 2**62), (0, 1, -(2**45))), ((1, 0, 0), (0, 1, 0))],
+}
+
+
+def _break(epi: Epimorphism) -> Epimorphism:
+    """The rule, on elements and on stacks, with an image coordinate 1 sent
+    to 0 (coordinate 0 of a vector kind) and a table index flipped in its
+    last bit: no longer a homomorphism."""
+    fn = epi._fn
+    if isinstance(epi.codomain, (FreeAbelian, FiniteAbelianExp)):
+        epi._fn = lambda g: (lambda y: (y[0] - (y[0] == 1), *y[1:]))(fn(g))
+    elif isinstance(epi.codomain, FiniteCayley):
+        epi._fn = lambda g: fn(g) ^ 1
+    else:
+        epi._fn = lambda g: (lambda y: y - (y == 1))(fn(g))
+    return epi
+
+
+def _star(check, epi, n, **kw):
+    """The report of a star check, or the error it raised."""
+    try:
+        rep = check(epi, n, **kw)
+    except (UsageError, VerificationError) as e:
+        return type(e), str(e)
+    return rep.to_json(), rep.violations
+
+
+@pytest.mark.parametrize("name", STAR_RULES)
+def test_star_check_matches_the_reference(name):
+    epi, n = STAR_RULES[name]
+    for seed in range(3):
+        tuples = random_generating_tuples(epi.domain, n, seeded(seed), 40)
+        expected = _star(star_bijection_reference, epi, n, tuples=tuples)
+        assert expected[0]["checked"] == 40 and not expected[1]
+        assert _star(verify_star_bijection, epi, n, samples=40, seed=seed) == expected
+        assert _star(verify_star_bijection, epi, n, tuples=tuples) == expected
+    tuples = WIDE_TUPLES.get(name, [])
+    assert _star(verify_star_bijection, epi, n, tuples=tuples) == _star(star_bijection_reference, epi, n, tuples=tuples)
+
+
+@pytest.mark.parametrize("name", [k for k in STAR_RULES if k != "identity-F2"])
+def test_star_check_lists_the_violations_of_the_reference(name):
+    epi, n = STAR_RULES[name]
+    broken = _break(epimorphism_from_json(epi.to_json()))
+    seen = set()
+    for seed in range(4):
+        tuples = random_generating_tuples(epi.domain, n, seeded(seed), 30) + WIDE_TUPLES.get(name, [])
+        expected = _star(star_bijection_reference, broken, n, tuples=tuples)
+        assert _star(verify_star_bijection, broken, n, tuples=tuples) == expected
+        seen.add(expected[0] if expected[0] is VerificationError else bool(expected[1]))
+    assert seen & {VerificationError, True}  # the broken rule was caught
+
+
+def test_star_check_raises_the_first_refusal_of_the_reference():
+    epi, n = STAR_RULES["identity-Z"]
+    good = [(2, 3), (5, -7)]
+    for bad in ([(2, 4)], [("x", 1)], [(True, 1)], [(1,)], [()], [(2, 3, 4)], [(1, 0), (3, 4, 6)]):
+        for tuples in (bad + good, good + bad, good + bad + [(4, 6)], good + [(2, 4)] + bad):
+            expected = _star(star_bijection_reference, epi, n, tuples=tuples)
+            assert _star(verify_star_bijection, epi, n, tuples=tuples) == expected
+    # an image that does not generate, after a domain tuple that does not
+    broken = _break(epimorphism_from_json(epi.to_json()))
+    for tuples in ([(1, 2), (2, 4)], [(2, 4), (1, 2)], [(3, 5), (1, 2)]):
+        expected = _star(star_bijection_reference, broken, n, tuples=tuples)
+        assert expected[0] in (UsageError, VerificationError)
+        assert _star(verify_star_bijection, broken, n, tuples=tuples) == expected
+
+
+def _lift(check, epi, frag, seed_tuple):
+    try:
+        rep = check(epi, frag, seed_tuple)
+    except (UsageError, VerificationError) as e:
+        return type(e), str(e)
+    return rep.total, rep.lifted, rep.unreached
+
+
+LIFT_CASES = {
+    "root": (projection(FreeAbelian(2), 1), ball(Integers(), (1, 1), 6), ((1, 0), (1, 1))),
+    "not-root": (projection(FreeAbelian(2), 1), ball(Integers(), (1, 1), 6), ((3, 1), (2, 1))),
+    "outside": (projection(FreeAbelian(2), 1), ball(Integers(), (1, 1), 4), ((40, 1), (39, 1))),
+    "window": (projection(FreeAbelian(2), 1), ball(Integers(), (1, 1), 8, window=5), ((2, 1), (1, 1))),
+    "past-guard": (projection(FreeAbelian(2), 1), ball(Integers(), (BIG, BIG + 1), 4), ((BIG, 1), (BIG + 1, 1))),
+    "abelianize": (abelianization(), ball(FreeAbelian(2), ((1, 0), (0, 1)), 4), ((1, 0, 2**40), (0, 1, 0))),
+    "free": (identity_epi(FreeGroup(2)), ball(FreeGroup(2), ((1, 2), (2,)), 3), ((1, 2), (2,))),
+    "quotient": (finite_quotient(S3, [0, 2, 4]), ball(FiniteCayley(cyclic_table(2), 0), (1, 0), 3), (1, 2)),
+    "mod-wide": (mod_reduction(FreeAbelian(2), 5), ball(FiniteAbelianExp(5, 2), ((1, 0), (0, 1)), 3),
+                 ((1, 5 * 2**60), (0, 1))),
+    "mod-n3": (mod_reduction(Integers(), 5), ball(FiniteAbelianExp(5, 1), ((1,), (0,), (0,)), 3), (1, 5, 10)),
+}
+
+
+@pytest.mark.parametrize("name", LIFT_CASES)
+def test_lift_matches_the_reference(name):
+    epi, frag, seed_tuple = LIFT_CASES[name]
+    expected = _lift(lift_reference, epi, frag, seed_tuple)
+    assert _lift(verify_surjectivity_on_fragment, epi, frag, seed_tuple) == expected
+    if name == "outside":
+        assert expected[1] == 0 and len(expected[2]) == len(frag)
+    elif name != "window":
+        assert expected[1] == expected[0] > 1
+
+
+@pytest.mark.parametrize("name", ["root", "not-root", "window", "abelianize", "past-guard", "mod-wide"])
+def test_lift_lifts_the_tuples_of_the_reference(name):
+    # the rule counts the domain elements it pushes: each lifted vertex's
+    # entries once, so another parent for some vertex shows as another count
+    epi, frag, seed_tuple = LIFT_CASES[name]
+    fn = epi._fn
+    counts = {}
+    for check in (lift_reference, verify_surjectivity_on_fragment):
+        pushed = counts[check] = Counter()
+
+        def counting(g):
+            pushed.update(zip(*g.tolist()) if isinstance(g, np.ndarray) else [g])
+            return fn(g)
+
+        epi._fn = counting
+        try:
+            check(epi, frag, seed_tuple)
+        finally:
+            epi._fn = fn
+    assert counts[verify_surjectivity_on_fragment] == counts[lift_reference]
+
+
+def test_lift_refuses_a_vertex_that_pushes_wrong_as_the_reference_does():
+    # one domain element, (3, 1), now pushes onto 4: the lifts through it no
+    # longer push onto their vertices, while the seed still does
+    pi = projection(FreeAbelian(2), 1)
+    pi._fn = lambda g: g[0] + ((g[0] == 3) & (g[1] == 1))
+    frag = ball(Integers(), (1, 1), 5)
+    expected = _lift(lift_reference, pi, frag, ((1, 0), (1, 1)))
+    assert expected == (VerificationError, "lifted tuple does not push onto its fragment vertex")
+    assert _lift(verify_surjectivity_on_fragment, pi, frag, ((1, 0), (1, 1))) == expected
+
+
+@pytest.mark.parametrize("group", [Integers(), FreeAbelian(1), FreeAbelian(2), FreeAbelian(3), Heisenberg()],
+                         ids=lambda g: repr(g.spec_json()))
+def test_law_check_draws_are_those_of_random_element(group, monkeypatch):
+    ref = random.Random(covering._HOM_SEED)
+    expected = [group.random_element(ref, 12) for _ in range(2 * covering._HOM_SAMPLE)]
+    monkeypatch.setattr(group, "random_element", lambda rng, size: pytest.fail("drawn one at a time"))
+    rng = random.Random(covering._HOM_SEED)
+    stack = covering._random_stack(group, rng, 2 * covering._HOM_SAMPLE, 12)
+    assert covering._elements(group, stack) == expected
+    assert rng.getrandbits(64) == ref.getrandbits(64)  # left where the draws one by one leave it
+
+
+@pytest.mark.parametrize("domain", [FreeAbelian(3), Heisenberg()], ids=lambda g: g.kind)
+def test_law_check_names_the_one_broken_pair(domain):
+    rng = random.Random(covering._HOM_SEED)
+    draws = [domain.random_element(rng, 12) for _ in range(2 * covering._HOM_SAMPLE)]
+    pairs = list(zip(draws[0::2], draws[1::2]))
+    products = [domain.mul(a, b) for a, b in pairs]
+    # a late pair whose product is no other pair's product and no drawn element
+    k = next(k for k in range(700, len(pairs)) if products.count(products[k]) == 1 and products[k] not in draws
+             and products[k] not in domain.standard_generators())
+    s = products[k]
+    # the first two coordinates, except one more at s: broken at pair k alone
+    fn = lambda g: (g[0], g[1] + ((g[0] == s[0]) & (g[1] == s[1]) & (g[2] == s[2])))
+    expected = f"rule map is not a homomorphism at {pairs[k][0]!r}, {pairs[k][1]!r}"
+    assert homomorphism_failure_by_samples("map", domain, FreeAbelian(2), fn) == expected
+    assert _law_outcome(domain, FreeAbelian(2), fn) == expected
+
+
+def test_law_check_on_drawn_elements_names_the_first_broken_pair():
+    # the infinite dihedral group draws two widths, so its pairs are drawn by
+    # random_element; the reflection bit flipped at (5, 0) breaks many pairs
+    domain, codomain = InfiniteDihedral(), FiniteAbelianExp(2, 1)
+    fn = lambda g: (g[1] ^ ((g[0] == 5) & (g[1] == 0)),)
+    expected = homomorphism_failure_by_samples("map", domain, codomain, fn)
+    assert expected is not None and _law_outcome(domain, codomain, fn) == expected
+    assert _law_outcome(domain, codomain, lambda g: (g[1],)) is None

@@ -4,6 +4,7 @@ import hashlib
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -177,8 +178,12 @@ def test_verify_forest_component_count():
     rep = verify_forest(3, 6)
     # patterns: 8 with no zeros plus 3 * 4 with one zero
     assert rep.components_checked == 20
-    assert rep.root_degrees["+++"] == 3
-    assert rep.root_degrees["++"] if False else True
+    signs = ["".join(p) for p in product("+-", repeat=2)]
+    no_zero = [s + t for s in signs for t in "+-"]
+    one_zero = [s[:i] + "0" + s[i:] for i in range(3) for s in signs]
+    assert len(set(no_zero)) == 8 and len(set(one_zero)) == 12
+    assert {p: rep.root_degrees[p] for p in no_zero} == dict.fromkeys(no_zero, 3)
+    assert {p: rep.root_degrees[p] for p in one_zero} == dict.fromkeys(one_zero, 2)
 
 
 def test_verify_forest_rejects_bad_input():
