@@ -466,15 +466,17 @@ def _elements_valid(group: Group, tuples: list[State]) -> bool:
     return True
 
 
-def _pushed(epi: Epimorphism, tuples: list[State], n: int) -> tuple[tuple, tuple]:
+def _pushed(epi: Epimorphism, tuples: list[State], n: int, sampled: bool) -> tuple[tuple, tuple]:
     """The stacks of the tuples' first n entries and of their images.
 
     Every tuple must pass ``push`` and hold the n entries the moves read.
-    Tuples of one length, at least n, are checked on stacks. Otherwise, or
-    when a check fails there, ``push`` and the moves run on each tuple in
-    turn, so the first tuple they refuse raises what they raise."""
+    Tuples of one length, at least n, are checked on stacks; ``check_element``
+    runs on their entries unless they were ``sampled``, since the sampler
+    builds its entries from in-range draws. Otherwise, or when a check fails
+    there, ``push`` and the moves run on each tuple in turn, so the first
+    tuple they refuse raises what they raise."""
     lengths = set(map(len, tuples))
-    if len(lengths) == 1 and min(lengths) >= n and _elements_valid(epi.domain, tuples):
+    if len(lengths) == 1 and min(lengths) >= n and (sampled or _elements_valid(epi.domain, tuples)):
         dom = [_stack(epi.domain, list(col)) for col in zip(*tuples)]
         img = [_image(epi, s) for s in dom]
         if _generating(epi.domain, dom).all() and _generating(epi.codomain, img).all():
@@ -504,7 +506,8 @@ def verify_star_bijection(
     pushed stacks. Violations are listed in (sample, move) order.
     """
     moves = move_set(n)
-    if tuples is None:
+    sampled = tuples is None
+    if sampled:
         if samples < 0:
             raise UsageError(f"samples must be >= 0, got {samples}")
         if samples * len(moves) > DEFAULT_VERTEX_CAP:  # every sample is held, and checked at every move
@@ -514,7 +517,7 @@ def verify_star_bijection(
     dom_law, cod_law = _law(epi.domain), _law(epi.codomain)
     for at in range(0, len(tuples), _STAR_CHUNK):
         part = tuples[at : at + _STAR_CHUNK]
-        dom, img = _pushed(epi, part, n)
+        dom, img = _pushed(epi, part, n, sampled)
         bad = np.zeros((len(moves), len(part)), dtype=bool)
         for k, mv in enumerate(moves):
             for a, b in zip(apply_move(dom_law, dom, mv), apply_move(cod_law, img, mv)):

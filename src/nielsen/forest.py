@@ -24,7 +24,10 @@ rules keep exactly one of them:
   share (i, j), so the source never has to break ties.
 
 The kept edges therefore form a parent map: each non-root vertex has exactly
-one parent (``parent_edge``), and the root has none.
+one parent (``parent_edge``), and the root has none. The rule is stated once,
+on arrays of image rows (``_keepers``, ``_image_parents``): ``verify_forest``
+and ``component_dot_lines`` apply it to a window's rows, the per-vertex
+functions to one-row arrays; ``tests/oracles.py`` states it on one tuple.
 
 Since every in-edge source of an in-window target is itself in-window, all
 decisions here are exact, never approximations; in particular the forest
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 import numpy as np
 
@@ -46,8 +49,10 @@ from .moves import Move, R
 
 Reason = str  # 'kept' | 'dup_of_12' | 'dup_of_21' | 'lex_loser' | 'none'
 
-# bound on the tuples one window scan (verify_forest, component_dot) enumerates
+# bound on the tuples one window scan (verify_forest, component_dot_lines) enumerates
 STATE_CAP = 2_000_000
+# flat window positions that one block of component_dot_lines holds
+_ROWS = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -142,31 +147,48 @@ class ForestEdge:
     reason: Reason
 
 
-def _step(x: tuple[int, ...], i: int, j: int, sign: int) -> tuple[int, ...]:
-    """x with x_i <- x_i + sign * x_j (1-based i, j)."""
-    return x[: i - 1] + (x[i - 1] + sign * x[j - 1],) + x[i:]
+def _stepped(rows: np.ndarray, i: int, j: int) -> np.ndarray:
+    """A copy of the (N, n) image rows with x_i <- x_i + x_j (1-based i, j)."""
+    out = rows.copy()
+    out[:, i - 1] += rows[:, j - 1]
+    return out
 
 
-def _keeper(spec: ForestSpec, z_img: tuple[int, ...]) -> tuple[int, int] | None:
-    """The one in-edge of an image vertex that the rules keep, or None at a
-    root: a distinguished edge unless the pair's coordinates tie, else the
-    lexicographically largest in-edge. ``_keepers`` restates this rule on
-    arrays; test_array_keeper_matches_scalar_keeper ties the two together."""
+def _keepers(spec: ForestSpec, rows: np.ndarray) -> np.ndarray:
+    """The one in-edge the rules keep at every row of an (N, n) image array,
+    as an index into ``spec.pairs``, or -1 at a root: the distinguished
+    pair's larger side where its coordinates differ, else the last pair with
+    z_i > z_j. ``tests/oracles.py`` states this rule on one tuple."""
+    pairs = spec.pairs
     i1, j1 = spec.distinguished_pair()
-    if z_img[i1 - 1] != z_img[j1 - 1]:
-        return (i1, j1) if z_img[i1 - 1] > z_img[j1 - 1] else (j1, i1)
-    return max(((i, j) for i, j in spec.pairs if z_img[i - 1] > z_img[j - 1]), default=None)
+    gap = rows[:, i1 - 1] - rows[:, j1 - 1]
+    keep = np.where(gap > 0, pairs.index((i1, j1)), pairs.index((j1, i1))).astype(np.int32)
+    tie = np.flatnonzero(gap == 0)
+    tied, best = rows[tie], np.full(len(tie), -1, dtype=np.int32)
+    for p, (i, j) in enumerate(pairs):
+        best[tied[:, i - 1] > tied[:, j - 1]] = p
+    keep[tie] = best
+    return keep
 
 
-def _kept_pairs(spec: ForestSpec, x_img: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Image pairs (i, j) whose out-edge x_i <- x_i + x_j at x_img is kept."""
-    return [(i, j) for i, j in spec.pairs if _keeper(spec, _step(x_img, i, j, 1)) == (i, j)]
+def _image_parents(spec: ForestSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parent of every row: (parent rows, ``_keepers``); a row with no
+    kept in-edge is its own parent."""
+    keep = _keepers(spec, rows)
+    ij = np.array(spec.pairs, dtype=np.intp) - 1
+    has = np.flatnonzero(keep >= 0)
+    parents = rows.copy()
+    parents[has, ij[keep[has], 0]] -= rows[has, ij[keep[has], 1]]
+    return parents, keep
 
 
-def _image_of(spec: ForestSpec, state: tuple[int, ...]) -> tuple[int, ...]:
+def _image_row(spec: ForestSpec, state: tuple[int, ...]) -> np.ndarray:
+    """The positive image of a real vertex as a one-row array: int64, or
+    object once an entry reaches 2^62, where one step could leave int64."""
     if not spec.contains(state):
         raise UsageError(f"{state!r} is not a vertex of component {spec.pattern()}")
-    return spec.to_image(state)
+    x = spec.to_image(state)
+    return np.array([x], dtype=np.int64 if max(x) < 1 << 62 else object)
 
 
 def edge_status(spec: ForestSpec, source: tuple[int, ...], i: int, j: int) -> ForestEdge:
@@ -177,7 +199,7 @@ def edge_status(spec: ForestSpec, source: tuple[int, ...], i: int, j: int) -> Fo
     """
     if not (1 <= i <= spec.n and 1 <= j <= spec.n) or i == j:
         raise UsageError(f"edge indices ({i},{j}) invalid for n={spec.n}")
-    x = _image_of(spec, source)
+    x = _image_row(spec, source)
     if j in spec.zero:
         # x_i <- x_i + 0 fixes the tuple: a loop, structurally excluded
         return ForestEdge(source, i, j, False, "none")
@@ -185,36 +207,23 @@ def edge_status(spec: ForestSpec, source: tuple[int, ...], i: int, j: int) -> Fo
         raise UsageError(
             f"edge ({i},{j}) leaves component {spec.pattern()}: endpoints lie in different components"
         )
-    keep = _keeper(spec, _step(x, i, j, 1))
-    if keep == (i, j):
-        return ForestEdge(source, i, j, True, "kept")
+    keep = spec.pairs[_keepers(spec, _stepped(x, i, j))[0]]  # a target is never the root
     i1, j1 = spec.distinguished_pair()
-    if keep == (i1, j1):
-        return ForestEdge(source, i, j, False, "dup_of_12")
-    if keep == (j1, i1):
-        return ForestEdge(source, i, j, False, "dup_of_21")
-    return ForestEdge(source, i, j, False, "lex_loser")
-
-
-def _image_parent(spec: ForestSpec, z_img: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int]] | None:
-    keep = _keeper(spec, z_img)
-    if keep is None:
-        return None
-    return _step(z_img, *keep, -1), keep
+    reason = "kept" if keep == (i, j) else {(i1, j1): "dup_of_12", (j1, i1): "dup_of_21"}.get(keep, "lex_loser")
+    return ForestEdge(source, i, j, reason == "kept", reason)
 
 
 def parent_edge(spec: ForestSpec, state: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int]] | None:
     """Kept in-edge of a real vertex: (parent real tuple, image (i, j)); None at the root."""
-    hit = _image_parent(spec, _image_of(spec, state))
-    if hit is None:
-        return None
-    src, pair = hit
-    return spec.from_image(src), pair
+    parents, keep = _image_parents(spec, _image_row(spec, state))
+    return None if keep[0] < 0 else (spec.from_image(tuple(parents[0].tolist())), spec.pairs[keep[0]])
 
 
 def kept_out_edges(spec: ForestSpec, state: tuple[int, ...]) -> list[ForestEdge]:
     """All kept forest edges out of a real vertex (targets may exceed the window)."""
-    return [ForestEdge(state, i, j, True, "kept") for i, j in _kept_pairs(spec, _image_of(spec, state))]
+    x = _image_row(spec, state)
+    keep = _keepers(spec, np.concatenate([_stepped(x, i, j) for i, j in spec.pairs]))
+    return [ForestEdge(state, i, j, True, "kept") for p, (i, j) in enumerate(spec.pairs) if keep[p] == p]
 
 
 @dataclass
@@ -239,39 +248,17 @@ def _zero_sets(n: int):
         yield from (frozenset(c) for c in combinations(coords, size))
 
 
-def _window(spec: ForestSpec):
-    """The component's window vertices (real coordinates) in increasing tuple order."""
-    w = spec.window
-    ranges = [range(-w, 0) if k in spec.neg else (0,) if k in spec.zero else range(1, w + 1)
-              for k in range(1, spec.n + 1)]
-    return (x for x in iproduct(*ranges) if math.gcd(*x) == 1)
-
-
-def _keepers(spec: ForestSpec, rows: np.ndarray) -> np.ndarray:
-    """``_keeper`` on every row of an (N, n) image array, as an index into
-    ``spec.pairs``, or -1 at a root: the distinguished pair's larger side
-    where its coordinates differ, else the last pair with z_i > z_j."""
-    pairs = spec.pairs
-    i1, j1 = spec.distinguished_pair()
-    gap = rows[:, i1 - 1] - rows[:, j1 - 1]
-    keep = np.where(gap > 0, pairs.index((i1, j1)), pairs.index((j1, i1))).astype(np.int32)
-    tie = np.flatnonzero(gap == 0)
-    tied, best = rows[tie], np.full(len(tie), -1, dtype=np.int32)
-    for p, (i, j) in enumerate(pairs):
-        best[tied[:, i - 1] > tied[:, j - 1]] = p
-    keep[tie] = best
-    return keep
-
-
-def _image_parents(spec: ForestSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_image_parent`` on every row: (parent rows, ``_keepers``); a row
-    with no kept in-edge is its own parent."""
-    keep = _keepers(spec, rows)
-    ij = np.array(spec.pairs, dtype=np.intp) - 1
-    has = np.flatnonzero(keep >= 0)
-    parents = rows.copy()
-    parents[has, ij[keep[has], 0]] -= rows[has, ij[keep[has], 1]]
-    return parents, keep
+def _grid_blocks(low: np.ndarray, sizes: tuple[int, ...], block: int):
+    """The gcd-1 rows ``low + d`` over the digit rows d < ``sizes`` in increasing
+    order, as int32 arrays (callers cap the grid), one per ``block`` positions."""
+    size = math.prod(sizes)
+    for start in range(0, size, block):
+        rest = np.arange(start, min(start + block, size), dtype=np.int32)
+        rows = np.empty((len(rest), len(sizes)), dtype=np.int32)
+        for k in reversed(range(len(sizes))):  # the last coordinate varies fastest
+            rest, rows[:, k] = np.divmod(rest, sizes[k])
+        rows += low
+        yield rows[np.gcd.reduce(rows, axis=1) == 1]
 
 
 def verify_forest(n: int, window: int) -> ForestReport:
@@ -292,9 +279,8 @@ def verify_forest(n: int, window: int) -> ForestReport:
     parent map, so an undirected cycle of kept edges is a directed parent
     cycle: with the root its own parent, (a) holds iff ceil(log2 V)
     squarings of the parent indices send every row to the root. (c) scans
-    [-w, w]^n in blocks of consecutive first coordinates, about 2^16 tuples
-    each, so memory stays bounded. A failed check names the first offending
-    vertex in (zero set, tuple) order.
+    [-w, w]^n in blocks of 2^16 tuples, so memory stays bounded. A failed
+    check names the first offending vertex in (zero set, tuple) order.
     """
     if n not in (2, 3):
         raise UsageError("verify_forest supports n in {2, 3}")
@@ -331,9 +317,7 @@ def verify_forest(n: int, window: int) -> ForestReport:
 
         degree = np.zeros(len(rows), dtype=np.int32)
         for p, (i, j) in enumerate(spec.pairs):
-            stepped = rows.copy()
-            stepped[:, i - 1] += rows[:, j - 1]
-            degree += _keepers(spec, stepped) == p
+            degree += _keepers(spec, _stepped(rows, i, j)) == p
         per_zero_root_degree[zero] = int(degree[0])
         interior.append(int(degree[1:].min()) + 1)  # window >= 2 holds a non-root
         vertices_checked += len(rows)
@@ -343,16 +327,10 @@ def verify_forest(n: int, window: int) -> ForestReport:
             up = up[up]
         acyclic &= bool((up == 0).all())
 
-    # coverage over real tuples in the window, a block of first coordinates at a time
+    # coverage over real tuples in the window, a block at a time
     coverage_ok = True
-    side = 2 * window + 1
-    tail = np.indices((side,) * (n - 1), dtype=np.int32).reshape(n - 1, -1).T - window
-    step = max(1, (1 << 16) // len(tail))
     present = np.zeros(3**n, dtype=bool)  # by sign code: base 3, digit k the sign of x_k plus 1
-    for lo in range(-window, window + 1, step):
-        heads = np.arange(lo, min(lo + step, window + 1), dtype=np.int32)
-        x = np.column_stack((np.repeat(heads, len(tail)), np.tile(tail, (len(heads), 1))))
-        x = x[np.gcd.reduce(x, axis=1) == 1]
+    for x in _grid_blocks(np.full(n, -window), (2 * window + 1,) * n, 1 << 16):
         excluded = (x == 0).sum(axis=1) > n - 2  # component_of gives None
         if (excluded != (np.abs(x).sum(axis=1) == 1)).any():
             coverage_ok = False
@@ -384,30 +362,50 @@ def component_dot_lines(spec: ForestSpec):
     The edges drawn are the parent edges of the window's non-root vertices:
     a parent has no larger coordinates, so it is in the window too. The cap
     is checked before the iterator is returned. The window is then walked
-    twice in increasing order, once for the nodes and once for the edges
-    kept out of each vertex, so no vertex is held.
+    twice in increasing order, ``_ROWS`` flat positions at a time: once for
+    the nodes, and once for the kept out-edges, one ``_keepers`` call on
+    a block's rows stepped by every pair, in (vertex, lexicographic pair)
+    order. Lines are joined from one text per coordinate value, so no more
+    than a block is held.
     """
     from . import __version__
+    from .serialize import _join_rows  # imported here, so that ``import nielsen`` does not compile it
 
-    states = spec.window ** len(spec.free)
+    w, pairs = spec.window, spec.pairs
+    states = w ** len(spec.free)
     if states > STATE_CAP:
         raise ResourceCapError(f"window scan of {count_text(states)} states exceeds cap {STATE_CAP}")
-    labels = {(i, j): spec.ambient_move(i, j).text() for i, j in spec.pairs}
-    root = spec.root()
+    texts = np.array([str(x) for x in range(-w, w + 1)], dtype=object)  # of value x at x + w
+    labels = np.array([f'" [label="{spec.ambient_move(i, j).text()}"];\n' for i, j in pairs], dtype=object)
+    ij, at = np.array(pairs, dtype=np.intp) - 1, np.arange(len(pairs))
+    signs = np.array(spec.root(), dtype=np.int32)
+
+    def joined(rows: np.ndarray, sep: str) -> list:
+        """The parts of each row's coordinate texts joined by ``sep``."""
+        parts = [sep] * (2 * spec.n - 1)
+        parts[::2] = texts[(rows + w).T]
+        return parts
+
+    low = np.where(signs < 0, -w, signs)  # the window's ranges: -w..-1 on neg, 0 on zero, 1..w elsewhere
+    sizes = tuple(1 if k in spec.zero else w for k in range(1, spec.n + 1))
 
     def lines():
         yield "graph forest_component {\n"
         yield f"  // pattern: {spec.pattern()}, window: {spec.window}, n: {spec.n}\n"
         yield f"  // tool: nielsen {__version__}\n"
-        for v in _window(spec):
-            extra = ", peripheries=2" if v == root else ""
-            yield f'  "{",".join(map(str, v))}" [label="{v}"{extra}];\n'
-        for v in _window(spec):
-            x, src = spec.to_image(v), ",".join(map(str, v))
-            for (i, j), label in labels.items():  # lexicographic
-                z = _step(x, i, j, 1)
-                if z[i - 1] <= spec.window and _keeper(spec, z) == (i, j):
-                    yield f'  "{src}" -- "{",".join(map(str, spec.from_image(z)))}" [label="{label}"];\n'
+        for rows in _grid_blocks(low, sizes, _ROWS):
+            ends = np.full(len(rows), ')"];\n', dtype=object)
+            ends[(rows == signs).all(axis=1)] = ')", peripheries=2];\n'
+            yield from _join_rows(['  "', *joined(rows, ","), '" [label="(', *joined(rows, ", "), ends])
+        for rows in _grid_blocks(low, sizes, _ROWS):
+            img = np.abs(rows)  # the positive image: the neg coordinates negated
+            z = np.stack([_stepped(img, i, j) for i, j in pairs])  # (pair, row, coordinate)
+            keep = _keepers(spec, z.reshape(-1, spec.n)).reshape(len(pairs), -1)
+            kept = (z[at, :, ij[:, 0]] <= w) & (keep == at[:, None])
+            v, p = np.nonzero(kept.T)  # in (vertex, lexicographic pair) order
+            targets = rows[v]
+            targets[np.arange(len(v)), ij[p, 0]] += signs[ij[p, 0]] * img[v, ij[p, 1]]
+            yield from _join_rows(['  "', *joined(rows[v], ","), '" -- "', *joined(targets, ","), labels[p]])
         yield "}\n"
 
     return lines()

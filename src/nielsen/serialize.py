@@ -6,10 +6,12 @@ its label. A vertex's key and tuple texts are joins of those pieces, and a
 dart is a per-move prefix followed by its target's key. Lines are made a
 block of ``_BLOCK`` at a time, a column of pieces at a time.
 
-The import regrows the fragment from its root and the tuples it expands. A
-file that is exactly the text the writer makes for the regrown fragment is
-accepted on that comparison; any other file is parsed line by line, and the
-parsed checks accept it or name its first fault.
+The import regrows the fragment and accepts a file that is exactly the text
+the writer makes for it. An export of a whole ball is regrown from its first
+and last line alone: the root, and the radius from the last depth. Any other
+file is regrown from its root and the tuples it expands, read from every
+line's tuple text; a file that is not then the writer's text is parsed line
+by line, and the parsed checks accept it or name its first fault.
 """
 
 from __future__ import annotations
@@ -113,14 +115,56 @@ def jsonl_lines(frag: GraphFragment):
 
 
 def read_jsonl(group: Group, n: int, text: str) -> GraphFragment:
-    """``explore.fragment_from_jsonl``: the canonical text on its lines, any
-    other text on its parsed checks."""
-    frag = _canonical_import(group, n, text)
+    """``explore.fragment_from_jsonl``: the export of a ball on its first and
+    last line, other canonical text on its lines, any other text on its
+    parsed checks."""
+    frag = _ball_import(group, n, text)
+    if frag is None:
+        frag = _canonical_import(group, n, text)
     if frag is None:
         frag = _parsed_import(group, n, text)
     frag.radius = int(frag.depths[-1])  # the deepest vertex is the last
     frag.truncated_at = None
     return frag
+
+
+def _ball_import(group: Group, n: int, text: str) -> GraphFragment | None:
+    """The ball of the file's root, out to its last depth, when ``text`` is
+    exactly its ``to_jsonl``, else None.
+
+    The root is the tuple of line 1. The radius is the depth of the last
+    line, plus one when that line is expanded, as in a ball that holds its
+    whole component. A ball's export has one line per vertex, so the BFS is
+    capped at the file's line count, whatever depth the last line claims.
+    """
+    if not text.endswith("\n"):
+        return None
+    try:
+        head = json.loads(text[: text.index("\n")])
+        tail = json.loads(text[text.rfind("\n", 0, -1) + 1 :])
+        depth, entries = tail["depth"], head["tuple"]
+        if not (type(depth) is int and depth >= 0 and isinstance(entries, list) and len(entries) == n):
+            return None
+        root = tuple(group.element_from_json(e) for e in entries)
+        if not group.is_generating(root):
+            return None
+        frag = GraphFragment(group=group, n=n, moves=move_set(n), root=root,
+                             radius=depth + (tail["adj"] is not None), window=None)
+        _grow(frag, text.count("\n"))
+    except (ValueError, TypeError, KeyError, RecursionError, UsageError, ResourceCapError):
+        return None  # JSONDecodeError is a ValueError
+    return frag if _is_text_of(frag, text) else None
+
+
+def _is_text_of(frag: GraphFragment, text: str) -> bool:
+    """Is ``text`` exactly the JSONL lines of ``frag``? Stops at the first
+    line that differs."""
+    at = 0
+    for line in jsonl_lines(frag):
+        if not text.startswith(line, at):
+            return False
+        at += len(line)
+    return at == len(text)
 
 
 def _regrow(group: Group, n: int, root: State, radius: int, marked: dict, lines: int) -> GraphFragment:
@@ -167,14 +211,9 @@ def _canonical_import(group: Group, n: int, text: str) -> GraphFragment | None:
         if not group.is_generating(states[0]):
             return None
         frag = _regrow(group, n, states[0], len(states), dict(zip(states, marks)), len(states))
-    except (ValueError, TypeError, UsageError, ResourceCapError):  # JSONDecodeError is a ValueError
-        return None
-    at = 0
-    for line in jsonl_lines(frag):
-        if not text.startswith(line, at):
-            return None
-        at += len(line)
-    return frag if at == len(text) else None
+    except (ValueError, TypeError, RecursionError, UsageError, ResourceCapError):
+        return None  # JSONDecodeError is a ValueError
+    return frag if _is_text_of(frag, text) else None
 
 
 def _parsed_import(group: Group, n: int, text: str) -> GraphFragment:
@@ -191,7 +230,7 @@ def _parsed_import(group: Group, n: int, text: str) -> GraphFragment:
             row = json.loads(line)
         except json.JSONDecodeError as e:
             raise UsageError(f"fragment line {lineno} is not JSON: {e}") from None
-        except ValueError as e:  # an int of more digits than Python converts
+        except (ValueError, RecursionError) as e:  # an int of more digits than Python converts, or deep nesting
             raise UsageError(f"fragment line {lineno}: {e}") from None
         if not (isinstance(row, dict) and {"v", "tuple", "depth", "adj"} <= row.keys()):
             raise UsageError(f"fragment line {lineno} must be an object with fields v, tuple, depth, adj")

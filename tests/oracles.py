@@ -1,7 +1,7 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
 ``apply_move``, the key encoding, a fragment's decoded keys and tuples, the
-forest's edge rule and report record, ``covering.push`` and the covering
+forest's component spec and report record, ``covering.push`` and the covering
 reports, and the error types."""
 
 import json
@@ -539,6 +539,62 @@ def tame_reference(group: Group, d: int) -> dict:
     }
 
 
+def _step(x: tuple[int, ...], i: int, j: int, sign: int) -> tuple[int, ...]:
+    """x with x_i <- x_i + sign * x_j (1-based i, j)."""
+    return x[: i - 1] + (x[i - 1] + sign * x[j - 1],) + x[i:]
+
+
+def _keeper(spec: forest.ForestSpec, z_img: tuple[int, ...]) -> tuple[int, int] | None:
+    """The one in-edge of an image vertex that the forest's rules keep, or
+    None at a root: a distinguished edge unless the pair's coordinates tie,
+    else the lexicographically largest in-edge. The reference for
+    ``forest._keepers``."""
+    i1, j1 = spec.distinguished_pair()
+    if z_img[i1 - 1] != z_img[j1 - 1]:
+        return (i1, j1) if z_img[i1 - 1] > z_img[j1 - 1] else (j1, i1)
+    return max(((i, j) for i, j in spec.pairs if z_img[i - 1] > z_img[j - 1]), default=None)
+
+
+def _kept_pairs(spec: forest.ForestSpec, x_img: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Image pairs (i, j) whose out-edge x_i <- x_i + x_j at x_img is kept."""
+    return [(i, j) for i, j in spec.pairs if _keeper(spec, _step(x_img, i, j, 1)) == (i, j)]
+
+
+def _image_parent(spec: forest.ForestSpec, z_img: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int]] | None:
+    """(parent, kept pair) of an image vertex, or None at a root: the
+    reference for ``forest._image_parents``."""
+    keep = _keeper(spec, z_img)
+    if keep is None:
+        return None
+    return _step(z_img, *keep, -1), keep
+
+
+def component_dot_by_vertices(spec: forest.ForestSpec) -> str:
+    """``forest.component_dot``: the window walked one tuple at a time in
+    increasing order, for the nodes and then for the kept edges out of each
+    vertex, pairs in lexicographic order."""
+    from nielsen import __version__
+
+    w = spec.window
+    ranges = [range(-w, 0) if k in spec.neg else (0,) if k in spec.zero else range(1, w + 1)
+              for k in range(1, spec.n + 1)]
+    window = [x for x in iproduct(*ranges) if math.gcd(*x) == 1]
+    out = ["graph forest_component {\n", f"  // pattern: {spec.pattern()}, window: {w}, n: {spec.n}\n",
+           f"  // tool: nielsen {__version__}\n"]
+    for v in window:
+        extra = ", peripheries=2" if v == spec.root() else ""
+        out.append(f'  "{",".join(map(str, v))}" [label="{v}"{extra}];\n')
+    for v in window:
+        x, src = spec.to_image(v), ",".join(map(str, v))
+        for i, j in spec.pairs:
+            z = _step(x, i, j, 1)
+            if z[i - 1] <= w and _keeper(spec, z) == (i, j):
+                label = spec.ambient_move(i, j).text()
+                out.append(f'  "{src}" -- "{",".join(map(str, spec.from_image(z)))}" [label="{label}"];\n')
+    out.append("}\n")
+    return "".join(out)
+
+
 def _forest_image_vertices(n: int, zero: frozenset[int], window: int):
     free = [k for k in range(1, n + 1) if k not in zero]
     for vals in iproduct(range(1, window + 1), repeat=len(free)):
@@ -554,10 +610,10 @@ def verify_forest_reference(n: int, window: int, state_cap: int = 2_000_000) -> 
     """``forest.verify_forest`` with a union-find for acyclicity and a second
     pass that walks every descent chain to the root.
 
-    The edge rule is read through the module (``forest._image_parent`` and
-    ``forest._keeper``). ``verify_forest`` reads the same rules as whole
-    arrays (``forest._image_parents`` and ``forest._keepers``), so a test
-    that changes the parent rule patches both ``forest._image_parent`` and
+    The edge rule is the scalar one of this module, read through its globals
+    (``_image_parent`` and ``_keeper``). ``verify_forest`` reads the array
+    rules (``forest._image_parents`` and ``forest._keepers``), so a test that
+    changes the parent rule patches both ``oracles._image_parent`` and
     ``forest._image_parents`` with the same substitution.
     """
     if n not in (2, 3):
@@ -590,7 +646,7 @@ def verify_forest_reference(n: int, window: int, state_cap: int = 2_000_000) -> 
             return v
 
         for v in verts:
-            hit = forest._image_parent(spec, v)
+            hit = _image_parent(spec, v)
             if v == root:
                 if hit is not None:
                     raise VerificationError(f"root {root} of {spec.pattern()} has a kept in-edge")
@@ -613,7 +669,7 @@ def verify_forest_reference(n: int, window: int, state_cap: int = 2_000_000) -> 
                     if i not in zero
                     for j in range(1, n + 1)
                     if j != i and j not in zero
-                    and forest._keeper(spec, v[: i - 1] + (v[i - 1] + v[j - 1],) + v[i:]) == (i, j)
+                    and _keeper(spec, v[: i - 1] + (v[i - 1] + v[j - 1],) + v[i:]) == (i, j)
                 )
                 deg = kept_out + 1
                 if min_interior is None or deg < min_interior:
@@ -624,7 +680,7 @@ def verify_forest_reference(n: int, window: int, state_cap: int = 2_000_000) -> 
             if i not in zero
             for j in range(1, n + 1)
             if j != i and j not in zero
-            and forest._keeper(spec, root[: i - 1] + (root[i - 1] + root[j - 1],) + root[i:]) == (i, j)
+            and _keeper(spec, root[: i - 1] + (root[i - 1] + root[j - 1],) + root[i:]) == (i, j)
         )
         per_zero_root_degree[zero] = root_out
 
@@ -638,7 +694,7 @@ def verify_forest_reference(n: int, window: int, state_cap: int = 2_000_000) -> 
             cur = v
             while cur not in settled:
                 chain.append(cur)
-                hit = forest._image_parent(spec, cur)
+                hit = _image_parent(spec, cur)
                 if hit is None or sum(hit[0]) >= sum(cur):
                     descent_ok = False
                     break

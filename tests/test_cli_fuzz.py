@@ -4,17 +4,24 @@ Every subcommand runs in-process on small or mutated group, root,
 epimorphism and size arguments: wrong JSON types, unknown kinds and fields,
 zero and negative sizes, and sizes far past the caps. Whatever the input,
 the exit code is 0, 2 or 3, stdout is empty unless it is 0, and stderr
-holds no traceback.
+holds no traceback. ``cover verify --fragment`` also runs on mutated
+exports of a small N_2(Z) ball: a bounded file is read or refused, never
+capped.
 """
 
 import contextlib
 import io
 import json
+import os
+import tempfile
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nielsen.cli import main
+from nielsen.explore import ball
+from nielsen.groups import Integers
 
 HUGE = "HUGE"  # stands for an int of 5,000 digits in the JSON text
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -169,5 +176,51 @@ def test_every_subcommand_keeps_the_exit_code_contract(argv):
     code, out, err = _run(argv)
     event(f"{argv[0]} exit {code}")
     assert code in (0, 2, 3), (code, err)
+    assert code == 0 or out == ""
+    assert "Traceback" not in err
+
+
+BALL = ball(Integers(), (1, 1), 3).to_jsonl()  # 72 lines
+
+
+@st.composite
+def _fragment_bytes(draw, kind):
+    """The export of BALL, cut, with a bit flipped, a line repeated, a huge
+    last depth, a first line that is not JSON or no trailing newline."""
+    lines = BALL.splitlines(keepends=True)
+    if kind == "cut":
+        return BALL.encode()[: draw(st.integers(0, len(BALL) - 1))]
+    if kind == "flip":
+        data = bytearray(BALL.encode())
+        data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+        return bytes(data)
+    if kind == "repeat":
+        k = draw(st.integers(0, len(lines) - 1))
+        lines.insert(k, lines[k])
+    elif kind == "deep":
+        depth = draw(st.sampled_from(["4", "1000000", "1" + "0" * 30, "1" * 5000]))
+        lines[-1] = lines[-1].replace('"depth": 3,', f'"depth": {depth},')
+    elif kind == "not_json":
+        # the last two nest past the JSON parser's recursion limit, the line or its tuple
+        deep = ["[" * 100_000, '{"adj": null, "depth": 0, "tuple": ' + "[" * 100_000 + ', "v": "00"}']
+        lines[0] = draw(st.sampled_from([*RAW_JSON, *deep])) + "\n"
+    else:
+        lines[-1] = lines[-1].rstrip("\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("kind", ["cut", "flip", "repeat", "deep", "not_json", "no_newline"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cover_verify_reads_or_refuses_a_mutated_fragment(kind, data):
+    blob = data.draw(_fragment_bytes(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ball.jsonl")
+        with open(path, "wb") as f:
+            f.write(blob)
+        code, out, err = _run(["cover", "verify", "--pi", _text(EPIS[2]), "--n", "2", "--samples", "1",
+                               "--fragment", path, "--seed-tuple", "[[1,0],[1,1]]"])
+    event(f"exit {code}")
+    assert code in (0, 2), (code, err)
     assert code == 0 or out == ""
     assert "Traceback" not in err

@@ -352,6 +352,14 @@ def test_a_run_of_samples_matches_the_reference_sampler(group, n):
         assert ours == _draws(sample_generating_tuple, group, n, seeded(seed), 9)
 
 
+@pytest.mark.parametrize(("group", "n"), SAMPLER_CASES, ids=lambda c: c if isinstance(c, int) else c.kind)
+def test_sampled_entries_pass_check_element(group, n):
+    # the star check runs no check_element on the sampler's own tuples
+    for seed in range(8):
+        for t in random_generating_tuples(group, n, seeded(seed), 9):
+            assert tuple(map(group.check_element, t)) == t
+
+
 @pytest.mark.parametrize(
     ("group", "n", "size"),
     [(FreeAbelian(2), 2, 12), (Heisenberg(), 2, 12), (Integers(), 2, 12), (Integers(), 1, 0),

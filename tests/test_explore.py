@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -475,6 +476,71 @@ def test_jsonl_import_checks_depths():
     rows.append({"v": state_key(Z, stray).hex(), "tuple": list(stray), "depth": 3, "adj": None})
     with pytest.raises(UsageError, match=f"vertex {rows[-1]['v']} has depth 3 but is unreachable"):
         fragment_from_jsonl(Z, 2, "".join(json.dumps(row) + "\n" for row in rows))
+
+
+BALL_IMPORT_CASES = {
+    "Z_n2": (Z, (1, 1), 5),
+    "Z_n3": (Z, (1, 0, 0), 3),
+    "Z2": (FreeAbelian(2), ((1, 0), (0, 1)), 3),
+    "Heisenberg": (Heisenberg(), ((1, 0, 0), (0, 1, 0)), 3),
+    "F2": (FreeGroup(2), ((1,), (2,)), 3),
+    "D_inf": (D, ((0, 1), (1, 1)), 5),
+    # the whole component: the last line is expanded, and the ball is grown one layer past it
+    "Z5_exhausted": (FiniteCayley(cyclic_table(5), 0), (1, 0), 12),
+    "D4": (FiniteCayley(dihedral_table(4), 0), None, 2),
+}
+
+
+@pytest.mark.parametrize("name", BALL_IMPORT_CASES)
+def test_ball_import_matches_the_canonical_import(name):
+    group, root, radius = BALL_IMPORT_CASES[name]
+    root = group.standard_generators() if root is None else root
+    text = ball(group, root, radius).to_jsonl()
+    fast, slow = serialize._ball_import(group, len(root), text), serialize._canonical_import(group, len(root), text)
+    assert fast is not None and slow is not None
+    for field in ("rows", "darts", "depths", "expanded"):
+        assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
+    assert fragment_from_jsonl(group, len(root), text).to_jsonl() == text
+
+
+def test_ball_import_falls_back_on_a_late_line():
+    lines = ball(Z, (1, 1), 4).to_jsonl().splitlines(keepends=True)
+    last = json.loads(lines[-1])
+    lines[-1] = lines[-1].replace(f'"v": "{last["v"]}"', f'"v": "ff{last["v"]}"')
+    text = "".join(lines)
+    assert serialize._ball_import(Z, 2, text) is None
+    with pytest.raises(UsageError, match=f"^fragment vertex ff{last['v']} does not encode its tuple$"):
+        fragment_from_jsonl(Z, 2, text)
+    assert _outcome(fragment_from_jsonl, Z, 2, text) == _outcome(fragment_from_jsonl_by_records, Z, 2, text)
+
+
+def test_ball_import_leaves_a_windowed_export_to_the_canonical_import():
+    frag = ball(Z, (1, 1), 8, window=5)
+    text = frag.to_jsonl()
+    assert len(frag) == 160 and frag.truncated
+    assert serialize._ball_import(Z, 2, text) is None
+    assert serialize._canonical_import(Z, 2, text) is not None
+    assert content_equal(fragment_from_jsonl(Z, 2, text), frag)
+
+
+def _deep_tail(lines: list[str]) -> str:
+    """The root's line and a depth-1 line that claims depth 10^6."""
+    return lines[0] + lines[1].replace('"depth": 1,', '"depth": 1000000,')
+
+
+@pytest.mark.parametrize("cut", [
+    lambda lines: "".join(lines)[:-1],  # no trailing newline
+    lambda lines: lines[0],  # one line
+    _deep_tail,
+], ids=["no_newline", "one_line", "deep_tail"])
+def test_ball_import_falls_back_without_a_long_bfs(cut):
+    text = cut(ball(Z, (1, 1), 6).to_jsonl().splitlines(keepends=True))
+    start = time.perf_counter()
+    assert serialize._ball_import(Z, 2, text) is None
+    got = _outcome(fragment_from_jsonl, Z, 2, text)
+    assert time.perf_counter() - start < 1.0
+    assert got == _outcome(fragment_from_jsonl_by_records, Z, 2, text)
+    assert got[0] != "ResourceCapError"
 
 
 def test_dot_output_shape():

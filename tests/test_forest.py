@@ -25,6 +25,7 @@ from nielsen.forest import (
 )
 from nielsen.groups import Integers
 from nielsen.moves import R
+import oracles
 from oracles import verify_forest_reference
 
 
@@ -238,6 +239,37 @@ def test_component_dot_lines_are_checked_then_streamed():
         component_dot_lines(pattern_spec("++", 10**8))
 
 
+@pytest.mark.parametrize("n,windows", [(2, (1, 2, 7, 40)), (3, (1, 5, 12)), (4, (1, 3))])
+def test_component_dot_matches_the_vertex_oracle(n, windows):
+    # n=2 at window 40 and n=3 at window 12 read more than one block of rows
+    assert 40**2 > forest._ROWS and 12**3 > forest._ROWS
+    for pattern in ("".join(p) for p in product("+-0", repeat=n) if p.count("0") <= n - 2):
+        for window in windows:
+            spec = pattern_spec(pattern, window)
+            assert "".join(component_dot_lines(spec)) == oracles.component_dot_by_vertices(spec), (pattern, window)
+
+
+@pytest.mark.parametrize("pattern,state", [
+    ("++", (2**64 + 1, 2**63)),
+    ("-+", (-(2**62) - 1, 2**62)),  # entries from 2^62: object rows, as one step passes 2^63
+    ("++", (2**62 - 1, 2**62 - 2)),  # the largest int64 rows: a step reaches 2^63 - 3
+    ("+++", (2**62 + 1, 2**62 + 1, 2**62)),  # tied, and the step (3, 1) passes 2^63
+    ("+-+", (2**70, -(2**70 + 1), 3)),
+    ("0+-", (0, 3**45, -(2**64))),
+    ("+-0+", (5, -(2**80), 0, 2**80 + 3)),
+])
+def test_per_vertex_rules_match_the_scalar_oracle(pattern, state):
+    spec = pattern_spec(pattern, 1)
+    x = spec.to_image(state)
+    for i, j in spec.pairs:
+        want = oracles._keeper(spec, oracles._step(x, i, j, 1)) == (i, j)
+        assert edge_status(spec, state, i, j).in_forest == want, (i, j)
+    assert [(e.i, e.j) for e in kept_out_edges(spec, state)] == oracles._kept_pairs(spec, x)
+    src, pair = oracles._image_parent(spec, x)
+    assert parent_edge(spec, state) == (spec.from_image(src), pair)
+    assert parent_edge(spec, spec.root()) is None
+
+
 def test_component_dot_lines_hold_no_window():
     # the lines come from two ordered walks of the window; 25^3 vertices as
     # tuples, sorted, would take several MiB
@@ -354,7 +386,7 @@ def test_blocked_coverage_scan_matches_reference():
     ],
 )
 def test_verify_forest_on_patched_parents(monkeypatch, child, parent, acyclic):
-    real, real_rows = forest._image_parent, forest._image_parents
+    real, real_rows = oracles._image_parent, forest._image_parents
 
     def patched(spec, z):
         hit = real(spec, z)
@@ -365,7 +397,7 @@ def test_verify_forest_on_patched_parents(monkeypatch, child, parent, acyclic):
         parents[(rows == child).all(axis=1)] = parent
         return parents, keep
 
-    monkeypatch.setattr(forest, "_image_parent", patched)
+    monkeypatch.setattr(oracles, "_image_parent", patched)
     monkeypatch.setattr(forest, "_image_parents", patched_rows)
     rep = verify_forest(2, 5)
     assert rep.acyclic is acyclic and rep.descent_ok is False
@@ -406,13 +438,13 @@ def test_array_keeper_matches_scalar_keeper(n, zero):
     keep = forest._keepers(spec, rows)
     assert (keep == -1).any() and (keep >= 0).any()
     for row, k in zip(rows.tolist(), keep.tolist()):
-        assert forest._keeper(spec, tuple(row)) == (None if k < 0 else spec.pairs[k]), row
+        assert oracles._keeper(spec, tuple(row)) == (None if k < 0 else spec.pairs[k]), row
 
 
 def _patch_parent_rule(monkeypatch, case):
-    """Patch the scalar and the array parent rule together at one vertex of
-    N_2(Z)'s one zero set."""
-    real, real_rows = forest._image_parent, forest._image_parents
+    """Patch the scalar parent rule of the reference and the array rule of
+    ``verify_forest`` together at one vertex of N_2(Z)'s one zero set."""
+    real, real_rows = oracles._image_parent, forest._image_parents
     at = {"root": (1, 1), "orphan": (2, 1), "escape": (3, 2)}[case]
 
     def patched(spec, z):
@@ -434,7 +466,7 @@ def _patch_parent_rule(monkeypatch, case):
             parents[hit] = (spec.window + 1, 1)
         return parents, keep
 
-    monkeypatch.setattr(forest, "_image_parent", patched)
+    monkeypatch.setattr(oracles, "_image_parent", patched)
     monkeypatch.setattr(forest, "_image_parents", patched_rows)
 
 
