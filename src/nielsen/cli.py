@@ -41,12 +41,15 @@ a free group."""
 _WRITE_LINES = 256
 
 
-def _json_arg(text: str):
+def _json_arg(text: str, lists: bool = False):
     # argparse shows the text of an ArgumentTypeError, but not of a ValueError
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"invalid JSON: {e}") from None
+    if lists and not isinstance(obj, list):
+        raise argparse.ArgumentTypeError("must be a JSON list of elements")
+    return obj
 
 
 def _parse_root(group, obj, n: int | None):
@@ -139,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--fragment", default=None, help="codomain fragment (JSONL) to lift")
-    p.add_argument("--seed-tuple", type=_json_arg, default=None,
+    p.add_argument("--seed-tuple", type=functools.partial(_json_arg, lists=True), default=None,
                    help="generating tuple of the domain used as the lift seed")
 
     p = sub.add_parser("tame", help="component structure of N_d(G) for finite relatively free G")

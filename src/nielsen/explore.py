@@ -141,11 +141,11 @@ class GraphFragment:
         return "".join(self.jsonl_lines())
 
 
-def _grow(frag: GraphFragment, cap: int, only: dict | None = None) -> None:
+def _grow(frag: GraphFragment, cap: int, only=None) -> None:
     """Grow ``frag`` from its root by BFS out to its radius.
 
     A vertex at distance < radius is expanded when it lies in the window
-    and, if ``only`` is given, when ``only.get(tuple)`` holds; the least
+    and, if ``only`` is given, when that hook marks it; the least
     depth where one is not is ``truncated_at``. The vertices end in
     canonical order; more than ``cap`` of them is a ResourceCapError.
     """
@@ -199,12 +199,12 @@ def fragment_from_jsonl(group: Group, n: int, text: str) -> GraphFragment:
     """Read a fragment in the canonical form that ``to_jsonl`` writes.
 
     Only the root (the first line, which must generate the group) and which
-    tuples are expanded (their ``adj`` is a list) are taken as given: the
-    fragment is grown again by the BFS of ``ball``, and every line must
-    equal the record of its vertex. Any difference, or a malformed line, is
-    a UsageError. A file that is exactly the text ``to_jsonl`` writes for
-    the regrown fragment is accepted on that comparison alone; any other is
-    parsed line by line (``nielsen.serialize``).
+    vertices are expanded (line k's ``adj`` is a list for the vertex at
+    canonical position k) are taken as given: the fragment is grown again
+    by the BFS of ``ball``, and every line must equal the record of its
+    vertex. Any difference, or a malformed line, is a UsageError. A file
+    that is exactly the text ``to_jsonl`` writes is accepted on that
+    comparison alone; any other is parsed line by line (``nielsen.serialize``).
     """
     from . import serialize
 

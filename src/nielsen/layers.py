@@ -210,7 +210,7 @@ class _Interned:
         self.group = group
         self.elements, self.ids = [], {}  # the distinct elements by id; element -> id
         self.inverses = np.empty(0, dtype=np.int32)  # by id, as far as rows have needed them
-        self._measures, self._ranks, self._codes = [], None, None
+        self._measures, self._codes, self._ranks = [], [], np.empty(0, dtype=np.int64)  # by id, as far as asked
 
     def intern(self, g) -> int:
         i = self.ids.setdefault(g, len(self.elements))
@@ -248,9 +248,10 @@ class _Interned:
 
     def ranks(self, rows: np.ndarray) -> np.ndarray:
         """The rank of each id in the byte order of ``encode_element``,
-        sorted once the ball is complete."""
-        if self._ranks is None:
-            self._codes = codes = list(map(self.group.encode_element, self.elements))
+        sorted again when elements were interned since the last call."""
+        if len(self._ranks) < len(self.elements):
+            codes = self._codes
+            codes.extend(map(self.group.encode_element, self.elements[len(codes) :]))
             self._ranks = np.empty(len(codes), dtype=np.int64)
             self._ranks[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
         return self._ranks[rows]
@@ -338,7 +339,12 @@ def _canonical_order(law, rows: np.ndarray, depths: np.ndarray) -> np.ndarray:
     return np.argsort(words[:, 0]) if radix.key is None else np.lexsort(words.T[::-1])
 
 
-def grow(frag: GraphFragment, cap: int, only: dict | None) -> None:
+def by_state(marked: dict):
+    """The ``only`` hook that expands the rows whose tuples ``marked`` holds true."""
+    return lambda law, rows, first: np.array([bool(marked.get(s)) for s in law.states(rows)], dtype=bool)
+
+
+def grow(frag: GraphFragment, cap: int, only) -> None:
     """The BFS of ``explore._grow``.
 
     Fixed-width kinds grow on coordinates while every coordinate stays
@@ -356,10 +362,12 @@ def grow(frag: GraphFragment, cap: int, only: dict | None) -> None:
     _bfs(frag, _Interned(frag.group), cap, only)
 
 
-def _bfs(frag: GraphFragment, law, cap: int, only: dict | None) -> None:
+def _bfs(frag: GraphFragment, law, cap: int, only) -> None:
     """The layers of ``frag`` on the rows of one law. The vertices of a layer
     are numbered in the lexicographic order of their rows while the ball
-    grows, and put in canonical order once it is complete."""
+    grows, and put in canonical order once it is complete. ``only``, if
+    given, is called with the law, a layer's rows and the id of its first
+    vertex, and returns the mask of the rows that may be expanded."""
     n, m, window = frag.n, len(frag.moves), frag.window
     columns = _move_columns(frag.moves, n)
     layers = [np.array([law.row(frag.root)], dtype=np.int32)]  # rows by depth
@@ -376,20 +384,20 @@ def _bfs(frag: GraphFragment, law, cap: int, only: dict | None) -> None:
         if window is not None:
             mask &= law.measure(X, n) <= window
         if only is not None:
-            mask &= np.array([bool(only.get(s)) for s in law.states(X)], dtype=bool)
+            mask &= only(law, X, starts[depth])
         rows = np.flatnonzero(mask)
         if len(rows) < len(X):
             left_out[depth] = ~mask
             if truncated_at is None:
                 truncated_at = depth
+        if not len(rows):
+            break  # the layer stays unexpanded, as the vertices past the radius do
         dart_parts.append(np.full((len(X), m), -1, dtype=np.int32))
         expanded_parts.append(mask)
         out = left_out.pop(depth - 2, None)  # depth d - 2 leaves the lookup, but not its unexpanded vertices
         if out is not None:
             blocked = np.concatenate((blocked, layers[depth - 2][out]))
             blocked_ids = np.concatenate((blocked_ids, starts[depth - 2] + np.flatnonzero(out)))
-        if not len(rows):
-            break
         # a target at depth < d - 1 would have reached its source sooner,
         # unless that was left unexpanded
         prev = max(depth - 1, 0)

@@ -7,11 +7,11 @@ dart is a per-move prefix followed by its target's key. Lines are made a
 block of ``_BLOCK`` at a time, a column of pieces at a time.
 
 The import regrows the fragment and accepts a file that is exactly the text
-the writer makes for it. An export of a whole ball is regrown from its first
-and last line alone: the root, and the radius from the last depth. Any other
-file is regrown from its root and the tuples it expands, read from every
-line's tuple text; a file that is not then the writer's text is parsed line
-by line, and the parsed checks accept it or name its first fault.
+the writer makes for it. The fragment is fixed by its root, the tuple of
+line 1, and by which vertices it expands: the vertex at canonical position k
+when line k's ``adj`` is a list, read at the start of the line. A file that
+is not then the writer's text is parsed line by line, and the parsed checks
+accept it or name its first fault.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 
 import numpy as np
 
+from . import layers
 from .errors import ResourceCapError, UsageError
 from .explore import GraphFragment, _grow
 from .groups import Group, State
@@ -115,105 +116,61 @@ def jsonl_lines(frag: GraphFragment):
 
 
 def read_jsonl(group: Group, n: int, text: str) -> GraphFragment:
-    """``explore.fragment_from_jsonl``: the export of a ball on its first and
-    last line, other canonical text on its lines, any other text on its
-    parsed checks."""
-    frag = _ball_import(group, n, text)
-    if frag is None:
-        frag = _canonical_import(group, n, text)
-    if frag is None:
-        frag = _parsed_import(group, n, text)
+    """``explore.fragment_from_jsonl``: canonical text on its root and its
+    marks, any other text on its parsed checks."""
+    frag = _marked_import(group, n, text) or _parsed_import(group, n, text)  # a fragment holds its root
     frag.radius = int(frag.depths[-1])  # the deepest vertex is the last
     frag.truncated_at = None
     return frag
 
 
-def _ball_import(group: Group, n: int, text: str) -> GraphFragment | None:
-    """The ball of the file's root, out to its last depth, when ``text`` is
-    exactly its ``to_jsonl``, else None.
+def _marked_import(group: Group, n: int, text: str) -> GraphFragment | None:
+    """The fragment grown from the root of line 1 that expands the vertex at
+    canonical position k exactly when line k's ``adj`` is a list, when
+    ``text`` is exactly its JSONL, else None.
 
-    The root is the tuple of line 1. The radius is the depth of the last
-    line, plus one when that line is expanded, as in a ball that holds its
-    whole component. A ball's export has one line per vertex, so the BFS is
-    capped at the file's line count, whatever depth the last line claims.
+    The marks are read from the start of each line; no tuple but the root's
+    is parsed. A layer whose first vertex is ``first`` holds the positions
+    ``first:first + len(rows)`` once the ball is complete, so only a layer
+    whose marks are mixed needs its canonical order. A fragment has one line
+    per vertex, so the BFS is capped at the file's line count, and a misread
+    file cannot pass: the lines of the fragment grown from what was read
+    must equal the file, compared up to the first line that differs.
     """
     if not text.endswith("\n"):
         return None
+    find, starts, end = text.find, text.startswith, len(text)
+    marks, at = bytearray(), 0  # one 0/1 byte per line
+    while at < end:
+        marks.append(starts('{"adj": [', at))
+        at = find("\n", at) + 1
+    marks = np.frombuffer(marks, dtype=bool)
+
+    def only(law, rows: np.ndarray, first: int) -> np.ndarray:
+        part = marks[first : first + len(rows)]
+        if part.all() or not part.any():
+            return np.full(len(rows), part.all())
+        mask = np.empty(len(rows), dtype=bool)
+        mask[layers._canonical_order(law, rows, np.zeros(len(rows), dtype=np.int32))] = part
+        return mask
+
     try:
-        head = json.loads(text[: text.index("\n")])
-        tail = json.loads(text[text.rfind("\n", 0, -1) + 1 :])
-        depth, entries = tail["depth"], head["tuple"]
-        if not (type(depth) is int and depth >= 0 and isinstance(entries, list) and len(entries) == n):
+        entries = json.loads(text[: text.index("\n")])["tuple"]
+        if not (isinstance(entries, list) and len(entries) == n):
             return None
         root = tuple(group.element_from_json(e) for e in entries)
         if not group.is_generating(root):
             return None
-        frag = GraphFragment(group=group, n=n, moves=move_set(n), root=root,
-                             radius=depth + (tail["adj"] is not None), window=None)
-        _grow(frag, text.count("\n"))
+        frag = GraphFragment(group=group, n=n, moves=move_set(n), root=root, radius=len(marks), window=None)
+        _grow(frag, len(marks), only=only)
     except (ValueError, TypeError, KeyError, RecursionError, UsageError, ResourceCapError):
         return None  # JSONDecodeError is a ValueError
-    return frag if _is_text_of(frag, text) else None
-
-
-def _is_text_of(frag: GraphFragment, text: str) -> bool:
-    """Is ``text`` exactly the JSONL lines of ``frag``? Stops at the first
-    line that differs."""
     at = 0
     for line in jsonl_lines(frag):
-        if not text.startswith(line, at):
-            return False
+        if not starts(line, at):
+            return None
         at += len(line)
-    return at == len(text)
-
-
-def _regrow(group: Group, n: int, root: State, radius: int, marked: dict, lines: int) -> GraphFragment:
-    """The fragment grown from ``root`` that expands the tuples ``marked``
-    true, within ``radius``. Only tuples of the file are expanded, so the
-    BFS stays within a cap of one vertex per dart of its ``lines``."""
-    frag = GraphFragment(group=group, n=n, moves=move_set(n), root=root, radius=radius, window=None)
-    _grow(frag, 1 + lines * len(frag.moves), only=marked)
-    return frag
-
-
-def _canonical_import(group: Group, n: int, text: str) -> GraphFragment | None:
-    """The regrown fragment when ``text`` is exactly its ``to_jsonl``, else None.
-
-    The root and the expanded tuples are read from the ``"tuple"`` text of
-    each line and whether its ``"adj"`` is null. A misread file cannot pass:
-    the lines of the fragment grown from what was read must equal the file.
-    """
-    tuples, marks = [], []
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start)  # every line the writer makes ends in one
-        at, end = text.rfind(', "tuple": ', start, stop), text.rfind(', "v": "', start, stop)
-        if not start < at < end < stop:
-            return None
-        tuples.append(text[at + 11 : end])
-        marks.append(not text.startswith('{"adj": null', start))
-        start = stop + 1
-    elements: dict = {}  # each distinct entry is read once
-
-    def element(e):
-        key = tuple(e) if isinstance(e, list) else e
-        if key not in elements:
-            elements[key] = group.element_from_json(e)
-        return elements[key]
-
-    try:
-        rows = json.loads("[" + ",".join(tuples) + "]")
-        del tuples
-        if not marks or len(rows) != len(marks) or not all(isinstance(row, list) and len(row) == n for row in rows):
-            return None
-        states = [tuple(map(element, row)) for row in rows]
-        del rows, elements
-        if not group.is_generating(states[0]):
-            return None
-        frag = _regrow(group, n, states[0], len(states), dict(zip(states, marks)), len(states))
-    except (ValueError, TypeError, RecursionError, UsageError, ResourceCapError):
-        return None  # JSONDecodeError is a ValueError
-    return frag if _is_text_of(frag, text) else None
+    return frag if at == end else None
 
 
 def _parsed_import(group: Group, n: int, text: str) -> GraphFragment:
@@ -258,7 +215,8 @@ def _parsed_import(group: Group, n: int, text: str) -> GraphFragment:
     root = next(iter(marked))
     if not group.is_generating(root):
         raise UsageError(f"root tuple {root!r} does not generate the group")
-    frag = _regrow(group, n, root, 1 + max(row[2] for row in rows), marked, len(rows))
+    frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=1 + max(row[2] for row in rows), window=None)
+    _grow(frag, 1 + len(rows) * len(moves), only=layers.by_state(marked))
     keys, depths, expanded = frag.keys, frag.depths.tolist(), frag.expanded.tolist()
     for v, state in enumerate(frag.states):
         if state not in marked:

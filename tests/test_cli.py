@@ -337,6 +337,21 @@ def test_cover_lifts_a_compact_export(capsys, tmp_path):
     assert json.loads(out)["lifted"] == len(rows) and json.loads(out)["unreached"] == 0
 
 
+@pytest.mark.parametrize("seed_tuple", ["5", '"ab"', '{"a": [1, 0]}', "null", "true"])
+def test_cover_refuses_a_seed_tuple_that_is_not_a_list(capsys, tmp_path, seed_tuple):
+    from nielsen.explore import ball
+    from nielsen.groups import Integers
+
+    path = tmp_path / "z2.jsonl"
+    path.write_text(ball(Integers(), (1, 1), 2).to_jsonl())
+    with pytest.raises(SystemExit) as stop:
+        main(["cover", "verify", "--pi", '{"rule":"project","domain":{"kind":"FreeAbelian","d":2},"e":1}',
+              "--n", "2", "--samples", "5", "--fragment", str(path), "--seed-tuple", seed_tuple])
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    assert "argument --seed-tuple: must be a JSON list of elements" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("group", [
     '{"kind":"FiniteAbelianExp","m":2,"d":100000000000000000000}',
     '{"kind":"FreeAbelian","d":100000000000000000000}',

@@ -154,7 +154,9 @@ def _argv(draw):
                 *size("--n", ["2", "3"]), *size("--samples", ["1", "5"]), *size("--seed", [None], optional=True),
                 *draw(_pick([[]], [["--fragment", "missing.jsonl"]]))]
         if draw(st.booleans()):
-            argv += ["--seed-tuple", _text(draw(st.lists(st.sampled_from(ELEMENTS), max_size=3)))]
+            seed_tuple = st.one_of(st.lists(st.sampled_from(ELEMENTS), max_size=3), st.sampled_from(ELEMENTS),
+                                   st.dictionaries(st.sampled_from(["a", "b"]), st.sampled_from(ELEMENTS), max_size=2))
+            argv += ["--seed-tuple", _text(draw(seed_tuple))]
         return argv
     group, _ = draw(st.sampled_from(GROUPS))
     return [command, "--group", draw(_json_text(group)), *size("--d", ["1", "2"])]

@@ -310,10 +310,9 @@ def test_writers_match_the_record_oracle(name):
     assert all(line.endswith("\n") and line.count("\n") == 1 for line in frag.jsonl_lines())
     assert frag.to_dot() == dot_by_darts(frag)
     assert list(frag.dot_lines()) == frag.to_dot().splitlines(keepends=True)
-    # a canonical export is read on its tuple texts alone, to the fragment the parsed checks give
-    fast = serialize._canonical_import(group, len(root), text)
-    parsed = serialize._parsed_import(group, len(root), text)
-    assert fast is not None and content_equal(fast, parsed) and content_equal(fast, frag)
+    # a canonical export is read on its root and marks alone, to the fragment the parsed checks give
+    fast = serialize._marked_import(group, len(root), text)
+    assert _same_arrays(fast, serialize._parsed_import(group, len(root), text)) and content_equal(fast, frag)
 
 
 def _reordered(row: dict) -> dict:
@@ -333,7 +332,7 @@ def test_jsonl_import_accepts_other_serializations(name, dump):
     frag = ball(group, root, radius, **kwargs)
     text = frag.to_jsonl()
     other = "".join(dump(json.loads(line)) + "\n" for line in text.splitlines())
-    assert other != text and serialize._canonical_import(group, len(root), other) is None
+    assert other != text and serialize._marked_import(group, len(root), other) is None
     clone = fragment_from_jsonl(group, len(root), other)
     assert content_equal(clone, frag) and clone.to_jsonl() == text
 
@@ -491,15 +490,20 @@ BALL_IMPORT_CASES = {
 }
 
 
+def _same_arrays(fast, slow) -> bool:
+    """Did the marked import take the file, to the arrays of the parsed import?"""
+    return fast is not None and all(
+        np.array_equal(getattr(fast, field), getattr(slow, field)) for field in ("rows", "darts", "depths", "expanded")
+    )
+
+
 @pytest.mark.parametrize("name", BALL_IMPORT_CASES)
 def test_ball_import_matches_the_canonical_import(name):
     group, root, radius = BALL_IMPORT_CASES[name]
     root = group.standard_generators() if root is None else root
     text = ball(group, root, radius).to_jsonl()
-    fast, slow = serialize._ball_import(group, len(root), text), serialize._canonical_import(group, len(root), text)
-    assert fast is not None and slow is not None
-    for field in ("rows", "darts", "depths", "expanded"):
-        assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
+    assert _same_arrays(serialize._marked_import(group, len(root), text),
+                        serialize._parsed_import(group, len(root), text))
     assert fragment_from_jsonl(group, len(root), text).to_jsonl() == text
 
 
@@ -508,19 +512,36 @@ def test_ball_import_falls_back_on_a_late_line():
     last = json.loads(lines[-1])
     lines[-1] = lines[-1].replace(f'"v": "{last["v"]}"', f'"v": "ff{last["v"]}"')
     text = "".join(lines)
-    assert serialize._ball_import(Z, 2, text) is None
+    assert serialize._marked_import(Z, 2, text) is None
     with pytest.raises(UsageError, match=f"^fragment vertex ff{last['v']} does not encode its tuple$"):
         fragment_from_jsonl(Z, 2, text)
     assert _outcome(fragment_from_jsonl, Z, 2, text) == _outcome(fragment_from_jsonl_by_records, Z, 2, text)
 
 
-def test_ball_import_leaves_a_windowed_export_to_the_canonical_import():
-    frag = ball(Z, (1, 1), 8, window=5)
+WINDOWED_CASES = {
+    "Z": (Z, (1, 1), 8, 5),
+    "Z2": (FreeAbelian(2), ((1, 0), (0, 1)), 5, 3),
+    "D_inf": (D, ((0, 1), (1, 1)), 8, 4),
+    "Heisenberg": (Heisenberg(), ((1, 0, 0), (0, 1, 0)), 4, 2),
+    "F2": (FreeGroup(2), ((1,), (2,)), 5, 3),
+    "Z_past_guard": (Z, (2**40 + 1, 2**40), 4, 2**40 + 3),
+}
+
+
+@pytest.mark.parametrize("name", WINDOWED_CASES)
+def test_marked_import_takes_windowed_exports(name):
+    group, root, radius, window = WINDOWED_CASES[name]
+    frag = ball(group, root, radius, window=window)
     text = frag.to_jsonl()
-    assert len(frag) == 160 and frag.truncated
-    assert serialize._ball_import(Z, 2, text) is None
-    assert serialize._canonical_import(Z, 2, text) is not None
-    assert content_equal(fragment_from_jsonl(Z, 2, text), frag)
+    # some layer holds expanded and unexpanded vertices, so its marks need its canonical order
+    assert frag.truncated and any(0 < frag.expanded[frag.depths == d].sum() < (frag.depths == d).sum()
+                                  for d in range(radius))
+    assert type(frag.law).__name__ == ("_Interned" if name in ("F2", "Z_past_guard") else "_Coordinates")
+    fast = serialize._marked_import(group, len(root), text)
+    assert _same_arrays(fast, serialize._parsed_import(group, len(root), text))
+    assert content_equal(fast, fragment_from_jsonl_by_records(group, len(root), text)) and content_equal(fast, frag)
+    assert _outcome(fragment_from_jsonl, group, len(root), text) == _outcome(
+        fragment_from_jsonl_by_records, group, len(root), text)
 
 
 def _deep_tail(lines: list[str]) -> str:
@@ -536,7 +557,7 @@ def _deep_tail(lines: list[str]) -> str:
 def test_ball_import_falls_back_without_a_long_bfs(cut):
     text = cut(ball(Z, (1, 1), 6).to_jsonl().splitlines(keepends=True))
     start = time.perf_counter()
-    assert serialize._ball_import(Z, 2, text) is None
+    assert serialize._marked_import(Z, 2, text) is None
     got = _outcome(fragment_from_jsonl, Z, 2, text)
     assert time.perf_counter() - start < 1.0
     assert got == _outcome(fragment_from_jsonl_by_records, Z, 2, text)
