@@ -16,9 +16,10 @@ is one BFS, in ``nielsen.layers``, that keeps each vertex as an int32 row
 in one of two law forms: the coordinates of a fixed-width kind (``Integers``,
 every ``IntVectorGroup``, and ``FiniteCayley`` on its table indices), or
 interned element ids for ``FreeGroup`` and for balls whose ints reach that
-module's guard. Tuples and keys are decoded from the rows when asked for.
-The JSONL and DOT text of a fragment is written, and JSONL read, by
-``nielsen.serialize``, which only an export or an import compiles.
+module's guard. It numbers each layer canonically as it makes it, so every
+vertex id is final from birth. Tuples and keys are decoded from the rows
+when asked for. The JSONL and DOT text of a fragment is written, and JSONL
+read, by ``nielsen.serialize``, which only an export or an import compiles.
 """
 
 from __future__ import annotations

@@ -17,12 +17,13 @@ their column ranges, into int64 keys and looked up by ``searchsorted`` among
 the sorted keys of the vertices they can equal: depths d - 1 and d, and the
 vertices left unexpanded (a target at a smaller depth would have reached its
 source sooner). The targets not found, sorted and deduplicated, are the new
-layer, numbered in the order of their rows. Once the ball is complete, one
-sort by depth and by the ranks of the rows' values in the byte order of
-their encodings (``int_ranks``, or ``encode_element`` over the element list)
-puts every vertex in canonical order. Tuples and byte keys are decoded from
-the rows only when something prints or looks them up; an export formats
-each distinct value of the rows once (``texts``).
+layer. It is sorted by the ranks of its rows' values in the byte order of
+their encodings (``int_ranks``, or ``encode_element`` of its distinct
+elements) and numbered in that canonical order, so every vertex has its
+final id from the layer that makes it, and the ball is its layers end to
+end. Tuples and byte keys are decoded from the rows only when something
+prints or looks them up; an export formats each distinct value of the rows
+once (``texts``).
 """
 
 from __future__ import annotations
@@ -44,27 +45,24 @@ _GUARD = 2**30
 # targets sorted at once; a larger layer is expanded in chunks
 _CHUNK = 2**12
 # encode_int of |x| < 2^31 takes 1 to 4 payload bytes: the least magnitude
-# (x or ~x) of each longer size, the payload mask, the shift that leaves the
-# reversed payload, and the rank of the first int of each size
+# (x or ~x) of each longer size, the shift that leaves the reversed payload
+# of the reversed 4 bytes, and the rank of the first int of each size
 _SIZE_EDGES = np.array([1 << 7, 1 << 15, 1 << 23])
-_SIZE_MASK = np.array([0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF])
 _SIZE_SHIFT = np.array([24, 16, 8, 0], dtype=np.uint32)
 _RANK_BASE = np.cumsum([0, 1 << 8, 1 << 16, 1 << 24])
 
 
 def int_ranks(x: np.ndarray) -> np.ndarray:
-    """Rank of each int64 (|x| < 2^31) in the byte order of ``encode_int``.
+    """Rank of each int (|x| < 2^31) in the byte order of ``encode_int``.
 
     An encoding is the payload size, then the payload little end first, so
     (no encoding being a prefix of another) the order is by size, then by
     the payload read with its bytes reversed.
     """
-    size = np.searchsorted(_SIZE_EDGES, x ^ (x >> 63), side="right")  # bytes - 1; x ^ (x >> 63) is x or ~x
-    payload = _SIZE_MASK[size]
-    payload &= x
-    payload = payload.astype(np.uint32)
+    size = np.searchsorted(_SIZE_EDGES, x ^ (x >> 31), side="right")  # bytes - 1; x ^ (x >> 31) is x or ~x
+    payload = x.astype(np.uint32)
     payload.byteswap(inplace=True)
-    payload >>= _SIZE_SHIFT[size]
+    payload >>= _SIZE_SHIFT[size]  # the bytes past the payload go out at the right
     ranks = _RANK_BASE[size]
     ranks += payload
     return ranks
@@ -98,16 +96,19 @@ class _Radix:
     the product of the ranges would pass 2^63."""
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        self.bounds = lo.tolist(), hi.tolist()
+        bounds = lo.tolist(), hi.tolist()
         word, stride, of = 0, 1, []  # (word counted from the last, stride) of each column
-        for low, high in zip(*map(reversed, self.bounds)):
+        for low, high in zip(*map(reversed, bounds)):
             if stride * (high - low + 1) > 2**63:
                 word, stride = word + 1, 1
             of.append((word, stride))
             stride *= high - low + 1
-        self.of = [(word - t, st) for t, st in reversed(of)]
-        self.lo = np.array(self.bounds[0], dtype=np.int64)
-        self.strides = np.array([[st if t == k else 0 for k in range(word + 1)] for t, st in self.of], dtype=np.int64)
+        last, self.stride = np.array(of[::-1]).T
+        self.word = word - last  # the word of each column, counted from the first
+        self.lo = lo.astype(np.int64)
+        self.span = hi - self.lo + 1
+        self.strides = np.zeros((len(of), word + 1), dtype=np.int64)
+        self.strides[np.arange(len(of)), self.word] = self.stride
         # one word is its own key; more are one structured (sortable, comparable) key
         self.key = np.dtype([(f"w{t}", np.int64) for t in range(word + 1)]) if word else None
 
@@ -122,10 +123,9 @@ class _Radix:
         return words[:, 0] if self.key is None else words.view(self.key).ravel()
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
-        word, stride = np.array(self.of).T
-        rows = keys.view(np.int64).reshape(len(keys), self.strides.shape[1])[:, word]
-        rows //= stride
-        rows %= np.subtract(*self.bounds[::-1]) + 1
+        rows = keys.view(np.int64).reshape(len(keys), self.strides.shape[1])[:, self.word]
+        rows //= self.stride
+        rows %= self.span
         rows += self.lo
         return rows
 
@@ -176,8 +176,9 @@ class _Coordinates:
         cols = rows.reshape(len(rows), n, self.group.width)[:, :, list(self.group.unbounded)]
         return np.abs(cols).max(axis=(1, 2), initial=0)
 
-    def ranks(self, rows: np.ndarray) -> np.ndarray:
-        return int_ranks(rows.astype(np.int64))
+    def ranking(self, rows: np.ndarray):
+        """The rank function of parts of ``rows``: ``int_ranks``, the same for every layer."""
+        return int_ranks
 
     def keys(self, rows: np.ndarray) -> list[bytes]:
         encode = self.group.encode_element
@@ -210,7 +211,7 @@ class _Interned:
         self.group = group
         self.elements, self.ids = [], {}  # the distinct elements by id; element -> id
         self.inverses = np.empty(0, dtype=np.int32)  # by id, as far as rows have needed them
-        self._measures, self._codes, self._ranks = [], [], np.empty(0, dtype=np.int64)  # by id, as far as asked
+        self._measures, self._codes = [], []  # by id, as far as asked
 
     def intern(self, g) -> int:
         i = self.ids.setdefault(g, len(self.elements))
@@ -246,19 +247,23 @@ class _Interned:
         self._measures.extend(map(self.group.measure, self.elements[len(self._measures) :]))
         return np.array(self._measures)[rows].max(axis=1)
 
-    def ranks(self, rows: np.ndarray) -> np.ndarray:
-        """The rank of each id in the byte order of ``encode_element``,
-        sorted again when elements were interned since the last call."""
-        if len(self._ranks) < len(self.elements):
-            codes = self._codes
-            codes.extend(map(self.group.encode_element, self.elements[len(codes) :]))
-            self._ranks = np.empty(len(codes), dtype=np.int64)
-            self._ranks[sorted(range(len(codes)), key=codes.__getitem__)] = np.arange(len(codes))
-        return self._ranks[rows]
+    def _encoded(self) -> list[bytes]:
+        """The encoding of every id, made for the elements interned since the last call."""
+        codes = self._codes
+        codes.extend(map(self.group.encode_element, self.elements[len(codes) :]))
+        return codes
+
+    def ranking(self, rows: np.ndarray):
+        """The rank function of parts of ``rows``: the rank of each id among
+        the ids of ``rows`` in the byte order of ``encode_element``."""
+        ids, codes = _distinct(rows), self._encoded()
+        keys = [codes[i] for i in ids.tolist()]
+        ranks = np.empty(len(codes), dtype=np.int64)  # by id, set for the ids of rows
+        ranks[ids[sorted(range(len(keys)), key=keys.__getitem__)]] = np.arange(len(keys))
+        return ranks.__getitem__
 
     def keys(self, rows: np.ndarray) -> list[bytes]:
-        """The byte keys of rows, from the encodings made for the ranks."""
-        codes = self._codes
+        codes = self._encoded()
         return [b"".join(map(codes.__getitem__, r)) for r in rows.tolist()]
 
     def states(self, rows: np.ndarray) -> list[State]:
@@ -270,7 +275,8 @@ class _Interned:
         label of the element of each, and the template of an element."""
         ids = _distinct(rows)
         objs = [self.group.element_to_json(self.elements[i]) for i in ids.tolist()]
-        hexes = [self._codes[i].hex() for i in ids.tolist()]
+        codes = self._encoded()
+        hexes = [codes[i].hex() for i in ids.tolist()]
         return ids, hexes, list(map(json.dumps, objs)), list(map(str, objs)), "{}"
 
 
@@ -281,8 +287,9 @@ def _expand_layer(law, X: np.ndarray, columns, known: np.ndarray, known_ids: np.
     packed and looked up among the known rows; the law's targets are made
     again for that unless it keeps them (a lone chunk is always kept). The
     distinct targets not found are the new vertices, numbered from ``base``
-    in the lexicographic order of their rows. Returns the vertex id of every
-    target and the int32 rows of the new vertices.
+    in canonical order once the lookup's arrays are dropped. Returns the
+    vertex id of every target and the int32 rows of the new vertices, in
+    that order.
     """
     m = len(columns[2])
     step = max(1, _CHUNK // m)
@@ -311,31 +318,34 @@ def _expand_layer(law, X: np.ndarray, columns, known: np.ndarray, known_ids: np.
         ids[pos[hit]] = known_ids[at[hit]]
         missed.append(T[~hit])
         missed_at.append(pos[~hit])
+    del known, known_ids  # dropped before the missed targets and the new layer are sorted
     missed, missed_at = np.concatenate(missed), np.concatenate(missed_at)
     order = np.argsort(missed)
     missed = missed[order]
     first = _firsts(missed)
-    ids[missed_at[order]] = np.cumsum(first) + (base - 1)
-    return ids, radix.unpack(missed[first]).astype(np.int32)
+    fresh = radix.unpack(missed[first]).astype(np.int32)
+    at = missed_at[order]
+    del missed, missed_at, order
+    order = _canonical_order(law, fresh)
+    place = np.empty(len(fresh), dtype=np.int32)
+    place[order] = np.arange(base, base + len(fresh))
+    ids[at] = place[np.cumsum(first) - 1]  # by each missed target's place among the fresh rows
+    return ids, fresh[order]
 
 
-def _canonical_order(law, rows: np.ndarray, depths: np.ndarray) -> np.ndarray:
-    """The permutation that puts vertices in canonical order: by depth, then
-    by the ranks of their rows' values in the byte order of their encodings.
-    The rank rows are made ``_CHUNK`` values at a time, twice: first for
-    their ranges, then packed."""
-    per = max(1, _CHUNK // rows.shape[1])
-
-    def ranked(i: int) -> np.ndarray:
-        out = np.empty((len(depths[i : i + per]), 1 + rows.shape[1]), dtype=np.int64)
-        out[:, 0] = depths[i : i + per]
-        out[:, 1:] = law.ranks(rows[i : i + per])
-        return out
-
+def _canonical_order(law, rows: np.ndarray) -> np.ndarray:
+    """The permutation that puts one layer's rows in canonical order: by the
+    ranks of their values in the byte order of their encodings. A layer of
+    one ``_CHUNK`` of values is lexsorted on its rank rows. A larger one,
+    whose rank rows would outweigh its rows, has them made ``_CHUNK`` values
+    at a time, twice: first for their ranges, then packed into one key."""
+    ranks, per = law.ranking(rows), max(1, _CHUNK // rows.shape[1])
+    if len(rows) <= per:
+        return np.lexsort(ranks(rows).T[::-1])
     chunks = range(0, len(rows), per)
-    bounds = [(r.min(axis=0), r.max(axis=0)) for r in map(ranked, chunks)]
+    bounds = [(r.min(axis=0), r.max(axis=0)) for r in (ranks(rows[i : i + per]) for i in chunks)]
     radix = _Radix(np.min([lo for lo, _ in bounds], axis=0), np.max([hi for _, hi in bounds], axis=0))
-    words = np.concatenate([radix.words(ranked(i)) for i in chunks])
+    words = np.concatenate([radix.words(ranks(rows[i : i + per])) for i in chunks])
     return np.argsort(words[:, 0]) if radix.key is None else np.lexsort(words.T[::-1])
 
 
@@ -363,11 +373,11 @@ def grow(frag: GraphFragment, cap: int, only) -> None:
 
 
 def _bfs(frag: GraphFragment, law, cap: int, only) -> None:
-    """The layers of ``frag`` on the rows of one law. The vertices of a layer
-    are numbered in the lexicographic order of their rows while the ball
-    grows, and put in canonical order once it is complete. ``only``, if
-    given, is called with the law, a layer's rows and the id of its first
-    vertex, and returns the mask of the rows that may be expanded."""
+    """The layers of ``frag`` on the rows of one law. Each layer is numbered
+    in canonical order as it is made, so the fragment is its layers end to
+    end. ``only``, if given, is called with the law, a layer's rows and the
+    id of its first vertex, and returns the mask of the rows that may be
+    expanded."""
     n, m, window = frag.n, len(frag.moves), frag.window
     columns = _move_columns(frag.moves, n)
     layers = [np.array([law.row(frag.root)], dtype=np.int32)]  # rows by depth
@@ -418,22 +428,10 @@ def _bfs(frag: GraphFragment, law, cap: int, only) -> None:
         layers.append(fresh)
         starts.append(base)
     sizes = [len(x) for x in layers]
-    size, covered = sum(sizes), sum(map(len, expanded_parts))
+    left = sum(sizes) - sum(map(len, expanded_parts))  # the vertices of the layers past the last expanded one
     frag.depths = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    rows = np.concatenate(layers)
+    frag.rows, frag.law = np.concatenate(layers), law
     del layers
-    order = _canonical_order(law, rows, frag.depths)
-    frag.rows, frag.law = rows[order], law
-    del rows
-    frag.expanded = np.concatenate([*expanded_parts, np.zeros(size - covered, dtype=bool)])[order]
-    place = np.empty(size + 1, dtype=np.int32)  # place[-1] keeps -1, the dart of an unexpanded vertex
-    place[order] = np.arange(size, dtype=np.int32)
-    place[size] = -1
-    frag.darts = np.full((size, m), -1, dtype=np.int32)
-    at = 0
-    dart_parts.reverse()
-    while dart_parts:  # each part is freed once placed
-        part = dart_parts.pop()
-        frag.darts[place[at : at + len(part)]] = place[part]
-        at += len(part)
+    frag.expanded = np.concatenate([*expanded_parts, np.zeros(left, dtype=bool)])
+    frag.darts = np.concatenate([*dart_parts, np.broadcast_to(np.int32(-1), (left, m))])
     frag.truncated_at = truncated_at

@@ -9,9 +9,10 @@ block of ``_BLOCK`` at a time, a column of pieces at a time.
 The import regrows the fragment and accepts a file that is exactly the text
 the writer makes for it. The fragment is fixed by its root, the tuple of
 line 1, and by which vertices it expands: the vertex at canonical position k
-when line k's ``adj`` is a list, read at the start of the line. A file that
-is not then the writer's text is parsed line by line, and the parsed checks
-accept it or name its first fault.
+when line k's ``adj`` is a list, read at the start of the line. The BFS
+gives each vertex that position when its layer is made, so the mark is read
+as it stands. A file that is not then the writer's text is parsed line by
+line, and the parsed checks accept it or name its first fault.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ def _marked_import(group: Group, n: int, text: str) -> GraphFragment | None:
     ``text`` is exactly its JSONL, else None.
 
     The marks are read from the start of each line; no tuple but the root's
-    is parsed. A layer whose first vertex is ``first`` holds the positions
-    ``first:first + len(rows)`` once the ball is complete, so only a layer
-    whose marks are mixed needs its canonical order. A fragment has one line
-    per vertex, so the BFS is capped at the file's line count, and a misread
+    is parsed. The BFS numbers each layer canonically as it is made, so a
+    layer whose first vertex is ``first`` takes the marks of lines
+    ``first:first + len(rows)`` as they stand. A fragment has one line per
+    vertex, so the BFS is capped at the file's line count, and a misread
     file cannot pass: the lines of the fragment grown from what was read
     must equal the file, compared up to the first line that differs.
     """
@@ -146,14 +147,6 @@ def _marked_import(group: Group, n: int, text: str) -> GraphFragment | None:
         at = find("\n", at) + 1
     marks = np.frombuffer(marks, dtype=bool)
 
-    def only(law, rows: np.ndarray, first: int) -> np.ndarray:
-        part = marks[first : first + len(rows)]
-        if part.all() or not part.any():
-            return np.full(len(rows), part.all())
-        mask = np.empty(len(rows), dtype=bool)
-        mask[layers._canonical_order(law, rows, np.zeros(len(rows), dtype=np.int32))] = part
-        return mask
-
     try:
         entries = json.loads(text[: text.index("\n")])["tuple"]
         if not (isinstance(entries, list) and len(entries) == n):
@@ -162,7 +155,7 @@ def _marked_import(group: Group, n: int, text: str) -> GraphFragment | None:
         if not group.is_generating(root):
             return None
         frag = GraphFragment(group=group, n=n, moves=move_set(n), root=root, radius=len(marks), window=None)
-        _grow(frag, len(marks), only=only)
+        _grow(frag, len(marks), only=lambda law, rows, first: marks[first : first + len(rows)])
     except (ValueError, TypeError, KeyError, RecursionError, UsageError, ResourceCapError):
         return None  # JSONDecodeError is a ValueError
     at = 0

@@ -214,7 +214,12 @@ def test_layers_in_chunks_match_the_oracle(monkeypatch, name, chunk):
     monkeypatch.setattr(layers, "_CHUNK", chunk)
     group, root, radius, kwargs = ORACLE_CASES[name]
     root = group.standard_generators() if root is None else root
-    assert fragment_lists(ball(group, root, radius, **kwargs)) == ball_by_keys(group, root, radius, **kwargs)
+    frag = ball(group, root, radius, **kwargs)
+    assert fragment_lists(frag) == ball_by_keys(group, root, radius, **kwargs)
+    # the marks of each layer, sorted as one chunk or in packed chunks, are taken as they stand
+    text = frag.to_jsonl()
+    assert _same_arrays(serialize._marked_import(group, len(root), text),
+                        serialize._parsed_import(group, len(root), text))
 
 
 @given(st.lists(st.integers(-(2**30), 2**30 - 1), min_size=1, max_size=60))
