@@ -61,10 +61,8 @@ def _parse_root(group, obj, n: int | None):
     return root
 
 
-def _emit(report: dict, out=None):
-    report = dict(report)
-    report["tool"] = f"nielsen {__version__}"
-    (out or sys.stdout).write(json.dumps(report, sort_keys=True) + "\n")
+def _emit(report: dict):
+    sys.stdout.write(json.dumps({**report, "tool": f"nielsen {__version__}"}, sort_keys=True) + "\n")
 
 
 def _write_payload(lines, path: str | None):
@@ -75,12 +73,11 @@ def _write_payload(lines, path: str | None):
             out.write(chunk)
 
 
-def _add_fragment_args(p, need_radius=True):
+def _add_fragment_args(p):
     p.add_argument("--group", required=True, type=_json_arg, help="group spec JSON")
     p.add_argument("--n", type=int, default=None, help="tuple length (default: root length)")
     p.add_argument("--root", required=True, type=_json_arg, help="root tuple JSON")
-    if need_radius:
-        p.add_argument("--radius", required=True, type=int, help="BFS radius")
+    p.add_argument("--radius", required=True, type=int, help="BFS radius")
     p.add_argument("--window", type=int, default=None, help="max element size; outside vertices stay unexpanded")
     p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="vertex cap")
 

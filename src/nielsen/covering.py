@@ -40,6 +40,7 @@ from .groups import (
     Integers,
     IntVectorGroup,
     State,
+    _firsts,
     group_from_json,
 )
 from .moves import apply_move, move_set
@@ -201,40 +202,31 @@ def finite_quotient(domain: Group, normal: list[int]) -> Epimorphism:
     return Epimorphism("finite_quotient", domain, codomain, fn, {"normal": sub})
 
 
+# rule -> (constructor, the fields it takes after the domain), as groups._KINDS
+_RULES = {
+    "identity": (identity_epi, ()),
+    "project": (projection, ("e",)),
+    "mod": (mod_reduction, ("m",)),
+    "reflection": (reflection_bit, ()),
+    "abelianize": (abelianization, ()),
+    "finite_quotient": (finite_quotient, ("normal",)),
+}
+
+
 def epimorphism_from_json(obj: dict) -> Epimorphism:
     if not isinstance(obj, dict) or "rule" not in obj or "domain" not in obj:
         raise UsageError("epimorphism JSON must carry 'rule' and 'domain'")
     domain = group_from_json(obj["domain"])
     rule = obj["rule"]
-    extra = {k: v for k, v in obj.items() if k not in ("rule", "domain")}
-    if rule == "identity":
-        _expect_params(extra, set())
-        return identity_epi(domain)
-    if rule == "project":
-        _expect_params(extra, {"e"})
-        return projection(domain, extra["e"])
-    if rule == "mod":
-        _expect_params(extra, {"m"})
-        return mod_reduction(domain, extra["m"])
-    if rule == "reflection":
-        _expect_params(extra, set())
-        return reflection_bit(domain)
-    if rule == "abelianize":
-        _expect_params(extra, set())
-        return abelianization(domain)
-    if rule == "finite_quotient":
-        _expect_params(extra, {"normal"})
-        return finite_quotient(domain, extra["normal"])
-    raise UsageError(f"unknown epimorphism rule {rule!r}")
-
-
-def _expect_params(extra: dict, allowed: set):
-    unknown = set(extra) - allowed
-    if unknown:
-        raise UsageError(f"unknown epimorphism fields: {sorted(unknown)}")
-    missing = allowed - set(extra)
-    if missing:
-        raise UsageError(f"missing epimorphism fields: {sorted(missing)}")
+    if not isinstance(rule, str) or rule not in _RULES:
+        raise UsageError(f"unknown epimorphism rule {rule!r}")
+    make, fields = _RULES[rule]
+    extra, need = set(obj) - {"rule", "domain"}, set(fields)
+    if extra - need:
+        raise UsageError(f"unknown epimorphism fields: {sorted(extra - need)}")
+    if need - extra:
+        raise UsageError(f"missing epimorphism fields: {sorted(need - extra)}")
+    return make(domain, *(obj[f] for f in fields))
 
 
 def push(epi: Epimorphism, state: State) -> State:
@@ -267,16 +259,17 @@ _FIRST_BLOCK, _LAST_BLOCK = 64, 1 << 14
 
 
 def random_generating_tuple(group: Group, n: int, rng: random.Random, size: int = 12, tries: int = 10000) -> State:
-    """The first of up to ``tries`` candidate n-tuples of ``random_element``
-    draws that generates the group; UsageError if none does."""
+    """``random_generating_tuples`` with ``count=1``; nothing in the package
+    or its tests calls it, it stays as the layer ``bench/tracer.py`` wraps."""
     return random_generating_tuples(group, n, rng, 1, size, tries)[0]
 
 
 def random_generating_tuples(
     group: Group, n: int, rng: random.Random, count: int, size: int = 12, tries: int = 10000
 ) -> list[State]:
-    """``count`` calls of ``random_generating_tuple`` in a row: the generating
-    candidates of one stream of candidates, in order.
+    """The first ``count`` generating n-tuples of one stream of candidates of
+    ``random_element`` draws, each within ``tries`` candidates of the one
+    before it; UsageError if one is not.
 
     When every coordinate is ``start + rng.randrange(width)`` with one width
     below 2^32 and ``rng`` is a plain ``random.Random``, the candidates are
@@ -571,10 +564,7 @@ def verify_surjectivity_on_fragment(epi: Epimorphism, frag: GraphFragment, seed_
             targets = frag.darts[layer[parents]].ravel()  # in (queue position, move) order
             at = np.flatnonzero(~lifted[targets])
             order = np.argsort(targets[at], kind="stable")
-            found = targets[at[order]]
-            first = np.ones(len(at), dtype=bool)
-            first[1:] = found[1:] != found[:-1]
-            at = np.sort(at[order[first]])  # where each new vertex is first reached
+            at = np.sort(at[order[_firsts(targets[at[order]])]])  # where each new vertex is first reached
             if not len(at):
                 break
             layer = targets[at]

@@ -93,6 +93,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first of each run of equal keys in a sorted array (a
+    sort and this mask deduplicate: np.unique would import numpy.ma)."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
 def lattice_is_full(rows: list[tuple[int, ...]], dim: int) -> bool:
     """True iff the integer row vectors span all of Z^dim as a lattice.
 
@@ -277,11 +286,8 @@ class FiniteTable:
         fr, fx = np.arange(len(gens)), np.full(len(gens), self.id_idx)
         while fr.size:
             nr, nx = np.repeat(fr, gens.shape[-1]), self.table[fx[:, None], gens[fr]].ravel()
-            # sorted and deduplicated by hand: np.unique would import numpy.ma
             pos = np.sort((nr * self.order + nx)[~rows[nr, nx]])
-            first = np.ones(pos.size, dtype=bool)
-            first[1:] = pos[1:] != pos[:-1]
-            fr, fx = np.divmod(pos[first], self.order)
+            fr, fx = np.divmod(pos[_firsts(pos)], self.order)
             rows[fr, fx] = True
         return rows
 
@@ -445,14 +451,11 @@ class IntVectorGroup(Group):
         # the images generate the abelianization iff they span Z^k together
         # with the rows m * e_i of its bounded coordinates
         dim = len(self._abelian)
-        rows = [a[:dim] for a in entries] + self._modulus_rows
-        if dim == 2:
-            # Smith normal form: rows span Z^2 iff the gcd of their 2x2 minors is 1
-            return math.gcd(*[a * d - b * c for (a, b), (c, d) in combinations(rows, 2)]) == 1
-        return lattice_is_full(rows, dim)
+        return lattice_is_full([a[:dim] for a in entries] + self._modulus_rows, dim)
 
     def is_generating_each(self, block):
-        """The rank-2 rule of ``_is_generating`` on columns, in int64: None
+        """``_is_generating`` at rank 2 on columns, in int64, by Smith normal
+        form: the rows span Z^2 iff the gcd of their 2x2 minors is 1. None
         for other ranks, and when a minor could leave int64."""
         if len(self._abelian) != 2:
             return None

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ResourceCapError
-from .groups import Group, IntVectorGroup, State, encode_int
+from .groups import Group, IntVectorGroup, State, _firsts, encode_int
 from .moves import Move
 
 if TYPE_CHECKING:
@@ -128,15 +128,6 @@ class _Radix:
         rows %= self.span
         rows += self.lo
         return rows
-
-
-def _firsts(keys: np.ndarray) -> np.ndarray:
-    """Mask of the first of each run of equal keys in a sorted array (a
-    sort and this mask deduplicate: np.unique would import numpy.ma)."""
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    first[1:] = keys[1:] != keys[:-1]
-    return first
 
 
 def _distinct(rows: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from nielsen.covering import (
     mod_reduction,
     projection,
     push,
-    random_generating_tuple,
     random_generating_tuples,
     reflection_bit,
     verify_star_bijection,
@@ -45,6 +44,11 @@ from oracles import (
     sample_generating_tuple,
     star_bijection_reference,
 )
+
+
+def sample_one(group, n, rng, size=12, tries=10000):
+    """One sample from the sampler's one entry point."""
+    return random_generating_tuples(group, n, rng, 1, size, tries)[0]
 
 
 def test_push_examples():
@@ -78,6 +82,26 @@ def test_rule_json_round_trip():
         epimorphism_from_json({"rule": "project", "domain": {"kind": "FreeAbelian", "d": 2}})
     with pytest.raises(UsageError):
         epimorphism_from_json({"rule": "nope", "domain": {"kind": "Integers"}})
+
+
+def test_a_rule_that_is_not_a_string_is_refused_by_name():
+    # a bare table lookup would raise TypeError on the unhashable ones
+    for rule in (["mod"], {"a": 1}, None, 5, True):
+        with pytest.raises(UsageError) as e:
+            epimorphism_from_json({"rule": rule, "domain": {"kind": "Integers"}})
+        assert str(e.value) == f"unknown epimorphism rule {rule!r}"
+
+
+def test_epimorphism_refusal_texts():
+    Z = {"kind": "Integers"}
+    for obj, text in (
+        ({"rule": "nope", "domain": Z}, "unknown epimorphism rule 'nope'"),
+        ({"rule": "identity", "domain": Z, "x": 1}, "unknown epimorphism fields: ['x']"),
+        ({"rule": "mod", "domain": Z}, "missing epimorphism fields: ['m']"),
+    ):
+        with pytest.raises(UsageError) as e:
+            epimorphism_from_json(obj)
+        assert str(e.value) == text
 
 
 def test_finite_quotient_validation():
@@ -254,7 +278,7 @@ def test_push_commutes_with_words():
     rng = seeded(0xC07E)
     moves = move_set(2)
     for _ in range(50):
-        t = random_generating_tuple(FreeAbelian(2), 2, rng, size=5)
+        t = sample_one(FreeAbelian(2), 2, rng, size=5)
         word = tuple(rng.choice(moves) for _ in range(rng.randint(0, 50)))
         lhs = push(pi, eval_word(FreeAbelian(2), t, word))
         rhs = eval_word(Integers(), push(pi, t), word)
@@ -277,7 +301,7 @@ SAMPLED_TUPLES = {
 
 @pytest.mark.parametrize("group", SAMPLED_TUPLES, ids=lambda g: g.kind)
 def test_random_generating_tuple_is_fixed_by_seed(group):
-    assert [random_generating_tuple(group, 2, seeded(s)) for s in range(3)] == SAMPLED_TUPLES[group]
+    assert [sample_one(group, 2, seeded(s)) for s in range(3)] == SAMPLED_TUPLES[group]
 
 
 SAMPLER_CASES = [
@@ -304,7 +328,7 @@ def test_sampler_matches_the_reference_sampler(group, n):
         return [sample(group, n, rng) for _ in range(3)], rng.getrandbits(64)
 
     for seed in range(32):
-        assert stream(random_generating_tuple, seed) == stream(sample_generating_tuple, seed)
+        assert stream(sample_one, seed) == stream(sample_generating_tuple, seed)
 
 
 def _draws(sample, group, n, rng, runs, **kw):
@@ -338,7 +362,7 @@ def _draws(sample, group, n, rng, runs, **kw):
 )
 def test_sampler_matches_the_reference_sampler_on_wide_draws(group, n, size):
     for seed in range(32):
-        ours = _draws(random_generating_tuple, group, n, seeded(seed), 3, size=size)
+        ours = _draws(sample_one, group, n, seeded(seed), 3, size=size)
         assert ours == _draws(sample_generating_tuple, group, n, seeded(seed), 3, size=size)
 
 
@@ -371,7 +395,7 @@ def test_too_few_tries_fail_as_the_reference_sampler_does(group, n, size):
     for tries in (0, 1, 3, 40):
         for seed in range(16):
             ref = _draws(sample_generating_tuple, group, n, seeded(seed), 6, size=size, tries=tries)
-            assert _draws(random_generating_tuple, group, n, seeded(seed), 6, size=size, tries=tries) == ref
+            assert _draws(sample_one, group, n, seeded(seed), 6, size=size, tries=tries) == ref
             rng = seeded(seed)
             try:
                 ours = random_generating_tuples(group, n, rng, 6, size, tries)

@@ -15,7 +15,7 @@ from nielsen.moves import (
     parse_move,
     word_to_text,
 )
-from nielsen.covering import random_generating_tuple
+from nielsen.covering import random_generating_tuples
 
 from conftest import seeded
 
@@ -94,7 +94,7 @@ def test_generation_preservation(all_groups):
                 for _ in range(rng.randint(0, 6)):
                     t = apply_move(group, t, rng.choice(moves))
             else:
-                t = random_generating_tuple(group, n, rng, size=6)
+                t = random_generating_tuples(group, n, rng, 1, size=6)[0]
             s = rng.choice(moves)
             assert group.is_generating(apply_move(group, t, s))
 
