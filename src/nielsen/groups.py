@@ -94,11 +94,12 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _firsts(keys: np.ndarray) -> np.ndarray:
-    """Mask of the first of each run of equal keys in a sorted array (a
-    sort and this mask deduplicate: np.unique would import numpy.ma)."""
+    """Mask of the first of each run of equal keys, or rows, in a sorted
+    array (a sort and this mask deduplicate: np.unique would import numpy.ma)."""
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
-    first[1:] = keys[1:] != keys[:-1]
+    differ = keys[1:] != keys[:-1]
+    first[1:] = differ if differ.ndim == 1 else differ.any(axis=1)
     return first
 
 

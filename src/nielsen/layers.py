@@ -12,18 +12,29 @@ pair of a chunk of targets, its result interned.
 
 The layer's entries and their inverses are stacked, the law runs once on the
 operand columns of every R/L move, and one gather gives each vertex's m
-targets, ``_CHUNK`` at a time. The targets are packed, in mixed radix over
-their column ranges, into int64 keys and looked up by ``searchsorted`` among
-the sorted keys of the vertices they can equal: depths d - 1 and d, and the
-vertices left unexpanded (a target at a smaller depth would have reached its
-source sooner). The targets not found, sorted and deduplicated, are the new
-layer. It is sorted by the ranks of its rows' values in the byte order of
-their encodings (``int_ranks``, or ``encode_element`` of its distinct
-elements) and numbered in that canonical order, so every vertex has its
-final id from the layer that makes it, and the ball is its layers end to
-end. Tuples and byte keys are decoded from the rows only when something
-prints or looks them up; an export formats each distinct value of the rows
-once (``texts``).
+targets. A target can equal only a known row: a vertex at depth d - 1 or d,
+or one left unexpanded (a target at a smaller depth would have reached its
+source sooner). The new layer is numbered in canonical order, by the ranks
+of its rows' values in the byte order of their encodings (``int_ranks``, or
+``encode_element`` of its distinct elements), so every vertex has its final
+id from the layer that makes it, and the ball is its layers end to end.
+
+A thin layer, whose known rows and targets hold at most ``_CHUNK`` values,
+takes one sort (``_expand_small``): the known rows, then the targets, become
+rank rows, and one stable lexsort puts equal rows next to each other, the
+known one first, and the runs in canonical order. A run headed by a known
+row gives its targets that row's id; any other run is a new vertex, numbered
+in run order. Balls of linear growth, such as D_inf's dozen rows a layer,
+take this path at every layer, N_2(Z) at its first ones. A thicker layer
+makes its targets ``_CHUNK`` at a time, packs them in mixed radix over their
+column ranges into int64 keys and looks them up by ``searchsorted`` among
+the sorted keys of the known rows. The targets not found, sorted and
+deduplicated, are the new layer, then put in canonical order
+(``_canonical_order``).
+
+Tuples and byte keys are decoded from the rows only when something prints
+or looks them up; an export formats each distinct value of the rows once
+(``texts``).
 """
 
 from __future__ import annotations
@@ -42,7 +53,8 @@ if TYPE_CHECKING:
 
 # every coordinate of a ball grown here stays below this in absolute value
 _GUARD = 2**30
-# targets sorted at once; a larger layer is expanded in chunks
+# values sorted at once: a thin layer (known rows and targets) takes one sort,
+# a larger one is expanded in chunks
 _CHUNK = 2**12
 # encode_int of |x| < 2^31 takes 1 to 4 payload bytes: the least magnitude
 # (x or ~x) of each longer size, the shift that leaves the reversed payload
@@ -59,7 +71,7 @@ def int_ranks(x: np.ndarray) -> np.ndarray:
     (no encoding being a prefix of another) the order is by size, then by
     the payload read with its bytes reversed.
     """
-    size = np.searchsorted(_SIZE_EDGES, x ^ (x >> 31), side="right")  # bytes - 1; x ^ (x >> 31) is x or ~x
+    size = _SIZE_EDGES.searchsorted(x ^ (x >> 31), side="right")  # bytes - 1; x ^ (x >> 31) is x or ~x
     payload = x.astype(np.uint32)
     payload.byteswap(inplace=True)
     payload >>= _SIZE_SHIFT[size]  # the bytes past the payload go out at the right
@@ -272,7 +284,9 @@ class _Interned:
 
 
 def _expand_layer(law, X: np.ndarray, columns, known: np.ndarray, known_ids: np.ndarray, base: int):
-    """The targets of the rows X, ``_CHUNK`` at a time.
+    """The targets of the rows X, ``_CHUNK`` at a time, or in one sort
+    (``_expand_small``) when they and the known rows are one ``_CHUNK`` of
+    values.
 
     The targets are made for their ranges, which fix the packing, then
     packed and looked up among the known rows; the law's targets are made
@@ -283,6 +297,8 @@ def _expand_layer(law, X: np.ndarray, columns, known: np.ndarray, known_ids: np.
     that order.
     """
     m = len(columns[2])
+    if len(known) + len(X) * m <= max(1, _CHUNK // known.shape[1]):
+        return _expand_small(law, X, columns, known, known_ids, base)
     step = max(1, _CHUNK // m)
     parts = [X[i : i + step] for i in range(0, len(X), step)]
     lo, hi = known.min(axis=0), known.max(axis=0)
@@ -322,6 +338,25 @@ def _expand_layer(law, X: np.ndarray, columns, known: np.ndarray, known_ids: np.
     place[order] = np.arange(base, base + len(fresh))
     ids[at] = place[np.cumsum(first) - 1]  # by each missed target's place among the fresh rows
     return ids, fresh[order]
+
+
+def _expand_small(law, X: np.ndarray, columns, known: np.ndarray, known_ids: np.ndarray, base: int):
+    """``_expand_layer`` for a layer whose known rows and targets are one
+    ``_CHUNK`` of values: one stable lexsort of the rank rows of the known
+    rows, then the targets, puts equal rows next to each other, a known one
+    first, and the runs in canonical order."""
+    S = np.concatenate((known, law.targets(X, columns)))
+    ranks = law.ranking(S)(S)
+    order = np.lexsort(ranks.T[::-1])
+    head = _firsts(ranks[order])
+    heads = order[head]
+    new = heads >= len(known)
+    run_ids = np.empty(len(heads), dtype=np.int32)
+    run_ids[~new] = known_ids[heads[~new]]
+    run_ids[new] = np.arange(base, base + np.count_nonzero(new))
+    ids = np.empty(len(S), dtype=np.int32)
+    ids[order] = run_ids[head.cumsum() - 1]
+    return ids[len(known) :], S[heads[new]].astype(np.int32)
 
 
 def _canonical_order(law, rows: np.ndarray) -> np.ndarray:
@@ -373,30 +408,25 @@ def _bfs(frag: GraphFragment, law, cap: int, only) -> None:
     columns = _move_columns(frag.moves, n)
     layers = [np.array([law.row(frag.root)], dtype=np.int32)]  # rows by depth
     starts = [0]  # by depth: id of the first vertex
-    left_out = {}  # depth -> mask of the vertices left unexpanded there
+    masks = {}  # depth -> expand mask of a layer that leaves some vertex unexpanded
     # rows and ids of the vertices left unexpanded at depths < d - 1
     blocked, blocked_ids = layers[0][:0], np.empty(0, dtype=np.int64)
-    dart_parts, expanded_parts = [], []
-    truncated_at = None
+    dart_parts = []  # by expanded layer
     for depth in range(frag.radius):
         X = layers[depth]
         base = starts[depth] + len(X)
-        mask = np.ones(len(X), dtype=bool)
-        if window is not None:
-            mask &= law.measure(X, n) <= window
+        mask = None if window is None else law.measure(X, n) <= window
         if only is not None:
-            mask &= only(law, X, starts[depth])
-        rows = np.flatnonzero(mask)
-        if len(rows) < len(X):
-            left_out[depth] = ~mask
-            if truncated_at is None:
-                truncated_at = depth
-        if not len(rows):
-            break  # the layer stays unexpanded, as the vertices past the radius do
-        dart_parts.append(np.full((len(X), m), -1, dtype=np.int32))
-        expanded_parts.append(mask)
-        out = left_out.pop(depth - 2, None)  # depth d - 2 leaves the lookup, but not its unexpanded vertices
+            marked = only(law, X, starts[depth])
+            mask = marked if mask is None else mask & marked
+        if mask is not None and not mask.all():
+            masks[depth] = mask
+            if not mask.any():
+                break  # the layer stays unexpanded, as the vertices past the radius do
+            X = X[mask]
+        out = masks.get(depth - 2)  # depth d - 2 leaves the lookup, but not its unexpanded vertices
         if out is not None:
+            out = ~out
             blocked = np.concatenate((blocked, layers[depth - 2][out]))
             blocked_ids = np.concatenate((blocked_ids, starts[depth - 2] + np.flatnonzero(out)))
         # a target at depth < d - 1 would have reached its source sooner,
@@ -404,13 +434,18 @@ def _bfs(frag: GraphFragment, law, cap: int, only) -> None:
         prev = max(depth - 1, 0)
         ids, fresh = _expand_layer(
             law,
-            X[rows],
+            X,
             columns,
             np.concatenate([*layers[prev : depth + 1], blocked]),
             np.concatenate((np.arange(starts[prev], base), blocked_ids)),
             base,
         )
-        dart_parts[-1][rows] = ids.reshape(len(rows), m)
+        ids = ids.reshape(len(X), m)
+        if depth in masks:
+            dart_parts.append(np.full((len(mask), m), -1, dtype=np.int32))
+            dart_parts[-1][mask] = ids
+        else:
+            dart_parts.append(ids)
         del ids
         if base + len(fresh) > cap:
             raise ResourceCapError(f"vertex cap {cap} exceeded while exploring")
@@ -419,10 +454,13 @@ def _bfs(frag: GraphFragment, law, cap: int, only) -> None:
         layers.append(fresh)
         starts.append(base)
     sizes = [len(x) for x in layers]
-    left = sum(sizes) - sum(map(len, expanded_parts))  # the vertices of the layers past the last expanded one
+    done = sum(sizes[: len(dart_parts)])  # the vertices of the expanded layers
     frag.depths = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     frag.rows, frag.law = np.concatenate(layers), law
     del layers
-    frag.expanded = np.concatenate([*expanded_parts, np.zeros(left, dtype=bool)])
-    frag.darts = np.concatenate([*dart_parts, np.broadcast_to(np.int32(-1), (left, m))])
-    frag.truncated_at = truncated_at
+    frag.expanded = np.zeros(len(frag.rows), dtype=bool)
+    frag.expanded[:done] = True
+    for depth, mask in masks.items():
+        frag.expanded[starts[depth] : starts[depth] + len(mask)] = mask
+    frag.darts = np.concatenate([*dart_parts, np.broadcast_to(np.int32(-1), (len(frag.rows) - done, m))])
+    frag.truncated_at = min(masks, default=None)

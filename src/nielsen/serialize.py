@@ -9,15 +9,16 @@ block of ``_BLOCK`` at a time, a column of pieces at a time.
 The import regrows the fragment and accepts a file that is exactly the text
 the writer makes for it. The fragment is fixed by its root, the tuple of
 line 1, and by which vertices it expands: the vertex at canonical position k
-when line k's ``adj`` is a list, read at the start of the line. The BFS
-gives each vertex that position when its layer is made, so the mark is read
-as it stands. A file that is not then the writer's text is parsed line by
-line, and the parsed checks accept it or name its first fault.
+when line k's ``adj`` is a list, read from the char after its ``{"adj": ``.
+The BFS gives each vertex that position when its layer is made, so the mark
+is read as it stands. A file that is not then the writer's text is parsed
+line by line, and the parsed checks accept it or name its first fault.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 import numpy as np
 
@@ -130,22 +131,26 @@ def _marked_import(group: Group, n: int, text: str) -> GraphFragment | None:
     canonical position k exactly when line k's ``adj`` is a list, when
     ``text`` is exactly its JSONL, else None.
 
-    The marks are read from the start of each line; no tuple but the root's
-    is parsed. The BFS numbers each layer canonically as it is made, so a
-    layer whose first vertex is ``first`` takes the marks of lines
-    ``first:first + len(rows)`` as they stand. A fragment has one line per
-    vertex, so the BFS is capped at the file's line count, and a misread
-    file cannot pass: the lines of the fragment grown from what was read
-    must equal the file, compared up to the first line that differs.
+    Line k is marked when the char after its '{"adj": ' is "[" (every line
+    the writer makes starts so), and no tuple but the root's is parsed. The
+    BFS numbers each layer canonically as it is made, so a layer whose first
+    vertex is ``first`` takes the marks of lines ``first:first + len(rows)``
+    as they stand. A fragment has one line per vertex, so the BFS is capped
+    at the file's line count, and a misread file cannot pass: the lines of
+    the fragment grown from what was read must equal the file, compared up
+    to the first line that differs.
     """
     if not text.endswith("\n"):
         return None
-    find, starts, end = text.find, text.startswith, len(text)
-    marks, at = bytearray(), 0  # one 0/1 byte per line
+    find, end = text.find, len(text)
+    heads, at = [], 0  # the start of each line
     while at < end:
-        marks.append(starts('{"adj": [', at))
+        heads.append(at)
         at = find("\n", at) + 1
-    marks = np.frombuffer(marks, dtype=bool)
+    # the char after '{"adj": ' of each line (the text's last one for a
+    # shorter last line), one byte each: any char past latin-1 becomes "?"
+    chars = "".join(itemgetter(*np.minimum(np.array(heads) + len('{"adj": '), end - 1).tolist())(text))
+    marks = np.frombuffer(chars.encode("latin-1", "replace"), dtype=np.uint8) == ord("[")
 
     try:
         entries = json.loads(text[: text.index("\n")])["tuple"]
@@ -160,7 +165,7 @@ def _marked_import(group: Group, n: int, text: str) -> GraphFragment | None:
         return None  # JSONDecodeError is a ValueError
     at = 0
     for line in jsonl_lines(frag):
-        if not starts(line, at):
+        if not text.startswith(line, at):
             return None
         at += len(line)
     return frag if at == end else None

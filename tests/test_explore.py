@@ -31,7 +31,7 @@ from nielsen.groups import (
     Integers,
     encode_int,
 )
-from nielsen.moves import I, R, eval_word
+from nielsen.moves import I, R, apply_move, eval_word, move_set
 
 from conftest import cyclic_table, dihedral_table, quaternion_table, relabelled_table, seeded
 from oracles import (
@@ -138,6 +138,9 @@ ORACLE_CASES = {
     # darts into window-blocked vertices at depth < d - 1
     "Heisenberg_window": (Heisenberg(), ((2, -1, 3), (1, -1, -3)), 6, {"window": 3}),
     "D_inf_r40": (D, ((0, 1), (1, 1)), 40, {}),
+    # thin layers of a dozen rows: on element ids past the guard, and in a window
+    "D_inf_past_guard": (D, ((2**30, 1), (2**30 + 1, 1)), 40, {}),
+    "D_inf_deep_window": (D, ((0, 1), (1, 1)), 80, {"window": 30}),
     "Z3": (FreeAbelian(3), None, 3, {}),
     # element ids: kinds with no coordinates, and coordinates past the guard
     "F2": (FreeGroup(2), ((1,), (2,)), 4, {}),
@@ -149,7 +152,7 @@ ORACLE_CASES = {
     "S3_relabelled": (FiniteCayley(relabelled_table(dihedral_table(3), [3, 5, 0, 4, 1, 2]), 3), None, 8, {}),
     "Q8_window_0": (FiniteCayley(quaternion_table(), 0), None, 5, {"window": 0}),
 }
-INTERNED = {"F2_window", "Z_guard_root", "Heisenberg_past_guard", "F2", "F3_n3", "Z2_guard_root"}
+INTERNED = {"F2_window", "Z_guard_root", "Heisenberg_past_guard", "D_inf_past_guard", "F2", "F3_n3", "Z2_guard_root"}
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
@@ -212,6 +215,7 @@ def test_layers_in_chunks_match_the_oracle(monkeypatch, name, chunk):
     from nielsen import layers
 
     monkeypatch.setattr(layers, "_CHUNK", chunk)
+    paths = _spy_on_paths(monkeypatch)
     group, root, radius, kwargs = ORACLE_CASES[name]
     root = group.standard_generators() if root is None else root
     frag = ball(group, root, radius, **kwargs)
@@ -220,6 +224,76 @@ def test_layers_in_chunks_match_the_oracle(monkeypatch, name, chunk):
     text = frag.to_jsonl()
     assert _same_arrays(serialize._marked_import(group, len(root), text),
                         serialize._parsed_import(group, len(root), text))
+    # every layer took the packed path, so the oracle has checked it on this case
+    assert paths["small"] == 0 and paths["radix"] > 0
+
+
+def _spy_on_paths(monkeypatch) -> dict:
+    """Count the layers that take the one-sort path and the packed path."""
+    from nielsen import layers
+
+    paths = {"small": 0, "radix": 0}
+
+    def counted(path, f):
+        def spy(*args):
+            paths[path] += 1
+            return f(*args)
+
+        return spy
+
+    # the packed path, and no other, sorts its new rows with _canonical_order
+    monkeypatch.setattr(layers, "_expand_small", counted("small", layers._expand_small))
+    monkeypatch.setattr(layers, "_canonical_order", counted("radix", layers._canonical_order))
+    return paths
+
+
+def test_thin_layers_take_one_sort_and_thick_ones_the_packed_path(monkeypatch):
+    paths = _spy_on_paths(monkeypatch)
+    assert len(ball(Z, (1, 1), 12)) == 9 * 2**11
+    # 1, 8, 24, ... rows: the first layers fit one chunk with their known
+    # rows and targets, the last ones (up to 9,216 rows) do not
+    assert paths["small"] > 0 and paths["radix"] > 0 and paths["small"] + paths["radix"] == 12
+
+
+def test_the_one_sort_path_takes_the_marks_of_a_thin_export(monkeypatch):
+    text = ball(D, ((0, 1), (1, 1)), 40).to_jsonl()
+    paths = _spy_on_paths(monkeypatch)
+    fast = serialize._marked_import(D, 2, text)
+    assert paths["small"] == 40 and paths["radix"] == 0
+    assert _same_arrays(fast, serialize._parsed_import(D, 2, text))
+
+
+@st.composite
+def _thin_or_thick_balls(draw):
+    """A ball (group, generating root, radius, window) of ``Integers`` at
+    n = 2 or 3 or of ``InfiniteDihedral``: a generating tuple of ints below
+    or past the guard, moved by a few Nielsen moves, and no window or one
+    that holds the root."""
+    a = draw(st.integers(-(2**31), 2**31))
+    group, root, radius = draw(st.sampled_from([(Z, (a, 1), 4), (Z, (a, 1, 0), 2), (D, ((a, 1), (a + 1, 1)), 30)]))
+    for move in draw(st.lists(st.sampled_from(move_set(len(root))), max_size=6)):
+        root = apply_move(group, root, move)
+    radius = draw(st.integers(0, radius))
+    window = draw(st.none() | st.integers(0, 40).map(max(map(group.measure, root)).__add__))
+    return group, root, radius, window
+
+
+@settings(max_examples=60, deadline=None)
+@given(_thin_or_thick_balls())
+def test_one_sort_and_packed_layers_grow_the_same_ball(case):
+    from unittest import mock
+
+    from nielsen import layers
+
+    group, root, radius, window = case
+    fast = ball(group, root, radius, window=window)
+    with mock.patch.object(layers, "_CHUNK", 1):
+        packed = ball(group, root, radius, window=window)
+    assert type(fast.law) is type(packed.law) and fast.truncated_at == packed.truncated_at
+    # the tuples, not the rows: an interned id is numbered when the law first meets its element
+    assert fast.states == packed.states
+    for field in ("darts", "depths", "expanded"):
+        assert np.array_equal(getattr(fast, field), getattr(packed, field)), field
 
 
 @given(st.lists(st.integers(-(2**30), 2**30 - 1), min_size=1, max_size=60))
