@@ -60,16 +60,18 @@ class SpectralEstimate:
 def iso_ratio(frag: GraphFragment, members, description: str = "custom") -> IsoReport:
     """Boundary-to-size ratio of a vertex set whose members are all expanded.
 
-    A member is a vertex index, a tuple, or a key of ``frag.keys``, looked
-    up exactly and never parsed. Counts darts from S into the complement;
-    since each unordered cut edge has exactly one endpoint in S, this counts
-    cut edges once each, with multi-edge multiplicity. Loops never cross the cut.
+    A member is a vertex index (an int or numpy integer, not a bool), a
+    tuple, or a key of ``frag.keys``, looked up exactly and never parsed;
+    any other member is a UsageError. Counts darts from S into the
+    complement; since each unordered cut edge has exactly one endpoint in S,
+    this counts cut edges once each, with multi-edge multiplicity. Loops
+    never cross the cut.
     """
     idxs = set()
     by_key = None
     for m in members:
-        if isinstance(m, int):
-            idx = m
+        if isinstance(m, (int, np.integer)) and not isinstance(m, bool):
+            idx = int(m)
             if not 0 <= idx < len(frag):
                 raise UsageError(f"vertex index {idx} out of range")
         elif isinstance(m, bytes):
@@ -78,8 +80,10 @@ def iso_ratio(frag: GraphFragment, members, description: str = "custom") -> IsoR
             idx = by_key.get(m)
             if idx is None:
                 raise UsageError("vertex key not present in fragment")
+        elif isinstance(m, tuple):
+            idx = frag.vertex_index(m)
         else:
-            idx = frag.vertex_index(tuple(m))
+            raise UsageError(f"member {m!r} of S is not a vertex index, key or tuple")
         idxs.add(idx)
     if not idxs:
         raise UsageError("iso_ratio requires a nonempty set")

@@ -271,37 +271,16 @@ def random_generating_tuples(
     ``random_element`` draws, each within ``tries`` candidates of the one
     before it; UsageError if one is not.
 
-    When every coordinate is ``start + rng.randrange(width)`` with one width
-    below 2^32 and ``rng`` is a plain ``random.Random``, the candidates are
-    decoded from blocks of its 32-bit words, the words those draws would
-    read, and decided a block at a time. The generator is left just past the
-    last sample, or the last candidate tried, so the tuples and the state
-    afterwards are those of drawing one candidate at a time.
+    When the draws decode (``_uniform``), the candidates are decoded from
+    the blocks of ``_decoded`` and decided a block at a time. The stream
+    ends inside the block that completes its last candidate, and ``rng`` is
+    put back to its state on entry and moved on by exactly the words through
+    that candidate, so the tuples and the state afterwards are those of
+    drawing one candidate at a time.
     """
-    draws = set(group.draws(size) or ())
-    if len(draws) == 1 and n > 0 and tries > 0 and type(rng) is random.Random:
-        (start, width), = draws
-        if 0 < width < 1 << 32:
-            return _samples_in_blocks(group, n, rng, count, tries, start, width)
-    return [_sample_one_by_one(group, n, rng, size, tries) for _ in range(count)]
-
-
-def _sample_one_by_one(group: Group, n: int, rng: random.Random, size: int, tries: int) -> State:
-    random_element = group.random_element
-    for _ in range(tries):
-        cand = tuple([random_element(rng, size) for _ in range(n)])
-        if group.is_generating(cand):
-            return cand
-    raise UsageError(f"could not sample a generating {n}-tuple in {tries} tries")
-
-
-def _samples_in_blocks(
-    group: Group, n: int, rng: random.Random, count: int, tries: int, start: int, width: int
-) -> list[State]:
-    """Candidates decoded a block of words at a time by ``_draw_words``. The
-    state is saved before each block; the stream ends inside the block that
-    completes its last candidate, and ``rng`` is put back to that block's
-    start and moved on by exactly the words through that candidate."""
+    uniform = _uniform(group, rng, size)
+    if uniform is None or n == 0 or tries <= 0:
+        return [_sample_one_by_one(group, n, rng, size, tries) for _ in range(count)]
     if isinstance(group, IntVectorGroup):
         shape, state = (n, group.width), lambda c: tuple(map(tuple, c))
     else:
@@ -310,14 +289,14 @@ def _samples_in_blocks(
     out: list[State] = []
     carry = np.empty(0, dtype=np.int64)  # draws kept but not yet in a whole candidate
     since = 0  # candidates tried after the last sample, before candidate last + 1 of the block
-    words = _FIRST_BLOCK
+    saved = rng.getstate()
+    blocks = _decoded(rng, *uniform, _FIRST_BLOCK)
     while len(out) < count:
-        saved = rng.getstate()
-        drawn, read = _draw_words(rng, words, width)
+        drawn, read = next(blocks)
         through = read[per - 1 - len(carry) :: per]  # words read through each whole candidate
         vals = np.concatenate((carry, drawn))
         whole = len(vals) // per
-        cands = (vals[: whole * per] + start).reshape(whole, *shape)
+        cands = vals[: whole * per].reshape(whole, *shape)
         verdict = group.is_generating_each(cands)
         if verdict is None:
             hits = (j for j in range(whole) if group.is_generating(state(cands[j].tolist())))
@@ -337,50 +316,73 @@ def _samples_in_blocks(
             raise UsageError(f"could not sample a generating {n}-tuple in {tries} tries")
         since += whole - 1 - last
         carry = vals[whole * per :]
-        words = min(2 * words, _LAST_BLOCK)
     return out
 
 
-def _draw_words(rng: random.Random, words: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``randrange(width)`` draws held in the next ``words`` 32-bit words
-    of ``rng``, as int64, and for each the number of words read through it.
+def _sample_one_by_one(group: Group, n: int, rng: random.Random, size: int, tries: int) -> State:
+    random_element = group.random_element
+    for _ in range(tries):
+        cand = tuple([random_element(rng, size) for _ in range(n)])
+        if group.is_generating(cand):
+            return cand
+    raise UsageError(f"could not sample a generating {n}-tuple in {tries} tries")
+
+
+def _random_stack(group: Group, rng: random.Random, count: int, size: int) -> np.ndarray:
+    """The stack of ``count`` calls of ``random_element(rng, size)``, with
+    ``rng`` left where they leave it: decoded from the blocks of
+    ``_decoded`` when the draws decode (``_uniform``), ``rng`` then put
+    back and moved on by the words through the last draw."""
+    uniform = _uniform(group, rng, size)
+    if uniform is None or count == 0:
+        return _stack(group, [group.random_element(rng, size) for _ in range(count)])
+    need, parts, saved = count * group.width, [], rng.getstate()
+    blocks = _decoded(rng, *uniform, 2 * need + _FIRST_BLOCK)  # more than half of all words are kept
+    while need:
+        drawn, read = next(blocks)
+        parts.append(drawn[:need])
+        need -= len(parts[-1])
+    _rewind(rng, saved, int(read[len(parts[-1]) - 1]))
+    return np.concatenate(parts).reshape(count, group.width).T
+
+
+def _uniform(group: Group, rng: random.Random, size: int) -> tuple[int, int] | None:
+    """The (start, width) of the draws when they decode: every coordinate of
+    ``random_element(rng, size)`` is ``start + rng.randrange(width)`` with
+    one width below 2^32, and ``rng`` is a plain ``random.Random``; None
+    when they do not."""
+    draws = set(group.draws(size) or ())
+    if len(draws) == 1 and type(rng) is random.Random:
+        (start, width), = draws
+        if 0 < width < 1 << 32:
+            return start, width
+    return None
+
+
+def _decoded(rng: random.Random, start: int, width: int, words: int):
+    """The draws ``start + rng.randrange(width)`` held in ``rng``'s 32-bit
+    words, a block at a time: the first block of ``words`` words, each next
+    one twice as large, up to ``_LAST_BLOCK``. Yields the draws of each
+    block, as int64, and for each the number of words read through it since
+    the first block began.
 
     ``randrange(width)`` is ``_randbelow(width)``: the top ``k`` bits of one
     word, k = width.bit_length(), drawn again while they reach ``width``.
     ``getrandbits(32 * N)`` holds the next N words, least significant first,
     so a block of words decodes at once."""
-    block = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4")
-    block = block >> (32 - width.bit_length())
-    kept = np.flatnonzero(block < width)
-    return block[kept].astype(np.int64), kept + 1
+    shift, read = 32 - width.bit_length(), 0
+    while True:
+        block = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4") >> shift
+        kept = np.flatnonzero(block < width)
+        yield block[kept].astype(np.int64) + start, kept + read + 1
+        read += words
+        words = min(2 * words, _LAST_BLOCK)
 
 
 def _rewind(rng: random.Random, state: tuple, words: int) -> None:
     """Put ``rng`` at ``state`` moved on by ``words`` 32-bit words."""
     rng.setstate(state)
     rng.getrandbits(32 * words)
-
-
-def _random_stack(group: Group, rng: random.Random, count: int, size: int) -> np.ndarray:
-    """The stack of ``count`` calls of ``random_element(rng, size)``, with
-    ``rng`` left where they leave it. A kind that draws every coordinate as
-    ``start + randrange(width)`` from one (start, width), width below 2^32,
-    is decoded from blocks of words when ``rng`` is a plain ``random.Random``;
-    ``rng`` is then put back and moved on by the words through the last draw."""
-    draws = set(group.draws(size) or ())
-    if len(draws) == 1 and type(rng) is random.Random:
-        (start, width), = draws
-        if 0 < width < 1 << 32:
-            need, parts, read, saved = count * group.width, [], 0, rng.getstate()
-            while need:
-                words = 2 * need + _FIRST_BLOCK  # more than half of all words are kept
-                drawn, through = _draw_words(rng, words, width)
-                parts.append(drawn[:need])
-                read += int(through[need - 1]) if len(drawn) >= need else words
-                need -= len(parts[-1])
-            _rewind(rng, saved, read)
-            return (np.concatenate(parts) + start).reshape(count, group.width).T
-    return _stack(group, [group.random_element(rng, size) for _ in range(count)])
 
 
 # -- element stacks ---------------------------------------------------------

@@ -6,26 +6,27 @@ int32 array: row v holds the target of each of the fragment's m moves, or
 -1 in every slot when v is unexpanded. Frontier vertices (at the radius, or
 outside the window) are retained unexpanded so that boundary counts over
 interior sets are exact. Every fragment, a ball or an imported JSONL file,
-is grown by the one BFS ``_grow``: given its root and which tuples it
-expands, the moves fix everything else.
+is grown by the one BFS ``nielsen.layers.grow``: given its root and which
+tuples it expands, the moves fix everything else.
 
 Every element kind keeps its elements in a canonical normal form with an
 injective encoding, so two tuples are equal exactly when their byte keys
-are; the key fixes only the order of the vertices within a layer. ``_grow``
-is one BFS, in ``nielsen.layers``, that keeps each vertex as an int32 row
-in one of two law forms: the coordinates of a fixed-width kind (``Integers``,
-every ``IntVectorGroup``, and ``FiniteCayley`` on its table indices), or
-interned element ids for ``FreeGroup`` and for balls whose ints reach that
-module's guard. It numbers each layer canonically as it makes it, so every
-vertex id is final from birth. Tuples and keys are decoded from the rows
-when asked for. The JSONL and DOT text of a fragment is written, and JSONL
-read, by ``nielsen.serialize``, which only an export or an import compiles.
+are; the key fixes only the order of the vertices within a layer. The BFS
+keeps each vertex as an int32 row in one of two law forms: the coordinates
+of a fixed-width kind (``Integers``, every ``IntVectorGroup``, and
+``FiniteCayley`` on its table indices), or interned element ids for
+``FreeGroup`` and for balls whose ints reach that module's guard. It
+numbers each layer canonically as it makes it, so every vertex id is final
+from birth. Tuples and keys are decoded from the rows when asked for. The
+JSONL and DOT text of a fragment is written, and JSONL read, by
+``nielsen.serialize``, which only an export or an import compiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .groups import DEFAULT_VERTEX_CAP, FiniteTable, Group, State
 from .moves import I, Move, R, move_inverse, move_set
 
 # components keeps one int32 label per tuple on a tensor with one axis per
-# entry, and numpy arrays have at most 64 axes; fragments keep int32 vertex ids
+# entry, and numpy arrays have at most 64 axes
 _LABEL_LIMIT = 2**31
 _MAX_AXES = 64
 
@@ -58,9 +59,6 @@ class GraphFragment:
     truncated_at: int | None = None  # least depth where the window blocked expansion
     rows: np.ndarray = field(default=None, repr=False)      # (V, k) int32: coordinates or element ids
     law: object = field(default=None, repr=False)           # the ``nielsen.layers`` law that decodes them
-    _states: list | None = field(default=None, repr=False)
-    _keys: list | None = field(default=None, repr=False)
-    _index: dict | None = field(default=None, repr=False)
 
     @property
     def truncated(self) -> bool:
@@ -69,25 +67,19 @@ class GraphFragment:
     def __len__(self) -> int:
         return len(self.depths)
 
-    @property
+    @cached_property
     def states(self) -> list[State]:
-        if self._states is None:
-            self._states = self.law.states(self.rows)
-        return self._states
+        return self.law.states(self.rows)
 
-    @property
+    @cached_property
     def keys(self) -> list[bytes]:
         """Canonical byte key of every vertex."""
-        if self._keys is None:
-            self._keys = self.law.keys(self.rows)
-        return self._keys
+        return self.law.keys(self.rows)
 
-    @property
+    @cached_property
     def index(self) -> dict[State, int]:
         """Tuple -> vertex."""
-        if self._index is None:
-            self._index = {s: v for v, s in enumerate(self.states)}
-        return self._index
+        return {s: v for v, s in enumerate(self.states)}
 
     def vertex_index(self, state: State) -> int:
         try:
@@ -142,19 +134,6 @@ class GraphFragment:
         return "".join(self.jsonl_lines())
 
 
-def _grow(frag: GraphFragment, cap: int, only=None) -> None:
-    """Grow ``frag`` from its root by BFS out to its radius.
-
-    A vertex at distance < radius is expanded when it lies in the window
-    and, if ``only`` is given, when that hook marks it; the least
-    depth where one is not is ``truncated_at``. The vertices end in
-    canonical order; more than ``cap`` of them is a ResourceCapError.
-    """
-    from . import layers  # imported here, so that ``import nielsen`` does not compile it
-
-    layers.grow(frag, min(cap, _LABEL_LIMIT - 1), only)  # vertex ids are int32
-
-
 def ball(
     group: Group,
     root: State,
@@ -190,8 +169,10 @@ def ball(
 
     if cap < 1:
         raise ResourceCapError(f"vertex cap {cap} exceeded while exploring")
+    from . import layers  # imported here, so that ``import nielsen`` does not compile it
+
     frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=radius, window=window)
-    _grow(frag, cap)
+    layers.grow(frag, cap)
     frag.validate()
     return frag
 

@@ -362,7 +362,8 @@ def _expand_small(law, X: np.ndarray, columns, known: np.ndarray, known_ids: np.
 def _canonical_order(law, rows: np.ndarray) -> np.ndarray:
     """The permutation that puts one layer's rows in canonical order: by the
     ranks of their values in the byte order of their encodings. A layer of
-    one ``_CHUNK`` of values is lexsorted on its rank rows. A larger one,
+    one ``_CHUNK`` of values is lexsorted on its rank rows; so is a layer
+    with no new rows, which has no ranges to pack. A larger one,
     whose rank rows would outweigh its rows, has them made ``_CHUNK`` values
     at a time, twice: first for their ranges, then packed into one key."""
     ranks, per = law.ranking(rows), max(1, _CHUNK // rows.shape[1])
@@ -380,13 +381,22 @@ def by_state(marked: dict):
     return lambda law, rows, first: np.array([bool(marked.get(s)) for s in law.states(rows)], dtype=bool)
 
 
-def grow(frag: GraphFragment, cap: int, only) -> None:
-    """The BFS of ``explore._grow``.
+def grow(frag: GraphFragment, cap: int, only=None) -> None:
+    """Grow ``frag`` from its root by BFS out to its radius.
+
+    A vertex at distance < radius is expanded when it lies in the window
+    and, if ``only`` is given, when that hook marks it: ``only`` is called
+    with the law, a layer's rows and the id of its first vertex, and
+    returns the mask of the rows that may be expanded. The least depth
+    where a vertex is not expanded is ``truncated_at``. The vertices end in
+    canonical order; more than ``cap`` of them, a cap clamped to the
+    2^31 - 1 ids of int32, is a ResourceCapError.
 
     Fixed-width kinds grow on coordinates while every coordinate stays
     below the guard; past it, and for every other kind, the ball grows
     (again) on element ids.
     """
+    cap = min(cap, np.iinfo(np.int32).max)  # vertex ids are int32
     if frag.group.width is not None:
         law = _Coordinates(frag.group)
         if all(abs(x) < _GUARD for x in law.row(frag.root)):
@@ -401,9 +411,7 @@ def grow(frag: GraphFragment, cap: int, only) -> None:
 def _bfs(frag: GraphFragment, law, cap: int, only) -> None:
     """The layers of ``frag`` on the rows of one law. Each layer is numbered
     in canonical order as it is made, so the fragment is its layers end to
-    end. ``only``, if given, is called with the law, a layer's rows and the
-    id of its first vertex, and returns the mask of the rows that may be
-    expanded."""
+    end."""
     n, m, window = frag.n, len(frag.moves), frag.window
     columns = _move_columns(frag.moves, n)
     layers = [np.array([law.row(frag.root)], dtype=np.int32)]  # rows by depth

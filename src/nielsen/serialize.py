@@ -24,7 +24,7 @@ import numpy as np
 
 from . import layers
 from .errors import ResourceCapError, UsageError
-from .explore import GraphFragment, _grow
+from .explore import GraphFragment
 from .groups import Group, State
 from .moves import move_set
 
@@ -160,7 +160,7 @@ def _marked_import(group: Group, n: int, text: str) -> GraphFragment | None:
         if not group.is_generating(root):
             return None
         frag = GraphFragment(group=group, n=n, moves=move_set(n), root=root, radius=len(marks), window=None)
-        _grow(frag, len(marks), only=lambda law, rows, first: marks[first : first + len(rows)])
+        layers.grow(frag, len(marks), only=lambda law, rows, first: marks[first : first + len(rows)])
     except (ValueError, TypeError, KeyError, RecursionError, UsageError, ResourceCapError):
         return None  # JSONDecodeError is a ValueError
     at = 0
@@ -214,7 +214,7 @@ def _parsed_import(group: Group, n: int, text: str) -> GraphFragment:
     if not group.is_generating(root):
         raise UsageError(f"root tuple {root!r} does not generate the group")
     frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=1 + max(row[2] for row in rows), window=None)
-    _grow(frag, 1 + len(rows) * len(moves), only=layers.by_state(marked))
+    layers.grow(frag, 1 + len(rows) * len(moves), only=layers.by_state(marked))
     keys, depths, expanded = frag.keys, frag.depths.tolist(), frag.expanded.tolist()
     for v, state in enumerate(frag.states):
         if state not in marked:

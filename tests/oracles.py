@@ -12,7 +12,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from nielsen import explore, forest, layers
+from nielsen import forest, layers
 from nielsen.covering import _HOM_SAMPLE, _HOM_SEED, LiftReport, StarReport, push
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
@@ -272,7 +272,7 @@ def fragment_from_jsonl_by_records(group: Group, n: int, text: str) -> GraphFrag
         raise UsageError(f"root tuple {root!r} does not generate the group")
     radius = max(depth for _, _, depth in rows)
     frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=radius + 1, window=None)
-    explore._grow(frag, 1 + len(rows) * len(moves), only=layers.by_state(marked))
+    layers.grow(frag, 1 + len(rows) * len(moves), only=layers.by_state(marked))
     keys, depths, expanded = frag.keys, frag.depths.tolist(), frag.expanded.tolist()
     for v, state in enumerate(frag.states):
         if state not in marked:

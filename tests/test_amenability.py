@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nielsen.amenability import (
@@ -55,6 +56,20 @@ def test_iso_members_by_key():
     frag = ball(F, F.standard_generators(), 1)
     with pytest.raises(UsageError, match="not present"):
         iso_ratio(frag, [b"\x04\x00\x00\x00\xff\xff\xff\x7f"])  # word length 2^31 - 1, no letters
+
+
+def test_iso_members_by_numpy_index():
+    frag = ball(Z, (1, 1), 2)
+    k = len(frag.ball_indices(1))
+    assert iso_ratio(frag, np.arange(k)) == iso_ratio(frag, list(range(k)))
+    assert iso_ratio(frag, np.flatnonzero(frag.depths <= 1)) == iso_ratio(frag, frag.ball_indices(1))
+
+
+@pytest.mark.parametrize("member", [True, False, np.True_, 0.0, 1.5, np.float64(1), [1, 1], None, "00"])
+def test_iso_refuses_members_that_are_not_indices_keys_or_tuples(member):
+    frag = ball(Z, (1, 1), 2)
+    with pytest.raises(UsageError, match="not a vertex index, key or tuple"):
+        iso_ratio(frag, [0, member])
 
 
 def test_iso_requires_expanded_members():

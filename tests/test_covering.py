@@ -431,6 +431,18 @@ def test_other_generators_draw_one_candidate_at_a_time(kind, group, n):
         assert ours == _draws(sample_generating_tuple, group, n, kind(seed), 3)
 
 
+@pytest.mark.parametrize("group", [FreeAbelian(2), FreeGroup(2)], ids=lambda g: g.kind)
+def test_zero_samples_draw_nothing(group, monkeypatch):
+    # FreeAbelian(2) draws decode from words, FreeGroup(2) draws one by one
+    monkeypatch.setattr(group, "random_element", lambda rng, size: pytest.fail("drew an element"))
+    rng = seeded(5)
+    before = rng.getstate()
+    rng.getrandbits = lambda k: pytest.fail("drew a block of words")
+    assert random_generating_tuples(group, 2, rng, 0) == []
+    assert covering._random_stack(group, rng, 0, 12).size == 0
+    assert rng.getstate() == before
+
+
 def test_abelianize_needs_the_heisenberg_group_itself():
     with pytest.raises(UsageError):
         abelianization(BurnsideB23())

@@ -205,6 +205,16 @@ def test_window_case_has_darts_into_blocked_vertices_two_layers_up():
     assert ((~frag.expanded[rows]) & (frag.depths[rows] < source - 1)).any()
 
 
+def test_grow_clamps_its_cap_to_int32_vertex_ids(monkeypatch):
+    from nielsen import layers
+
+    caps, bfs = [], layers._bfs
+    monkeypatch.setattr(layers, "_bfs", lambda frag, law, cap, only: bfs(frag, law, caps.append(cap) or cap, only))
+    sizes = [len(ball(Integers(), (1, 1), 2, cap=cap)) for cap in (2**40, 2**31, 2**31 - 1, 1000)]
+    assert caps == [2**31 - 1, 2**31 - 1, 2**31 - 1, 1000]
+    assert sizes == [len(ball(Integers(), (1, 1), 2))] * 4
+
+
 @pytest.mark.parametrize(
     "name",
     ["Z_n2", "Z_n3_window", "D_inf_window", "Heisenberg_window", "Z3", "B23", "F2_window", "FiniteCayley_D4",
