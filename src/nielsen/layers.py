@@ -90,14 +90,14 @@ def _move_columns(moves: tuple[Move, ...], n: int):
     left, right = [], []
     gather = np.tile(np.arange(n), (len(moves), 1))
     for k, mv in enumerate(moves):
-        j = mv.j - 1
+        e, j = mv.entry, mv.j - 1
         if mv.kind == "I":
-            gather[k, j] = n + j
+            gather[k, e] = n + j
             continue
-        i, h = mv.i - 1, j if mv.sign > 0 else n + j
-        left.append(i if mv.kind == "R" else h)
-        right.append(h if mv.kind == "R" else i)
-        gather[k, i] = 2 * n + len(left) - 1
+        h = j if mv.sign > 0 else n + j
+        left.append(e if mv.kind == "R" else h)
+        right.append(h if mv.kind == "R" else e)
+        gather[k, e] = 2 * n + len(left) - 1
     return np.array(left, dtype=np.intp), np.array(right, dtype=np.intp), gather
 
 

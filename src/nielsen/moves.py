@@ -49,6 +49,11 @@ class Move:
         else:
             raise UsageError(f"unknown move kind {self.kind!r}")
 
+    @property
+    def entry(self) -> int:
+        """The 0-based index of the one entry the move changes."""
+        return (self.j if self.kind == "I" else self.i) - 1
+
     def text(self) -> str:
         if self.kind == "I":
             return f"I:{self.j}"
@@ -110,15 +115,15 @@ def move_set(n: int) -> tuple[Move, ...]:
 
 def apply_move(group: Group, state: State, move: Move) -> State:
     """Apply one move; exactly one entry of the tuple changes."""
-    if move.j > len(state) or (move.kind != "I" and move.i > len(state)):
+    if max(move.i, move.j) > len(state):  # i is 0 for I moves
         raise UsageError(f"move {move} out of range for tuple length {len(state)}")
+    e = move.entry
     if move.kind == "I":
-        j = move.j - 1
-        return state[:j] + (group.inv(state[j]),) + state[j + 1 :]
-    i, j = move.i - 1, move.j - 1
-    h = state[j] if move.sign > 0 else group.inv(state[j])
-    new = group.mul(state[i], h) if move.kind == "R" else group.mul(h, state[i])
-    return state[:i] + (new,) + state[i + 1 :]
+        new = group.inv(state[e])
+    else:
+        h = state[move.j - 1] if move.sign > 0 else group.inv(state[move.j - 1])
+        new = group.mul(state[e], h) if move.kind == "R" else group.mul(h, state[e])
+    return state[:e] + (new,) + state[e + 1 :]
 
 
 def eval_word(group: Group, state: State, word) -> State:

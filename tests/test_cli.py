@@ -210,9 +210,35 @@ def _false_depth(rows):
     rows[-1]["depth"] = 7
 
 
-@pytest.mark.parametrize("mutate", [None, _drop_depth, _dangling_target, _unknown_move, _relabelled_key, _false_depth],
+def _string_depth(rows):
+    rows[0]["depth"] = "0"
+
+
+def _negative_depth(rows):
+    rows[0]["depth"] = -1
+
+
+def _object_adj(rows):
+    rows[0]["adj"] = {}
+
+
+def _missing_last_dart(rows):
+    del rows[0]["adj"][-1]
+
+
+# the refusal each mutation must reach, where no other test reaches it
+_REFUSALS = {
+    _string_depth: "usage error: fragment line 1: depth must be an int >= 0\n",
+    _negative_depth: "usage error: fragment line 1: depth must be an int >= 0\n",
+    _object_adj: "usage error: fragment line 1: adj must be a list or null\n",
+    _missing_last_dart: "usage error: fragment line 1: 9 darts, not one per move (10)\n",
+}
+
+
+@pytest.mark.parametrize("mutate", [None, _drop_depth, _dangling_target, _unknown_move, _relabelled_key, _false_depth,
+                                    *_REFUSALS],
                          ids=["not_json", "missing_field", "dangling_to", "unknown_move", "relabelled_key",
-                              "false_depth"])
+                              "false_depth", "string_depth", "negative_depth", "object_adj", "missing_last_dart"])
 def test_cover_rejects_malformed_fragment(capsys, tmp_path, mutate):
     from nielsen.explore import ball
     from nielsen.groups import Integers
@@ -231,6 +257,46 @@ def test_cover_rejects_malformed_fragment(capsys, tmp_path, mutate):
     )
     assert code == 2 and out == ""
     assert err.startswith("usage error")
+    assert err == _REFUSALS.get(mutate, err)
+
+
+def _integers_ball_file(tmp_path):
+    from nielsen.explore import ball
+    from nielsen.groups import Integers
+
+    path = tmp_path / "frag.jsonl"
+    path.write_text(ball(Integers(), (1, 1), 2).to_jsonl())
+    return path
+
+
+@pytest.mark.parametrize("seed_tuple", ["[[1,0]]", "[[1,0],[1,1],[0,1]]"])
+def test_cover_refuses_a_seed_tuple_of_another_length(capsys, tmp_path, seed_tuple):
+    code, out, err = run_cli(
+        capsys, "cover", "verify", "--pi", '{"rule":"project","domain":{"kind":"FreeAbelian","d":2},"e":1}',
+        "--n", "2", "--samples", "10", "--fragment", str(_integers_ball_file(tmp_path)), "--seed-tuple", seed_tuple,
+    )
+    assert code == 2 and out == ""
+    assert err == "usage error: seed tuple length does not match the fragment\n"
+
+
+def test_cover_asks_for_a_seed_tuple_when_the_domain_rank_exceeds_n(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "cover", "verify", "--pi", '{"rule":"project","domain":{"kind":"FreeAbelian","d":3},"e":1}',
+        "--n", "2", "--samples", "0", "--fragment", str(_integers_ball_file(tmp_path)),
+    )
+    assert code == 2 and out == ""
+    assert err == "usage error: domain rank exceeds n; pass --seed-tuple explicitly\n"
+
+
+def test_cover_checks_the_workflow_run_of_100000_samples(capsys):
+    # the sampler's last rewind once regenerated every word drawn since its
+    # start, past what getrandbits takes
+    code, out, err = run_cli(
+        capsys, "cover", "verify", "--pi", '{"rule":"abelianize","domain":{"kind":"Heisenberg"}}', "--n", "2",
+        "--samples", "100000", "--seed", "1",
+    )
+    assert code == 0 and err == ""
+    assert '"checked": 100000' in out and '"violations": 0' in out
 
 
 def test_cover_rejects_a_fragment_root_that_does_not_generate(capsys, tmp_path):

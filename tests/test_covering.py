@@ -250,6 +250,12 @@ def test_lift_radius_zero():
     assert report.ok and report.lifted == 1
 
 
+def test_lift_refuses_a_fragment_of_another_group():
+    frag = ball(FreeAbelian(2), ((1, 0), (0, 1)), 1)
+    with pytest.raises(UsageError, match="^fragment group does not match the epimorphism codomain$"):
+        verify_surjectivity_on_fragment(projection(FreeAbelian(2), 1), frag, ((1, 0), (0, 1)))
+
+
 def test_lift_unreached_when_seed_elsewhere():
     # N_1(Z/5) is disconnected: a fragment of one class cannot be reached
     # from a seed pushing into the other
@@ -431,6 +437,17 @@ def test_other_generators_draw_one_candidate_at_a_time(kind, group, n):
         assert ours == _draws(sample_generating_tuple, group, n, kind(seed), 3)
 
 
+def test_a_rewind_reads_at_most_one_block():
+    # a rewind regenerates only the words of the block that ends the stream,
+    # however many blocks came before it
+    rng = random.Random(3)
+    asked = []
+    getrandbits = rng.getrandbits
+    rng.getrandbits = lambda k: asked.append(k) or getrandbits(k)
+    assert len(random_generating_tuples(FreeAbelian(2), 2, rng, 2000)) == 2000
+    assert len(asked) > 10 and max(asked) <= 32 * covering._LAST_BLOCK
+
+
 @pytest.mark.parametrize("group", [FreeAbelian(2), FreeGroup(2)], ids=lambda g: g.kind)
 def test_zero_samples_draw_nothing(group, monkeypatch):
     # FreeAbelian(2) draws decode from words, FreeGroup(2) draws one by one
@@ -524,6 +541,18 @@ def test_star_check_lists_the_violations_of_the_reference(name):
         assert _star(verify_star_bijection, broken, n, tuples=tuples) == expected
         seen.add(expected[0] if expected[0] is VerificationError else bool(expected[1]))
     assert seen & {VerificationError, True}  # the broken rule was caught
+
+
+@pytest.mark.parametrize("name", [k for k in STAR_RULES if k != "identity-F2"])
+def test_sampled_tuples_are_refused_as_the_reference_refuses(name):
+    # the sampler's tuples generate, so only their images are tested; the
+    # first that does not generate raises the error of push
+    epi, n = STAR_RULES[name]
+    broken = _break(epimorphism_from_json(epi.to_json()))
+    for seed in range(2):
+        tuples = random_generating_tuples(epi.domain, n, seeded(seed), 30)
+        expected = _star(star_bijection_reference, broken, n, tuples=tuples)
+        assert _star(verify_star_bijection, broken, n, samples=30, seed=seed) == expected
 
 
 def test_star_check_raises_the_first_refusal_of_the_reference():
