@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("components", help="Nielsen classes of a finite group")
     p.add_argument("--group", required=True, type=_json_arg)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP,
+                   help="bound on the |G|^2 table entries and the orbit edges, orbits x 4n(n-1)")
 
     p = sub.add_parser("euclid", help="move word carrying a gcd-1 integer tuple to (1,0,...,0)")
     p.add_argument("--root", required=True, type=_json_arg)

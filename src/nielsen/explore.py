@@ -31,13 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResourceCapError, UsageError, VerificationError, count_text
-from .groups import DEFAULT_VERTEX_CAP, FiniteTable, Group, State
+from .groups import DEFAULT_VERTEX_CAP, Group, State
 from .moves import I, Move, R, move_inverse, move_set
-
-# components keeps one int32 label per tuple on a tensor with one axis per
-# entry, and numpy arrays have at most 64 axes
-_LABEL_LIMIT = 2**31
-_MAX_AXES = 64
 
 
 def state_key(group: Group, state: State) -> bytes:
@@ -221,101 +216,15 @@ def growth_profile(frag: GraphFragment) -> list[tuple[int, int]]:
 # components of N_n(G) for finite G
 
 
-@dataclass
-class ComponentsReport:
-    group: Group
-    n: int
-    total_tuples: int
-    generating_count: int
-    sizes: list[int]                    # aligned with representatives
-    representatives: list[State]
-    table: FiniteTable
-    positions: np.ndarray               # of the generating tuples, class by class, each class increasing
+def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP):
+    """Partition all generating n-tuples of a finite group into Nielsen
+    classes: a ``nielsen.orbits.ComponentsReport`` of the class sizes, their
+    representatives (least tuples in ``itertools.product`` order) and the
+    classes themselves, found on B_n-orbits (see ``nielsen.orbits``). The
+    cap bounds the |G|^2 multiplication table and the orbit edges."""
+    from . import orbits  # imported here, so that ``import nielsen`` does not compile it
 
-    @property
-    def num_components(self) -> int:
-        return len(self.sizes)
-
-    def members(self, comp: int) -> list[State]:
-        """The tuples of one class, in enumeration order."""
-        start = sum(self.sizes[:comp])
-        idx = self.table.index_tuples(self.positions[start : start + self.sizes[comp]], self.n)
-        return [tuple(self.table.elements[k] for k in t) for t in idx]
-
-
-def check_finite_sizes(order: int, n: int, cap: int) -> int:
-    """The number |G|^n of n-tuples, once it fits int32 labels and the cap
-    and the |G|^2 multiplication table fits the cap; ResourceCapError if not."""
-    if order > 1 and n * order.bit_length() > 1 << 16:  # |G|^n is not even computed
-        raise ResourceCapError(f"state count {count_text(order)}^{n} exceeds the int32 label limit {_LABEL_LIMIT - 1}")
-    total = order**n
-    if total >= _LABEL_LIMIT:
-        raise ResourceCapError(f"state count {count_text(total)} exceeds the int32 label limit {_LABEL_LIMIT - 1}")
-    if total > cap:
-        raise ResourceCapError(f"state count {count_text(total)} exceeds cap {cap}")
-    if order**2 > cap:
-        raise ResourceCapError(f"multiplication table of {count_text(order)}^2 entries exceeds cap {cap}")
-    return total
-
-
-def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> ComponentsReport:
-    """Partition all generating n-tuples of a finite group into Nielsen classes.
-
-    Minimum-label propagation over the full tuple space, numbered in
-    ``itertools.product`` order: every class is labelled by its least
-    position, whose tuple is its representative. The labels are one int32
-    tensor with one axis per entry; each round keeps one copy to detect the
-    fixed point. A round applies Nielsen's generators of Aut(F_n), not
-    ``move_set(n)``: the swap of entries 1 and 2 and the n-cycle (one
-    transpose each), ``R(1,2,+)`` (one gather) and ``I(1)`` (one take).
-    They have the orbits of the moves. The cycle conjugates them into every
-    ``R(i,i+1,+)`` and ``I(j)``; ``R(1,2,-) R(2,3,+) R(1,2,+) R(2,3,-)``,
-    applied left to right, is ``R(1,3,+)``, which gives every ``R(i,j,+)``,
-    their inverses ``R(i,j,-)`` are their powers, and ``L(i,j,s) = I(i)
-    R(i,j,-s) I(i)``. Each label is pulled from g(x), so it stays in the
-    orbit of x, and g^-1 is a power of g: the fixed point is the least
-    position of each orbit, whatever the generating set. The swap is
-    redundant for n >= 3 and is the cycle for n = 2, but it halves the
-    rounds (Z/9 at n = 6: 8, not 16). Moves preserve the generated
-    subgroup, so the restriction to generating tuples afterwards is exact.
-    """
-    if not group.is_finite:
-        raise UsageError("components requires a finite group")
-    if n < 1:
-        raise UsageError("components requires n >= 1")
-    if n > _MAX_AXES:
-        raise UsageError(f"components supports n <= {_MAX_AXES}, one label axis per entry; got n = {n}")
-    total = check_finite_sizes(group.order, n, cap)
-    tab = FiniteTable.of(group)
-    gen_idx = np.flatnonzero(tab.generating_mask(n))
-
-    flat = np.arange(total, dtype=np.int32)
-    cube = flat.reshape((tab.order,) * n)
-    columns = np.arange(tab.order)
-    # numpy buffers a ufunc input that overlaps ``out``, so the in-place
-    # updates from transposed views are exact
-    while True:
-        before = flat.copy()
-        if n > 1:
-            np.minimum(cube, cube.transpose(1, 0, *range(2, n)), out=cube)  # swap entries 1, 2
-            np.minimum(cube, cube.transpose(*range(1, n), 0), out=cube)  # n-cycle of entries
-            np.minimum(cube, cube[tab.table, columns], out=cube)  # R(1,2,+)
-        np.minimum(cube, np.take(cube, tab.inverses, axis=0), out=cube)  # I(1)
-        np.minimum(flat, flat[flat], out=flat)
-        if np.array_equal(flat, before):
-            break
-
-    uniq, inverse, counts = np.unique(flat[gen_idx], return_inverse=True, return_counts=True)
-    return ComponentsReport(
-        group=group,
-        n=n,
-        total_tuples=total,
-        generating_count=len(gen_idx),
-        sizes=counts.tolist(),
-        representatives=[tuple(tab.elements[k] for k in t) for t in tab.index_tuples(uniq, n)],
-        table=tab,
-        positions=gen_idx[np.argsort(inverse, kind="stable")],
-    )
+    return orbits.components(group, n, cap)
 
 
 # ---------------------------------------------------------------------------

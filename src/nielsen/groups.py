@@ -240,6 +240,10 @@ class Group:
         return f"{type(self).__name__}({self.spec_json()})"
 
 
+# mask cells (rows x |G|) that one batched ``closure`` of the subgroup lattice grows
+_CLOSURE_CELLS = 1 << 20
+
+
 @dataclass
 class FiniteTable:
     """Index form of a finite group: elements in the order of ``elements()``,
@@ -298,28 +302,43 @@ class FiniteTable:
         return list(zip(*(c.tolist() for c in cols)))
 
     def generating_mask(self, n: int) -> np.ndarray:
-        """For every index n-tuple in enumeration order: does it generate?
+        """For every index n-tuple in enumeration order: does it generate?"""
+        return self.generating([None] * n)
+
+    def generating(self, cols) -> np.ndarray:
+        """Does each row of the index columns ``cols`` (equal lengths, one
+        per entry) generate? A column None ranges over every element as the
+        next ``itertools.product`` axis, so ``[None] * n`` asks it of all
+        n-tuples in enumeration order.
 
         Walks the lattice of subgroups one entry at a time: the subgroup
         generated by a prefix joined with the next entry is looked up in the
-        memoized table ``join[subgroup][element]``, whose rows each cost one
-        ``closure`` call over the elements outside the subgroup.
+        memoized table ``join[subgroup][element]``. The rows of the
+        subgroups first met at one entry are grown by batched ``closure``
+        calls, one for every element outside each of them, at most
+        ``_CLOSURE_CELLS`` mask cells a call.
         """
         subgroups, gens = list(self.closure([()])), [()]
         ids = {subgroups[0].tobytes(): 0}
-        join: list[np.ndarray] = []
+        join = np.zeros((0, self.order), dtype=np.intp)
         sub = np.zeros(1, dtype=np.intp)
-        for _ in range(n):
-            for s in range(len(join), len(subgroups)):
-                row = np.full(self.order, s, dtype=np.intp)
-                outside = np.flatnonzero(~subgroups[s]).tolist()
-                for g, members in zip(outside, self.closure([gens[s] + (g,) for g in outside])):
-                    row[g] = ids.setdefault(members.tobytes(), len(subgroups))
-                    if row[g] == len(subgroups):
-                        subgroups.append(members)
-                        gens.append(gens[s] + (g,))
-                join.append(row)
-            sub = np.stack(join)[sub].ravel()
+        step = max(1, _CLOSURE_CELLS // self.order)
+        for col in cols:
+            base = len(join)
+            if base < len(subgroups):
+                s_of, g_of = np.nonzero(~np.array(subgroups[base:]))
+                prefix = np.array(gens[base:], dtype=np.intp).reshape(len(subgroups) - base, len(gens[-1]))
+                grow = np.column_stack([prefix[s_of], g_of])
+                rows = np.repeat(np.arange(base, len(subgroups))[:, None], self.order, axis=1)
+                for i in range(0, len(grow), step):
+                    for s, g, members in zip(s_of[i : i + step].tolist(), g_of[i : i + step].tolist(),
+                                             self.closure(grow[i : i + step])):
+                        rows[s, g] = ids.setdefault(members.tobytes(), len(subgroups))
+                        if rows[s, g] == len(subgroups):
+                            subgroups.append(members)
+                            gens.append(gens[base + s] + (g,))
+                join = np.vstack([join, rows])
+            sub = join[sub].ravel() if col is None else join[sub, col]
         return sub == ids.get(np.ones(self.order, dtype=bool).tobytes(), -1)
 
 

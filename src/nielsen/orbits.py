@@ -1,0 +1,191 @@
+"""Nielsen classes of a finite group on signed-permutation orbits.
+
+Entry permutations and entry inversions are products of Nielsen moves and
+form the hyperoctahedral group B_n, so every Nielsen class of generating
+n-tuples is a union of B_n-orbits. An orbit is a multiset of n inverse pairs
+{x, x^-1}: with K pairs there are C(K+n-1, n) orbits, where there are |G|^n
+tuples. ``components`` partitions the orbits into classes; a
+``ComponentsReport`` expands them into tuples only when asked.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, combinations_with_replacement
+
+import numpy as np
+
+from .errors import ResourceCapError, UsageError, count_text
+from .groups import DEFAULT_VERTEX_CAP, FiniteTable, Group, State
+
+# cells of the sorted move-image rows that ``components`` ranks at once
+_MOVED_CELLS = 1 << 22
+
+
+@dataclass
+class ComponentsReport:
+    """The Nielsen classes of the generating n-tuples, each a union of
+    B_n-orbits. An orbit is a sorted row of inverse-pair ids; pair k is
+    ``{pairs[k, 0], pairs[k, 1]}``, least member first, and the pairs are
+    numbered in the order of their least members."""
+
+    group: Group
+    n: int
+    total_tuples: int
+    generating_count: int
+    sizes: list[int]                    # aligned with representatives
+    representatives: list[State]
+    table: FiniteTable
+    pairs: np.ndarray = field(repr=False)   # (K, 2) element indices
+    orbits: np.ndarray = field(repr=False)  # (orbits, n) pair ids, class by class, each class in lex order
+    starts: np.ndarray = field(repr=False)  # first orbit of each class, then the orbit count
+
+    @property
+    def num_components(self) -> int:
+        return len(self.sizes)
+
+    def _tuples(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every tuple of the orbits ``rows``: its n index columns and the
+        row it lies in, in no particular order. Each step appends one entry
+        to every prefix: either member of the pair of a remaining entry,
+        taking the first of equal remaining entries only."""
+        src = np.arange(len(rows))
+        used = np.zeros(rows.shape, dtype=bool)
+        cols = np.zeros((0, len(rows)), dtype=np.intp)
+        for _ in range(self.n):
+            r = rows[src]
+            free = ~used
+            free[:, 1:] &= (r[:, 1:] != r[:, :-1]) | used[:, :-1]
+            p, c = np.nonzero(free)
+            lo, hi = self.pairs[r[p, c]].T
+            two = lo != hi
+            p, c = np.concatenate([p, p[two]]), np.concatenate([c, c[two]])
+            used = used[p]
+            used[np.arange(len(p)), c] = True
+            cols = np.vstack([cols[:, p], np.concatenate([lo, hi[two]])])
+            src = src[p]
+        return cols, src
+
+    def members(self, comp: int) -> list[State]:
+        """The tuples of one class, in enumeration order."""
+        cols, _ = self._tuples(self.orbits[self.starts[comp] : self.starts[comp + 1]])
+        elements = self.table.elements
+        return [tuple(elements[k] for k in t) for t in zip(*cols[:, np.lexsort(cols[::-1])].tolist())]
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """The enumeration positions of the generating tuples, class by
+        class, each class increasing; Python ints past int64."""
+        cols, src = self._tuples(self.orbits)
+        cols = cols[:, np.lexsort([*cols[::-1], np.searchsorted(self.starts, src, side="right")])]
+        pos = np.zeros(cols.shape[1], dtype=np.int64 if self.total_tuples <= 2**63 else object)
+        for col in cols:
+            pos = pos * self.table.order + col.astype(pos.dtype)
+        return pos
+
+
+def _orbit_sizes(rows: np.ndarray, two: np.ndarray, dtype) -> np.ndarray:
+    """Tuples in each orbit: the multinomial of its row (the prefix products
+    n! / prod c! stay integers) times 2 for each entry of a pair of two."""
+    size = np.ones(len(rows), dtype=dtype)
+    run = np.ones(len(rows), dtype=np.intp)
+    for c in range(1, rows.shape[1]):
+        run = np.where(rows[:, c] == rows[:, c - 1], run + 1, 1)
+        size = size * (c + 1) // run.astype(dtype)
+    return size << two[rows].sum(axis=1).astype(dtype)
+
+
+def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> ComponentsReport:
+    """Partition all generating n-tuples of a finite group into Nielsen classes.
+
+    Entry permutations and inversions are products of moves and form the
+    hyperoctahedral group B_n, so every class is a union of B_n-orbits: an
+    orbit is a multiset of n inverse pairs {x, x^-1}, one sorted row of pair
+    ids, and its least tuple in ``itertools.product`` order takes the least
+    member of each pair. There are C(K+n-1, n) orbits for K pairs, listed in
+    lex order, which is the order of their least tuples. Generation is
+    B_n-invariant and is tested on the least tuples. B_n conjugates the
+    ``R/L(i,j,+-)`` moves among themselves, so applying each of them to
+    every least tuple reaches every orbit that a move reaches from any
+    member. Each image is put in its orbit by sorting its pair ids and
+    ranking the sorted row in the combinatorial number system. Minimum-label
+    propagation over these orbit edges, with pointer jumping, labels every
+    class by its least orbit, whose least tuple is the class's least tuple,
+    its representative. An orbit holds n!/prod(c!) * 2^h tuples, c the pair
+    multiplicities and h its entries whose pair has two members.
+
+    The cap bounds the |G|^2 entries of the multiplication table, checked
+    before it is built, and the orbits x 4n(n-1) orbit edges, not |G|^n.
+    """
+    if not group.is_finite:
+        raise UsageError("components requires a finite group")
+    if n < 1:
+        raise UsageError("components requires n >= 1")
+    if group.order**2 > cap:
+        raise ResourceCapError(f"multiplication table of {count_text(group.order)}^2 entries exceeds cap {cap}")
+    moves = 4 * n * (n - 1)
+    if moves > cap:
+        raise ResourceCapError(f"{count_text(moves)} moves per orbit exceed cap {cap}")
+    tab = FiniteTable.of(group)
+    lo = np.flatnonzero(np.arange(tab.order) <= tab.inverses)
+    pairs = np.column_stack([lo, tab.inverses[lo]])
+    k = len(lo)
+    total = math.comb(k + n - 1, n)  # k <= |G| and moves <= cap: comb stays cheap
+    if total * moves > cap:
+        raise ResourceCapError(f"orbit edges of {count_text(total)} orbits x {moves} moves exceed cap {cap}")
+
+    cells = chain.from_iterable(combinations_with_replacement(range(k), n))  # in lex order
+    rows = np.fromiter(cells, dtype=np.min_scalar_type(k), count=total * n).reshape(total, n)
+    generating = tab.generating(lo[rows].T)
+    rows = rows[generating]
+    least = lo[rows]
+    least_inv = tab.inverses[least]
+    dtype = np.int32 if total < 2**31 else np.int64
+    index = np.full(total, -1, dtype=dtype)  # lex rank -> generating orbit
+    index[generating] = np.arange(len(rows), dtype=dtype)
+    pair_of = np.empty(tab.order, dtype=rows.dtype)
+    pair_of[pairs] = np.arange(k)[:, None]
+    # the lex rank of a sorted row a is total - 1 - sum_c comb(k+n-2-a_c-c, n-c)
+    terms = np.array([[math.comb(k + n - 2 - a - c, n - c) for a in range(k)] for c in range(n)], dtype=np.int64)
+    rest = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp).reshape(n, n - 1)
+    targets = np.empty((len(rows), n, 4 * (n - 1)), dtype=dtype)
+    step = max(1, _MOVED_CELLS // max(1, len(rows) * moves))  # entries i whose images are ranked at once
+    for i in range(0, n, step):
+        others = rest[i : i + step]
+        xi, xj, xj_inv = least[:, i : i + step, None], least[:, others], least_inv[:, others]
+        images = np.concatenate([tab.table[xi, xj], tab.table[xi, xj_inv], tab.table[xj, xi], tab.table[xj_inv, xi]], 2)
+        moved = np.empty(images.shape + (n,), dtype=rows.dtype)
+        moved[..., :-1] = rows[:, others][:, :, None]
+        moved[..., -1] = pair_of[images]
+        moved.sort(axis=-1)
+        targets[:, i : i + step] = index[total - 1 - sum(terms[c, moved[..., c]] for c in range(n))]
+    targets = targets.reshape(len(rows), moves)
+
+    label = np.arange(len(rows), dtype=dtype)
+    while True:
+        pulled = np.minimum(label, label[targets].min(axis=1, initial=len(rows)))
+        pulled = pulled[pulled]
+        if np.array_equal(pulled, label):
+            break
+        label = pulled
+
+    by_class = rows[np.argsort(label, kind="stable")]
+    reps = np.flatnonzero(label == np.arange(len(rows)))  # each class's least orbit labels itself
+    starts = np.concatenate([[0], np.cumsum(np.bincount(label, minlength=len(rows))[reps])])
+    total_tuples = tab.order**n
+    exact = np.int64 if total_tuples * n < 2**63 else object
+    sizes = _orbit_sizes(by_class, pairs[:, 0] != pairs[:, 1], exact)
+    return ComponentsReport(
+        group=group,
+        n=n,
+        total_tuples=total_tuples,
+        generating_count=int(sizes.sum()),
+        sizes=np.add.reduceat(sizes, starts[:-1]).tolist() if len(reps) else [],
+        representatives=[tuple(tab.elements[x] for x in t) for t in least[reps].tolist()],
+        table=tab,
+        pairs=pairs,
+        orbits=by_class,
+        starts=starts,
+    )

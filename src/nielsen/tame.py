@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ResourceCapError, UsageError, VerificationError
-from .explore import DEFAULT_VERTEX_CAP, ComponentsReport, check_finite_sizes, components
+from .errors import ResourceCapError, UsageError, VerificationError, count_text
+from .explore import DEFAULT_VERTEX_CAP, components
 from .groups import FiniteTable, Group
 from .moves import Move, apply_move, move_set
 
@@ -71,6 +71,19 @@ class AutAction:
         return self.after(dst, np.argsort(self.perms[src])[list(self.base)])
 
 
+def _check_tuple_space(order: int, d: int) -> None:
+    """The |G|^d tuples that Aut(G) is laid out on, and the |G|^2
+    multiplication table, within the vertex cap; ResourceCapError if not."""
+    if order > 1 and d * order.bit_length() > 1 << 16:  # |G|^d is not even computed
+        raise ResourceCapError(f"state count {count_text(order)}^{d} exceeds cap {DEFAULT_VERTEX_CAP}")
+    if order**d > DEFAULT_VERTEX_CAP:
+        raise ResourceCapError(f"state count {count_text(order**d)} exceeds cap {DEFAULT_VERTEX_CAP}")
+    if order**2 > DEFAULT_VERTEX_CAP:
+        raise ResourceCapError(
+            f"multiplication table of {count_text(order)}^2 entries exceeds cap {DEFAULT_VERTEX_CAP}"
+        )
+
+
 def aut_group(group: Group, d: int) -> AutAction:
     """All automorphisms of a finite relatively free group of rank d.
 
@@ -84,7 +97,7 @@ def aut_group(group: Group, d: int) -> AutAction:
     """
     if not group.is_finite:
         raise UsageError(f"{group.kind} is not a finite group")
-    check_finite_sizes(group.order, d, DEFAULT_VERTEX_CAP)
+    _check_tuple_space(group.order, d)
     base_vals = group.standard_generators()
     if len(base_vals) != d:
         raise UsageError(f"d = {d} must equal the rank {len(base_vals)} of the group")
@@ -213,7 +226,7 @@ def verify_component_structure(group: Group, d: int) -> ComponentStructureReport
     """
     act = aut_group(group, d)
     tame = tame_subgroup(act)
-    comps: ComponentsReport = components(group, d)
+    comps = components(group, d)
     if comps.generating_count != act.order:
         raise VerificationError("generating-tuple count does not match Aut order")
 

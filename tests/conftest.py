@@ -73,6 +73,26 @@ def elementary_abelian_table(d: int) -> list[list[int]]:
     return table
 
 
+def pak_battery() -> list[tuple[str, list[list[int]]]]:
+    """Criterion 10's groups (Evans, Pak), as Cayley tables."""
+    return [
+        ("Z/2", cyclic_table(2)),
+        ("Z/3", cyclic_table(3)),
+        ("Z/4", cyclic_table(4)),
+        ("Z/2xZ/2", direct_product_table(cyclic_table(2), cyclic_table(2))),
+        ("Z/5", cyclic_table(5)),
+        ("Z/6", cyclic_table(6)),
+        ("S3", dihedral_table(3)),
+        ("Z/8", cyclic_table(8)),
+        ("D4", dihedral_table(4)),
+        ("Q8", quaternion_table()),
+        ("Z/9", cyclic_table(9)),
+        ("Z/2xZ/4", direct_product_table(cyclic_table(2), cyclic_table(4))),
+        ("Z/3xZ/3", direct_product_table(cyclic_table(3), cyclic_table(3))),
+        ("Z/16", cyclic_table(16)),
+    ]
+
+
 @pytest.fixture(scope="session")
 def all_groups():
     """One instance of every kind, with a tuple length that generates easily."""

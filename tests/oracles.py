@@ -1,8 +1,9 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
-``apply_move``, the key encoding, a fragment's decoded keys and tuples, the
-forest's component spec and report record, ``covering.push`` and the covering
-reports, and the error types."""
+its ``FiniteTable`` index form and generation mask, ``apply_move``, the key
+encoding, a fragment's decoded keys and tuples, the forest's component spec
+and report record, ``covering.push`` and the covering reports, and the error
+types."""
 
 import json
 import math
@@ -16,7 +17,7 @@ from nielsen import forest, layers
 from nielsen.covering import _HOM_SAMPLE, _HOM_SEED, LiftReport, StarReport, push
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
 from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
-from nielsen.groups import Group, IntVectorGroup, State, lattice_is_full
+from nielsen.groups import FiniteTable, Group, IntVectorGroup, State, lattice_is_full
 from nielsen.moves import Move, apply_move, move_inverse, move_set
 from nielsen.tame import NotRelativelyFreeError
 
@@ -51,6 +52,45 @@ def components_unionfind(group: Group, n: int) -> tuple[int, list[list[State]]]:
         if gen_mask[k]:
             classes.setdefault(find(k), []).append(s)
     return sum(gen_mask), list(classes.values())
+
+
+def components_by_tensor(group: Group, n: int) -> tuple[int, list[int], list[State], np.ndarray]:
+    """Nielsen classes by minimum-label propagation over all |G|^n tuples.
+
+    The labels are one int32 tensor with one axis per entry, numbered in
+    ``itertools.product`` order; each round keeps one copy to detect the
+    fixed point. A round applies Nielsen's generators of Aut(F_n): the swap
+    of entries 1 and 2 and the n-cycle (one transpose each), ``R(1,2,+)``
+    (one gather) and ``I(1)`` (one take). They have the orbits of the moves,
+    each label is pulled from g(x), so it stays in the orbit of x, and g^-1
+    is a power of g: the fixed point is the least position of each orbit.
+    Moves preserve the generated subgroup, so restricting to generating
+    tuples afterwards is exact. Returns the number of generating tuples, the
+    class sizes and representatives (least tuples, in enumeration order) and
+    the positions of the generating tuples, class by class, each increasing.
+    """
+    tab = FiniteTable.of(group)
+    if n > 64 or tab.order**n >= 2**31:
+        raise ResourceCapError("one int32 label per tuple and one tensor axis per entry")
+    gen_idx = np.flatnonzero(tab.generating_mask(n))
+    flat = np.arange(tab.order**n, dtype=np.int32)
+    cube = flat.reshape((tab.order,) * n)
+    columns = np.arange(tab.order)
+    # numpy buffers a ufunc input that overlaps ``out``, so the in-place
+    # updates from transposed views are exact
+    while True:
+        before = flat.copy()
+        if n > 1:
+            np.minimum(cube, cube.transpose(1, 0, *range(2, n)), out=cube)  # swap entries 1, 2
+            np.minimum(cube, cube.transpose(*range(1, n), 0), out=cube)  # n-cycle of entries
+            np.minimum(cube, cube[tab.table, columns], out=cube)  # R(1,2,+)
+        np.minimum(cube, np.take(cube, tab.inverses, axis=0), out=cube)  # I(1)
+        np.minimum(flat, flat[flat], out=flat)
+        if np.array_equal(flat, before):
+            break
+    uniq, inverse, counts = np.unique(flat[gen_idx], return_inverse=True, return_counts=True)
+    representatives = [tuple(tab.elements[k] for k in t) for t in tab.index_tuples(uniq, n)]
+    return len(gen_idx), counts.tolist(), representatives, gen_idx[np.argsort(inverse, kind="stable")]
 
 
 def element_closure(group: Group, entries: State) -> set:

@@ -11,7 +11,7 @@ import math
 import time
 from fractions import Fraction
 
-from conftest import cyclic_table, dihedral_table, direct_product_table, quaternion_table, seeded
+from conftest import pak_battery, seeded
 from nielsen.amenability import (
     closed_walks,
     iso_ratio,
@@ -182,32 +182,13 @@ def test_criterion_09_component_structure_exhaustive():
     _report(9, f"Z/5, (Z/3)^2 and B(2,3) class structures match; B(2,3): {b23[0]} class(es) of size {b23[1]}", t0)
 
 
-def _pak_battery():
-    return [
-        ("Z/2", cyclic_table(2)),
-        ("Z/3", cyclic_table(3)),
-        ("Z/4", cyclic_table(4)),
-        ("Z/2xZ/2", direct_product_table(cyclic_table(2), cyclic_table(2))),
-        ("Z/5", cyclic_table(5)),
-        ("Z/6", cyclic_table(6)),
-        ("S3", dihedral_table(3)),
-        ("Z/8", cyclic_table(8)),
-        ("D4", dihedral_table(4)),
-        ("Q8", quaternion_table()),
-        ("Z/9", cyclic_table(9)),
-        ("Z/2xZ/4", direct_product_table(cyclic_table(2), cyclic_table(4))),
-        ("Z/3xZ/3", direct_product_table(cyclic_table(3), cyclic_table(3))),
-        ("Z/16", cyclic_table(16)),
-    ]
-
-
 def test_criterion_10_evans_and_pak_instances():
     t0 = time.perf_counter()
     rep = components(BurnsideB23(), 3)
     assert rep.num_components == 1  # nilpotent of rank 2: connected for n = 3
 
     lines = []
-    for name, table in _pak_battery():
+    for name, table in pak_battery():
         group = FiniteCayley(table, 0)
         r = group.rank()
         n = r + (group.order - 1).bit_length()  # least n >= r + log2(order)

@@ -183,7 +183,7 @@ def test_cover_cli_with_fragment(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["violations"] == 0
-    assert report["lifted"] == report["lifted"] and report["unreached"] == 0
+    assert report["lifted"] == 72 and report["unreached"] == 0  # the whole r=4 N_2(Z) ball
 
 
 def _drop_depth(rows):
@@ -506,17 +506,26 @@ def test_malformed_cayley_tables_are_usage_errors(capsys, table):
 
 
 def test_components_beyond_the_label_limits(capsys):
+    # 70 entries and 2^40 tuples: both run on a few B_n-orbits
     code, out, err = run_cli(
         capsys, "components", "--group", '{"kind":"FiniteCayley","table":[[0]],"identity":0}', "--n", "70",
     )
-    assert code == 2 and out == ""
-    assert err.startswith("usage error") and "n <= 64" in err and "Traceback" not in err
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["components"] == 1 and report["sizes"] == [1] and report["representatives"] == [[0] * 70]
     code, out, err = run_cli(
         capsys, "components", "--group", '{"kind":"FiniteAbelianExp","m":2,"d":1}', "--n", "40",
-        "--cap", str(10**13),
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["generating_tuples"] == 2**40 - 1 and report["total_tuples"] == 2**40
+    assert report["components"] == 1 and report["sizes"] == [2**40 - 1]
+    # the cap bounds the orbit edges: 1287 orbits x 80 moves for Z/16 at n = 5
+    code, out, err = run_cli(
+        capsys, "components", "--group", '{"kind":"FiniteAbelianExp","m":16,"d":1}', "--n", "5", "--cap", "1000",
     )
     assert code == 3 and out == ""
-    assert err.startswith("resource error") and "int32" in err and "Traceback" not in err
+    assert err == "resource error: orbit edges of 1287 orbits x 80 moves exceed cap 1000\n"
 
 
 def test_components_bounds_the_multiplication_table(capsys):
@@ -539,7 +548,7 @@ _HUGE_WINDOW = "1" + "0" * 2000
 @pytest.mark.parametrize(
     ("argv", "named"),
     [
-        (["components", "--group", _HUGE_GROUP, "--n", "1"], "state count (about 10^5000)"),
+        (["components", "--group", _HUGE_GROUP, "--n", "1"], "multiplication table of (about 10^5000)^2 entries"),
         (["tame", "--group", _HUGE_GROUP, "--d", "2"], "state count (about 10^10000)"),
         (["cover", "verify", "--pi", '{"rule":"identity","domain":' + _HUGE_GROUP + "}", "--n", "2"],
          "multiplication table of (about 10^5000)^2 entries"),

@@ -21,6 +21,7 @@ from nielsen.explore import (
     state_key,
 )
 from nielsen.groups import (
+    DEFAULT_VERTEX_CAP,
     BurnsideB23,
     FiniteAbelianExp,
     FiniteCayley,
@@ -33,9 +34,10 @@ from nielsen.groups import (
 )
 from nielsen.moves import I, R, apply_move, eval_word, move_set
 
-from conftest import cyclic_table, dihedral_table, quaternion_table, relabelled_table, seeded
+from conftest import cyclic_table, dihedral_table, pak_battery, quaternion_table, relabelled_table, seeded
 from oracles import (
     ball_by_keys,
+    components_by_tensor,
     components_unionfind,
     content_equal,
     dot_by_darts,
@@ -744,38 +746,92 @@ def test_components_match_oracle_on_relabelled_tables(name, n, data):
     assert_components_match_oracle(FiniteCayley(relabelled, perm[0]), n)
 
 
+def _tensor_cases():
+    cases = []
+    for name, table in pak_battery():
+        group = FiniteCayley(table, 0)
+        cases.append((name, group, group.rank() + (group.order - 1).bit_length()))  # criterion 10's n
+    cases += [("S3", FiniteCayley(dihedral_table(3), 0), 3), ("Q8", FiniteCayley(quaternion_table(), 0), 3),
+              ("B(2,3)", BurnsideB23(), 2), ("B(2,3)", BurnsideB23(), 3), ("Z/9", FiniteAbelianExp(9, 1), 6),
+              ("(Z/13)^2", FiniteAbelianExp(13, 2), 2), ("(Z/13)^2", FiniteAbelianExp(13, 2), 1),
+              ("Z/13", FiniteAbelianExp(13, 1), 1)]
+    return [pytest.param(group, n, id=f"{name}-n{n}") for name, group, n in cases]
+
+
+@pytest.mark.parametrize("group, n", _tensor_cases())
+def test_components_match_the_tensor_oracle(group, n):
+    count, sizes, representatives, positions = components_by_tensor(group, n)
+    rep = components(group, n)
+    assert rep.generating_count == count
+    assert rep.sizes == sizes and rep.representatives == representatives
+    assert np.array_equal(rep.positions, positions)
+    tab = rep.table
+    starts = np.cumsum([0, *sizes])
+    for k in range(rep.num_components):
+        cls = tab.index_tuples(positions[starts[k] : starts[k + 1]], n)
+        assert rep.members(k) == [tuple(tab.elements[x] for x in t) for t in cls]
+
+
+def _generating_count(m: int, d: int, n: int) -> int:
+    """Generating n-tuples of (Z/m)^d: a tuple generates iff it spans mod
+    each prime p | m, and n vectors span (Z/p)^d with probability
+    prod_{i<d} (1 - p^(i-n))."""
+    count = m ** (d * n)
+    for p in (p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))):
+        for i in range(d):
+            count = count // p**n * (p**n - p**i)
+    return count
+
+
 def test_components_diaconis_graham_grid():
     # Diaconis-Graham: a generating d-tuple of (Z/m)^d is a matrix in
     # GL_d(Z/m), moves change its determinant only by sign, and the classes
     # are the sets det in {u, -u}: max(phi(m)/2, 1) classes of equal size.
-    # One more entry makes N_n connected.
+    # One more entry makes N_n connected. Every case whose orbit edges fit
+    # the default cap runs: (Z/m)^d has (m^d + gcd(2, m)^d) / 2 inverse pairs.
     checked = 0
     for m in range(2, 10):
         phi = sum(1 for u in range(1, m) if math.gcd(u, m) == 1)
         for d in (1, 2, 3):
+            pairs = (m**d + math.gcd(2, m) ** d) // 2
             for n in (d, d + 1):
-                if m ** (d * n) > 50_000:
+                if math.comb(pairs + n - 1, n) * 4 * n * (n - 1) > DEFAULT_VERTEX_CAP:
                     continue
                 rep = components(FiniteAbelianExp(m, d), n)
                 expected = max(phi // 2, 1) if n == d else 1
                 assert rep.num_components == expected, (m, d, n)
                 assert len(set(rep.sizes)) == 1, (m, d, n)
+                assert rep.generating_count == _generating_count(m, d, n), (m, d, n)
                 checked += 1
-    assert checked == 32
+    assert checked == 39
+
+
+@pytest.mark.parametrize("m, d, n, generating, least", [
+    (16, 1, 8, 2**32 - 2**24, ((0,),) * 7 + ((1,),)),
+    (5, 2, 6, 244046880, ((0, 0),) * 4 + ((0, 1), (1, 0))),
+])
+def test_components_past_the_tuple_tensor(m, d, n, generating, least):
+    # 2^32 and 5^12 tuples on 12,870 and 18,564 orbits: one class (n > d)
+    rep = components(FiniteAbelianExp(m, d), n)
+    assert rep.num_components == 1 and rep.sizes == [generating] and rep.representatives == [least]
+    assert rep.generating_count == generating == _generating_count(m, d, n)
+    assert rep.total_tuples == m ** (d * n)
 
 
 def test_components_requires_finite_group():
     with pytest.raises(UsageError):
         components(Z, 2)
-    with pytest.raises(ResourceCapError):
+    # the cap bounds the orbit edges, orbits x 4n(n-1), not the 16^5 tuples
+    with pytest.raises(ResourceCapError, match="orbit edges of 1287 orbits x 80 moves exceed cap 1000"):
         components(FiniteCayley(cyclic_table(16), 0), 5, cap=1000)
-    # one label axis per entry, and numpy arrays have at most 64 axes
-    with pytest.raises(UsageError, match="n <= 64"):
-        components(FiniteCayley([[0]], 0), 65)
-    # int32 labels: 2^31 tuples is refused whatever the cap
-    with pytest.raises(ResourceCapError, match="int32"):
-        components(FiniteAbelianExp(2, 1), 31, cap=10**25)
-    assert components(FiniteCayley([[0]], 0), 64).sizes == [1]
+    with pytest.raises(ResourceCapError, match="15992000 moves per orbit exceed cap"):
+        components(FiniteCayley([[0]], 0), 2000)
+    # one orbit of the trivial group at n = 70, and Z/3 at n = 40, whose
+    # sizes are summed past int64
+    rep = components(FiniteCayley([[0]], 0), 70)
+    assert rep.sizes == [1] and rep.members(0) == [(0,) * 70] and rep.positions.tolist() == [0]
+    rep = components(FiniteAbelianExp(3, 1), 40)
+    assert rep.sizes == [3**40 - 1] and rep.total_tuples == 3**40
 
 
 # ---------------------------------------------------------------------------
