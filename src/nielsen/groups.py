@@ -41,8 +41,8 @@ groups.
 A finite group has one index form, ``FiniteTable.of(group)``: intp arrays
 of its multiplication table and inverses, built once per instance from the
 kind's own law (``FiniteCayley`` wraps its validated table). The rank search
-of ``FiniteCayley`` reads the generation mask of all k-tuples for k = 1, 2,
-... and stops with ResourceCapError once |G|^k exceeds the vertex cap.
+of ``FiniteCayley`` tests one least tuple per B_k-orbit for k = 1, 2, ...
+and stops with ResourceCapError once |G|^k exceeds the vertex cap.
 
 The group laws are pure functions on immutable values.
 """
@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, count, product as iproduct
+from itertools import chain, combinations, combinations_with_replacement, count, product as iproduct
 from typing import Any, Iterator
 
 import numpy as np
@@ -296,20 +296,21 @@ class FiniteTable:
             rows[fr, fx] = True
         return rows
 
-    def index_tuples(self, positions, n: int) -> list[tuple[int, ...]]:
-        """The index n-tuples at the given enumeration positions."""
-        cols = np.unravel_index(np.asarray(positions, dtype=np.int64), (self.order,) * n)
-        return list(zip(*(c.tolist() for c in cols)))
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The inverse pairs {x, x^-1}, (K, 2) indices, least member first, in the order of least members."""
+        lo = np.flatnonzero(np.arange(self.order) <= self.inverses)
+        return np.column_stack([lo, self.inverses[lo]])
 
-    def generating_mask(self, n: int) -> np.ndarray:
-        """For every index n-tuple in enumeration order: does it generate?"""
-        return self.generating([None] * n)
+    def orbit_rows(self, n: int) -> np.ndarray:
+        """The B_n-orbits of index n-tuples, each a multiset of n inverse pairs as a sorted row of
+        pair ids, in lex order: the order of their least tuples ``pairs[rows, 0]``."""
+        k = len(self.pairs)
+        cells = chain.from_iterable(combinations_with_replacement(range(k), n))  # in lex order
+        return np.fromiter(cells, dtype=np.min_scalar_type(k), count=math.comb(k + n - 1, n) * n).reshape(-1, n)
 
     def generating(self, cols) -> np.ndarray:
-        """Does each row of the index columns ``cols`` (equal lengths, one
-        per entry) generate? A column None ranges over every element as the
-        next ``itertools.product`` axis, so ``[None] * n`` asks it of all
-        n-tuples in enumeration order.
+        """Does each row of the index columns ``cols`` (one per entry) generate?
 
         Walks the lattice of subgroups one entry at a time: the subgroup
         generated by a prefix joined with the next entry is looked up in the
@@ -338,7 +339,7 @@ class FiniteTable:
                             subgroups.append(members)
                             gens.append(gens[base + s] + (g,))
                 join = np.vstack([join, rows])
-            sub = join[sub].ravel() if col is None else join[sub, col]
+            sub = join[sub, col]
         return sub == ids.get(np.ones(self.order, dtype=bool).tobytes(), -1)
 
 
@@ -618,15 +619,18 @@ class FiniteCayley(Group):
     def standard_generators(self):
         """The lexicographically first generating tuple of least length.
 
-        Searches k = 1, 2, ... on the generation mask of all k-tuples, and
-        raises ResourceCapError once |G|^k exceeds the default vertex cap.
+        Searches k = 1, 2, ... and raises ResourceCapError once |G|^k exceeds the default vertex cap.
+        If t generates, so does the sorted tuple of min(x, x^-1) over its entries x, which is no
+        later than t: the first generating k-tuple is the least tuple of a B_k-orbit.
         """
+        tab = self._finite_table
         for k in count(1):
             if self.order**k > DEFAULT_VERTEX_CAP:
                 raise ResourceCapError(f"rank search over {self.order}^{k} tuples exceeds cap {DEFAULT_VERTEX_CAP}")
-            hits = np.flatnonzero(self._finite_table.generating_mask(k))
+            least = tab.pairs[tab.orbit_rows(k), 0]
+            hits = np.flatnonzero(tab.generating(least.T))
             if hits.size:
-                return self._finite_table.index_tuples(hits[:1], k)[0]
+                return tuple(least[hits[0]].tolist())
 
     @property
     def order(self):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -27,9 +26,7 @@ _MOVED_CELLS = 1 << 22
 @dataclass
 class ComponentsReport:
     """The Nielsen classes of the generating n-tuples, each a union of
-    B_n-orbits. An orbit is a sorted row of inverse-pair ids; pair k is
-    ``{pairs[k, 0], pairs[k, 1]}``, least member first, and the pairs are
-    numbered in the order of their least members."""
+    B_n-orbits: sorted rows of ids of ``table.pairs``."""
 
     group: Group
     n: int
@@ -38,7 +35,6 @@ class ComponentsReport:
     sizes: list[int]                    # aligned with representatives
     representatives: list[State]
     table: FiniteTable
-    pairs: np.ndarray = field(repr=False)   # (K, 2) element indices
     orbits: np.ndarray = field(repr=False)  # (orbits, n) pair ids, class by class, each class in lex order
     starts: np.ndarray = field(repr=False)  # first orbit of each class, then the orbit count
 
@@ -59,7 +55,7 @@ class ComponentsReport:
             free = ~used
             free[:, 1:] &= (r[:, 1:] != r[:, :-1]) | used[:, :-1]
             p, c = np.nonzero(free)
-            lo, hi = self.pairs[r[p, c]].T
+            lo, hi = self.table.pairs[r[p, c]].T
             two = lo != hi
             p, c = np.concatenate([p, p[two]]), np.concatenate([c, c[two]])
             used = used[p]
@@ -129,15 +125,13 @@ def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Component
     if moves > cap:
         raise ResourceCapError(f"{count_text(moves)} moves per orbit exceed cap {cap}")
     tab = FiniteTable.of(group)
-    lo = np.flatnonzero(np.arange(tab.order) <= tab.inverses)
-    pairs = np.column_stack([lo, tab.inverses[lo]])
+    lo = tab.pairs[:, 0]
     k = len(lo)
     total = math.comb(k + n - 1, n)  # k <= |G| and moves <= cap: comb stays cheap
     if total * moves > cap:
         raise ResourceCapError(f"orbit edges of {count_text(total)} orbits x {moves} moves exceed cap {cap}")
 
-    cells = chain.from_iterable(combinations_with_replacement(range(k), n))  # in lex order
-    rows = np.fromiter(cells, dtype=np.min_scalar_type(k), count=total * n).reshape(total, n)
+    rows = tab.orbit_rows(n)
     generating = tab.generating(lo[rows].T)
     rows = rows[generating]
     least = lo[rows]
@@ -146,7 +140,7 @@ def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Component
     index = np.full(total, -1, dtype=dtype)  # lex rank -> generating orbit
     index[generating] = np.arange(len(rows), dtype=dtype)
     pair_of = np.empty(tab.order, dtype=rows.dtype)
-    pair_of[pairs] = np.arange(k)[:, None]
+    pair_of[tab.pairs] = np.arange(k)[:, None]
     # the lex rank of a sorted row a is total - 1 - sum_c comb(k+n-2-a_c-c, n-c)
     terms = np.array([[math.comb(k + n - 2 - a - c, n - c) for a in range(k)] for c in range(n)], dtype=np.int64)
     rest = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp).reshape(n, n - 1)
@@ -176,7 +170,7 @@ def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Component
     starts = np.concatenate([[0], np.cumsum(np.bincount(label, minlength=len(rows))[reps])])
     total_tuples = tab.order**n
     exact = np.int64 if total_tuples * n < 2**63 else object
-    sizes = _orbit_sizes(by_class, pairs[:, 0] != pairs[:, 1], exact)
+    sizes = _orbit_sizes(by_class, lo != tab.pairs[:, 1], exact)
     return ComponentsReport(
         group=group,
         n=n,
@@ -185,7 +179,6 @@ def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Component
         sizes=np.add.reduceat(sizes, starts[:-1]).tolist() if len(reps) else [],
         representatives=[tuple(tab.elements[x] for x in t) for t in least[reps].tolist()],
         table=tab,
-        pairs=pairs,
         orbits=by_class,
         starts=starts,
     )

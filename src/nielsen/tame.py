@@ -16,6 +16,7 @@ through ``moves.apply_move``. Every step is a gather.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .errors import ResourceCapError, UsageError, VerificationError, count_text
 from .explore import DEFAULT_VERTEX_CAP, components
 from .groups import FiniteTable, Group
 from .moves import Move, apply_move, move_set
+
+if TYPE_CHECKING:
+    from .orbits import ComponentsReport
 
 
 class NotRelativelyFreeError(UsageError):
@@ -48,6 +52,7 @@ class AutAction:
     table: FiniteTable                  # also the law on index columns, for apply_move
     d: int
     base: tuple[int, ...]
+    classes: ComponentsReport           # the Nielsen classes of the generating d-tuples
     positions: np.ndarray               # of the generating d-tuples, increasing
     perms: np.ndarray                   # (A, |G|): row k sends base to the tuple at positions[k]
     tame_flags: np.ndarray | None = None  # row mask of the tame subgroup, set by tame_subgroup
@@ -91,9 +96,10 @@ def aut_group(group: Group, d: int) -> AutAction:
     is the group's standard generators, one gather per edge of a BFS tree of
     the Cayley graph of G with respect to the base, and checks each map to
     be a bijective homomorphism; if any is not, the group is not relatively
-    free of rank d and NotRelativelyFreeError reports the discrepancy. Sizes
-    are checked against the vertex cap before the base is looked up and
-    before each array is built.
+    free of rank d and NotRelativelyFreeError reports the discrepancy. The
+    tuples t come from ``components``, kept as ``classes``. Sizes are checked
+    against the vertex cap before the base is looked up and before each array
+    is built.
     """
     if not group.is_finite:
         raise UsageError(f"{group.kind} is not a finite group")
@@ -106,7 +112,8 @@ def aut_group(group: Group, d: int) -> AutAction:
     if not tab.closure([base_idx]).all():
         raise UsageError("standard generators do not generate the group")
 
-    positions = np.flatnonzero(tab.generating_mask(d))
+    classes = components(group, d)
+    positions = np.sort(classes.positions)
     if len(positions) * tab.order > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(
             f"automorphism array of {len(positions)} x {tab.order} entries exceeds cap {DEFAULT_VERTEX_CAP}"
@@ -136,7 +143,7 @@ def aut_group(group: Group, d: int) -> AutAction:
     ok &= hit.all(axis=1)
     if not ok.all():
         raise NotRelativelyFreeError(group, d, len(positions), int(ok.sum()))
-    return AutAction(table=tab, d=d, base=base_idx, positions=positions, perms=perms)
+    return AutAction(table=tab, d=d, base=base_idx, classes=classes, positions=positions, perms=perms)
 
 
 @dataclass
@@ -226,13 +233,10 @@ def verify_component_structure(group: Group, d: int) -> ComponentStructureReport
     """
     act = aut_group(group, d)
     tame = tame_subgroup(act)
-    comps = components(group, d)
-    if comps.generating_count != act.order:
-        raise VerificationError("generating-tuple count does not match Aut order")
 
     dims = (act.table.order,) * d
     # each class increasing, so its first position is its representative
-    classes = np.split(comps.positions, np.cumsum(comps.sizes)[:-1])
+    classes = np.split(act.classes.positions, np.cumsum(act.classes.sizes)[:-1])
     rep_rows = []
     cayley_match = True
     for cls in classes:
@@ -241,9 +245,7 @@ def verify_component_structure(group: Group, d: int) -> ComponentStructureReport
         t_local = _closure(act, gens.values())
         if t_local.sum() != tame.tame_order:
             raise VerificationError("conjugate tame subgroup has a different order")
-        rows = act.rows(cols)
-        if (rows < 0).any():
-            raise VerificationError("component vertex is not an automorphism image of its base")
+        rows = act.rows(cols)  # every class tuple has a row: positions are the classes' tuples
         rep_rows.append(int(rows[0]))
         # beta[k] carries the representative to member k; the class is the
         # Cayley graph iff beta is onto t_local and turns moves into alpha
@@ -270,8 +272,8 @@ def verify_component_structure(group: Group, d: int) -> ComponentStructureReport
         aut_order=act.order,
         tame_order=tame.tame_order,
         index=tame.index,
-        num_components=comps.num_components,
-        component_sizes=sorted(comps.sizes, reverse=True),
+        num_components=act.classes.num_components,
+        component_sizes=sorted(act.classes.sizes, reverse=True),
         components_isomorphic=components_isomorphic,
         cayley_match=cayley_match,
     )

@@ -1,6 +1,6 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
-its ``FiniteTable`` index form and generation mask, ``apply_move``, the key
+its ``FiniteTable`` index form and generation test, ``apply_move``, the key
 encoding, a fragment's decoded keys and tuples, the forest's component spec
 and report record, ``covering.push`` and the covering reports, and the error
 types."""
@@ -54,6 +54,12 @@ def components_unionfind(group: Group, n: int) -> tuple[int, list[list[State]]]:
     return sum(gen_mask), list(classes.values())
 
 
+def index_tuples(tab: FiniteTable, positions, n: int) -> list[tuple[int, ...]]:
+    """The index n-tuples at the given ``itertools.product`` positions."""
+    cols = np.unravel_index(np.asarray(positions, dtype=np.int64), (tab.order,) * n)
+    return list(zip(*(c.tolist() for c in cols)))
+
+
 def components_by_tensor(group: Group, n: int) -> tuple[int, list[int], list[State], np.ndarray]:
     """Nielsen classes by minimum-label propagation over all |G|^n tuples.
 
@@ -72,7 +78,7 @@ def components_by_tensor(group: Group, n: int) -> tuple[int, list[int], list[Sta
     tab = FiniteTable.of(group)
     if n > 64 or tab.order**n >= 2**31:
         raise ResourceCapError("one int32 label per tuple and one tensor axis per entry")
-    gen_idx = np.flatnonzero(tab.generating_mask(n))
+    gen_idx = np.flatnonzero(tab.generating(np.unravel_index(np.arange(tab.order**n), (tab.order,) * n)))
     flat = np.arange(tab.order**n, dtype=np.int32)
     cube = flat.reshape((tab.order,) * n)
     columns = np.arange(tab.order)
@@ -89,7 +95,7 @@ def components_by_tensor(group: Group, n: int) -> tuple[int, list[int], list[Sta
         if np.array_equal(flat, before):
             break
     uniq, inverse, counts = np.unique(flat[gen_idx], return_inverse=True, return_counts=True)
-    representatives = [tuple(tab.elements[k] for k in t) for t in tab.index_tuples(uniq, n)]
+    representatives = [tuple(tab.elements[k] for k in t) for t in index_tuples(tab, uniq, n)]
     return len(gen_idx), counts.tolist(), representatives, gen_idx[np.argsort(inverse, kind="stable")]
 
 

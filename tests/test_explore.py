@@ -43,6 +43,7 @@ from oracles import (
     dot_by_darts,
     fragment_from_jsonl_by_records,
     fragment_lists,
+    index_tuples,
     jsonl_by_records,
 )
 
@@ -768,7 +769,7 @@ def test_components_match_the_tensor_oracle(group, n):
     tab = rep.table
     starts = np.cumsum([0, *sizes])
     for k in range(rep.num_components):
-        cls = tab.index_tuples(positions[starts[k] : starts[k + 1]], n)
+        cls = index_tuples(tab, positions[starts[k] : starts[k + 1]], n)
         assert rep.members(k) == [tuple(tab.elements[x] for x in t) for t in cls]
 
 

@@ -38,6 +38,7 @@ from conftest import (
     direct_product_table,
     elementary_abelian_table,
     quaternion_table,
+    relabelled_table,
     seeded,
 )
 from oracles import (
@@ -337,6 +338,34 @@ def test_finite_cayley_block_verdict_matches_the_element_closure(table):
     assert verdict.dtype == bool and len(verdict) == len(block)
     assert verdict.tolist() == [len(element_closure(G, tuple(t))) == G.order for t in block.tolist()]
     assert G.is_generating_each(block[:0]).shape == (0,)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["S3", "Q8", "D4"]), st.integers(1, 4), st.data())
+def test_lattice_walk_matches_the_closure_on_relabelled_tables(name, n, data):
+    # every n-tuple, as explicit index columns
+    table = {"S3": dihedral_table(3), "Q8": quaternion_table(), "D4": dihedral_table(4)}[name]
+    perm = data.draw(st.permutations(range(len(table))))
+    tab = FiniteTable.of(FiniteCayley(relabelled_table(table, perm), perm[0]))
+    tuples = np.array(list(iproduct(range(tab.order), repeat=n)), dtype=np.intp)
+    assert tab.generating(tuples.T).tolist() == tab.closure(tuples).all(axis=1).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lattice_walk_matches_the_closure_on_random_columns(n):
+    # (Z/13)^2: half the rows drawn from all 169 elements, half from the
+    # cyclic subgroup of one element, so that both verdicts occur from n = 2
+    tab = FiniteTable.of(FiniteAbelianExp(13, 2))
+    rng = np.random.default_rng(n)
+    powers = np.empty((tab.order, 13), dtype=np.intp)
+    powers[:, 0] = tab.id_idx
+    for k in range(1, 13):
+        powers[:, k] = tab.table[powers[:, k - 1], np.arange(tab.order)]
+    cols = rng.integers(0, tab.order, size=(n, 2000))
+    cols[:, 1000:] = powers[rng.integers(0, tab.order, size=1000), rng.integers(0, 13, size=(n, 1000))]
+    verdict = tab.generating(cols)
+    assert verdict.tolist() == tab.closure(cols.T).all(axis=1).tolist()
+    assert not verdict.any() if n == 1 else 0 < verdict.sum() < len(verdict)
 
 
 def test_burnside_invariants():
@@ -691,8 +720,14 @@ RANK_BATTERY = {
 
 @pytest.mark.parametrize("name", sorted(RANK_BATTERY))
 def test_rank_search_matches_brute_force(name):
-    group = FiniteCayley(RANK_BATTERY[name], 0)
-    assert group.standard_generators() == first_generating_tuple(group)
+    # seeded relabellings renumber the inverse pairs, whose least members
+    # the search reads
+    table, rng = RANK_BATTERY[name], seeded(sorted(RANK_BATTERY).index(name))
+    perm = list(range(len(table)))
+    for _ in range(4):
+        group = FiniteCayley(relabelled_table(table, perm), perm[0])
+        assert group.standard_generators() == first_generating_tuple(group)
+        rng.shuffle(perm)
 
 
 @pytest.mark.parametrize("d", [5, 6])

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from nielsen.errors import ResourceCapError, UsageError
-from nielsen.groups import BurnsideB23, FiniteAbelianExp, FiniteCayley
+from nielsen.groups import BurnsideB23, FiniteAbelianExp, FiniteCayley, FiniteTable
 from nielsen.tame import (
     NotRelativelyFreeError,
     aut_group,
@@ -109,6 +109,20 @@ def test_component_structure_with_multiple_classes():
     assert rep.num_components == 2
     assert rep.component_sizes == [240, 240]
     assert rep.ok
+
+
+@pytest.mark.parametrize("group", [BurnsideB23(), FiniteAbelianExp(5, 2)], ids=["B23", "Z5^2"])
+def test_component_structure_walks_the_lattice_once(group, monkeypatch):
+    calls = []
+    generating = FiniteTable.generating
+
+    def counted(self, cols):
+        calls.append(len(cols))
+        return generating(self, cols)
+
+    monkeypatch.setattr(FiniteTable, "generating", counted)
+    assert verify_component_structure(group, 2).ok
+    assert calls == [2]
 
 
 def test_trivial_aut_instance():
