@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ResourceCapError, UsageError, count_text
 from .explore import GraphFragment, ball
-from .groups import DEFAULT_VERTEX_CAP, Group, State
+from .groups import DEFAULT_VERTEX_CAP, Group, State, _fold
 from .moves import move_set
 
 
@@ -144,7 +144,7 @@ def closed_walks(group: Group, root: State, k_max: int, window: int | None = Non
         if m ** k >= 2**63 and counts.dtype != object:
             counts = counts.astype(object)
         nxt = np.zeros_like(counts)
-        nxt[rows] = counts[darts].sum(axis=1)
+        nxt[rows] = _fold(np.add, counts[darts])
         counts = nxt
         out.append(int(counts[0]))
     return out
@@ -187,7 +187,7 @@ def cheeger_search(frag: GraphFragment, strategy: str = "balls") -> IsoReport:
     size = int(np.argmin(frag.expanded)) if not frag.expanded.all() else len(frag)
     v = np.arange(size)[:, None]
     out = frag.darts[:size]
-    cut = np.cumsum((out > v).sum(axis=1) - (out < v).sum(axis=1))
+    cut = np.cumsum(_fold(np.add, out > v, np.int64) - _fold(np.add, out < v, np.int64))
     if strategy == "balls":
         ends = np.flatnonzero(np.append(frag.depths[1:], -1)[:size] != frag.depths[:size])
     else:

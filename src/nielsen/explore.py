@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResourceCapError, UsageError, VerificationError, count_text
-from .groups import DEFAULT_VERTEX_CAP, Group, State
+from .groups import DEFAULT_VERTEX_CAP, Group, State, _fold
 from .moves import I, Move, R, move_inverse, move_set
 
 
@@ -93,10 +93,10 @@ class GraphFragment:
         size, m = len(self), len(self.moves)
         if self.darts.shape != (size, m) or self.expanded.shape != (size,):
             raise VerificationError("fragment arrays do not hold one dart per vertex and move")
-        if ((self.darts != -1).any(axis=1) & ~self.expanded).any():
+        if (_fold(np.logical_or, self.darts != -1) & ~self.expanded).any():
             raise VerificationError("unexpanded vertex with darts")
         # read as uint32, -1 is 2^32 - 1: one compare finds every target out of range
-        if ((self.darts.view(np.uint32) >= size).any(axis=1) & self.expanded).any():
+        if (_fold(np.logical_or, self.darts.view(np.uint32) >= size) & self.expanded).any():
             raise VerificationError("dart target missing")
         out = self.darts[self.expanded]
         inv = np.array([self.moves.index(move_inverse(mv)) for mv in self.moves], dtype=np.intp)

@@ -45,6 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ResourceCapError, UsageError, VerificationError, count_text
+from .groups import _fold
 from .moves import Move, R
 
 Reason = str  # 'kept' | 'dup_of_12' | 'dup_of_21' | 'lex_loser' | 'none'
@@ -258,7 +259,7 @@ def _grid_blocks(low: np.ndarray, sizes: tuple[int, ...], block: int):
         for k in reversed(range(len(sizes))):  # the last coordinate varies fastest
             rest, rows[:, k] = np.divmod(rest, sizes[k])
         rows += low
-        yield rows[np.gcd.reduce(rows, axis=1) == 1]
+        yield rows[_fold(np.gcd, rows) == 1]
 
 
 def verify_forest(n: int, window: int) -> ForestReport:
@@ -298,21 +299,21 @@ def verify_forest(n: int, window: int) -> ForestReport:
         free = [k - 1 for k in spec.free]
         shape = (window,) * len(free)
         grid = np.indices(shape, dtype=np.int32).reshape(len(free), -1).T + 1
-        inside = np.gcd.reduce(grid, axis=1) == 1
+        inside = _fold(np.gcd, grid) == 1
         index = np.cumsum(inside, dtype=np.int32) - 1  # gcd-1 grid position -> row
         rows = np.zeros((index[-1] + 1, n), dtype=np.int32)
         rows[:, free] = grid[inside]
 
         parents, keep = _image_parents(spec, rows)  # rows[0] is the root (all free coordinates 1)
-        owned = ((np.gcd.reduce(parents, axis=1) == 1) & (parents.max(axis=1) <= window)
-                 & (np.sign(parents) == np.sign(rows[0])).all(axis=1))
+        owned = ((_fold(np.gcd, parents) == 1) & (_fold(np.maximum, parents) <= window)
+                 & _fold(np.logical_and, np.sign(parents) == np.sign(rows[0])))
         bad = np.flatnonzero(np.append(keep[0] >= 0, (keep[1:] < 0) | ~owned[1:]))
         if len(bad):
             v = tuple(rows[bad[0]].tolist())
             raise VerificationError(f"root {v} of {spec.pattern()} has a kept in-edge" if bad[0] == 0 else
                                     f"non-root {v} in {spec.pattern()} has no kept in-edge" if keep[bad[0]] < 0 else
                                     "in-window vertex with out-of-window parent")
-        if (parents[1:].sum(axis=1, dtype=np.int64) >= rows[1:].sum(axis=1, dtype=np.int64)).any():
+        if (_fold(np.add, parents[1:], np.int64) >= _fold(np.add, rows[1:], np.int64)).any():
             descent_ok = False
 
         degree = np.zeros(len(rows), dtype=np.int32)
@@ -331,8 +332,8 @@ def verify_forest(n: int, window: int) -> ForestReport:
     coverage_ok = True
     present = np.zeros(3**n, dtype=bool)  # by sign code: base 3, digit k the sign of x_k plus 1
     for x in _grid_blocks(np.full(n, -window), (2 * window + 1,) * n, 1 << 16):
-        excluded = (x == 0).sum(axis=1) > n - 2  # component_of gives None
-        if (excluded != (np.abs(x).sum(axis=1) == 1)).any():
+        excluded = _fold(np.add, x == 0, np.int64) > n - 2  # component_of gives None
+        if (excluded != (_fold(np.add, np.abs(x), np.int64) == 1)).any():
             coverage_ok = False
         code = np.zeros(len(x), dtype=np.int32)
         for k in reversed(range(n)):

@@ -93,13 +93,25 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _fold(ufunc: np.ufunc, a: np.ndarray, dtype=None) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` of a 2-D array, folded one column at a
+    time into one (N,) array of ``dtype`` (default ``a``'s): numpy reduces
+    along a short last axis many times slower."""
+    if not a.shape[1]:
+        return ufunc.reduce(a, axis=1, dtype=dtype)  # the ufunc's identity, if it has one
+    out = a[:, 0].astype(a.dtype if dtype is None else dtype)
+    for c in range(1, a.shape[1]):
+        ufunc(out, a[:, c], out=out)
+    return out
+
+
 def _firsts(keys: np.ndarray) -> np.ndarray:
     """Mask of the first of each run of equal keys, or rows, in a sorted
     array (a sort and this mask deduplicate: np.unique would import numpy.ma)."""
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     differ = keys[1:] != keys[:-1]
-    first[1:] = differ if differ.ndim == 1 else differ.any(axis=1)
+    first[1:] = differ if differ.ndim == 1 else _fold(np.logical_or, differ)
     return first
 
 

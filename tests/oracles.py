@@ -1,7 +1,8 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
 its ``FiniteTable`` index form and generation test, ``apply_move``, the key
-encoding, a fragment's decoded keys and tuples, the forest's component spec
+encoding, a fragment's decoded keys and tuples, the darts of a ``ball``
+(``reference_closed_walks``), the forest's component spec
 and report record, ``covering.push`` and the covering reports, and the error
 types."""
 
@@ -16,7 +17,7 @@ import numpy as np
 from nielsen import forest, layers
 from nielsen.covering import _HOM_SAMPLE, _HOM_SEED, LiftReport, StarReport, push
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
-from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, state_key
+from nielsen.explore import DEFAULT_VERTEX_CAP, GraphFragment, ball, state_key
 from nielsen.groups import FiniteTable, Group, IntVectorGroup, State, lattice_is_full
 from nielsen.moves import Move, apply_move, move_inverse, move_set
 from nielsen.tame import NotRelativelyFreeError
@@ -133,6 +134,24 @@ def brute_force_closed_walks(group: Group, root: State, k_max: int) -> list[int]
             rec(nxt, depth + 1)
 
     rec(root, 0)
+    return out
+
+
+def reference_closed_walks(group: Group, root: State, k_max: int) -> list[int]:
+    """The walk DP over the darts of the ball of radius k_max // 2 + 1, on
+    Python ints from the first step, each step's counts the row sums of the
+    counts at the targets of every expanded vertex."""
+    frag = ball(group, root, k_max // 2 + 1)
+    rows = np.flatnonzero(frag.expanded)
+    darts = frag.darts[rows]
+    counts = np.zeros(len(frag), dtype=object)
+    counts[0] = 1
+    out = [1]
+    for _ in range(k_max):
+        nxt = np.zeros_like(counts)
+        nxt[rows] = counts[darts].sum(axis=1)
+        counts = nxt
+        out.append(counts[0])
     return out
 
 

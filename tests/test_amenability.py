@@ -24,7 +24,7 @@ from nielsen.groups import (
 )
 
 from conftest import dihedral_table
-from oracles import brute_force_closed_walks
+from oracles import brute_force_closed_walks, reference_closed_walks
 
 Z = Integers()
 D = InfiniteDihedral()
@@ -110,6 +110,12 @@ def test_walk_counts_basics():
 def test_walk_counts_match_brute_force():
     for group, root in ((Z, (1, 1)), (D, DINF_ROOT)):
         assert closed_walks(group, root, 6) == brute_force_closed_walks(group, root, 6)
+
+
+@pytest.mark.parametrize("group,root", [(Z, (1, 1)), (D, DINF_ROOT)], ids=["N2Z", "D_inf"])
+def test_walk_counts_past_int64_match_the_row_sum_oracle(group, root):
+    # m = 10 moves, so the DP's counts turn into Python ints at k = 19 (10^19 >= 2^63)
+    assert closed_walks(group, root, 20) == reference_closed_walks(group, root, 20)
 
 
 def test_walks_window_precondition():

@@ -16,7 +16,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from nielsen.cli import main
@@ -174,6 +174,9 @@ def _run(argv):
 
 @settings(max_examples=2000, deadline=None)
 @given(_argv())
+# a modulus past int64: the ball grows on element ids
+@example(["spectral", "--group", '{"kind": "FiniteAbelianExp", "m": 1000000000000000000000000000000, "d": 2}',
+          "--root", "[[1, 0], [0, 1]]", "--k", "1"])
 def test_every_subcommand_keeps_the_exit_code_contract(argv):
     code, out, err = _run(argv)
     event(f"{argv[0]} exit {code}")

@@ -151,11 +151,14 @@ ORACLE_CASES = {
     "Q8": (FiniteCayley(quaternion_table(), 0), None, 6, {}),
     "Z_mod_3_n3": (FiniteCayley(cyclic_table(3), 0), (1, 0, 0), 8, {}),
     "Z2_guard_root": (FreeAbelian(2), ((2**40 + 1, 2**40), (1, 1)), 3, {}),
+    # a modulus past int64, whose residues no int64 coordinate array holds
+    "Z2_mod_past_int64": (FiniteAbelianExp(10**30, 2), None, 3, {}),
     # a table whose identity is element 3, not 0, and a window no finite kind can leave
     "S3_relabelled": (FiniteCayley(relabelled_table(dihedral_table(3), [3, 5, 0, 4, 1, 2]), 3), None, 8, {}),
     "Q8_window_0": (FiniteCayley(quaternion_table(), 0), None, 5, {"window": 0}),
 }
-INTERNED = {"F2_window", "Z_guard_root", "Heisenberg_past_guard", "D_inf_past_guard", "F2", "F3_n3", "Z2_guard_root"}
+INTERNED = {"F2_window", "Z_guard_root", "Heisenberg_past_guard", "D_inf_past_guard", "F2", "F3_n3", "Z2_guard_root",
+            "Z2_mod_past_int64"}
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
@@ -181,6 +184,19 @@ def test_the_group_and_the_guard_pick_the_law():
         law = layers._Interned if name in INTERNED else layers._Coordinates
         assert type(frag.law) is law, name
         assert frag.rows.dtype == np.int32 and len(frag.rows) == len(frag), name
+
+
+@pytest.mark.parametrize("radius", [0, 1, 3])
+def test_a_modulus_past_int64_grows_the_ball_of_free_abelian_rank_2(radius):
+    # no coordinate of Z^2's ball wraps mod 10^30, so reducing its tuples is
+    # an isomorphism onto the ball of (Z/10^30)^2, in another vertex order
+    m = 10**30
+    big = ball(FiniteAbelianExp(m, 2), ((1, 0), (0, 1)), radius)
+    free = ball(FreeAbelian(2), ((1, 0), (0, 1)), radius)
+    at = np.array([big.index[tuple(tuple(x % m for x in g) for g in s)] for s in free.states])
+    assert len(big) == len(free) and sorted(at.tolist()) == list(range(len(big)))
+    assert np.array_equal(big.depths[at], free.depths) and np.array_equal(big.expanded[at], free.expanded)
+    assert np.array_equal(big.darts[at], np.where(free.darts < 0, -1, at[free.darts]))
 
 
 def test_the_interned_law_multiplies_each_distinct_pair_once(monkeypatch):

@@ -1,7 +1,9 @@
 """Group kernel: laws, normal forms, serialization, generation tests."""
 
+import functools
 import json
 import math
+import operator
 import time
 import tracemalloc
 from itertools import product as iproduct
@@ -27,9 +29,12 @@ from nielsen.groups import (
     InfiniteDihedral,
     Integers,
     IntVectorGroup,
+    _firsts,
+    _fold,
     group_from_json,
     lattice_is_full,
 )
+from nielsen.layers import _bounds
 from nielsen.tame import verify_component_structure
 
 from conftest import (
@@ -787,3 +792,52 @@ def test_each_group_builds_its_table_once(monkeypatch):
     components(b23, 2)
     verify_component_structure(b23, 2)
     assert builds == [b23]
+
+
+# ---------------------------------------------------------------------------
+# column folds: the row and column reductions of the BFS and its consumers,
+# against plain Python on the rows as lists
+
+# ints small enough that eight of them sum without wrapping
+_FOLD_DTYPES = {np.int32: st.integers(-(2**27), 2**27), np.int64: st.integers(-(2**59), 2**59), np.bool_: st.booleans()}
+# the ufunc, its Python fold, and the dtype it folds bool columns into
+_FOLDS = [
+    (np.logical_or, lambda a, b: bool(a or b), None),
+    (np.maximum, max, None),
+    (np.add, operator.add, np.int64),
+    (np.gcd, math.gcd, np.int64),
+]
+
+
+@st.composite
+def _tables(draw):
+    """An int32, int64 or bool array of 0 to 60 rows and 1 to 8 columns,
+    its rows drawn from at most five distinct ones, so many repeat."""
+    dtype = draw(st.sampled_from(list(_FOLD_DTYPES)))
+    k = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.lists(_FOLD_DTYPES[dtype], min_size=k, max_size=k), min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=60))
+    return np.array(rows, dtype=dtype).reshape(len(rows), k)
+
+
+@given(_tables())
+def test_the_column_fold_is_the_row_reduction(a):
+    for ufunc, fold, bool_dtype in _FOLDS:
+        dtype = bool_dtype if a.dtype == bool else None
+        got = _fold(ufunc, a, dtype)
+        assert got.shape == (len(a),) and got.dtype == (a.dtype if dtype is None else dtype), ufunc
+        assert got.tolist() == [functools.reduce(fold, row) for row in a.tolist()], ufunc
+
+
+@given(_tables().filter(len))
+def test_the_column_bounds_are_the_least_and_greatest_of_each_column(a):
+    lo, hi = _bounds(a)
+    assert lo.dtype == hi.dtype == a.dtype
+    assert lo.tolist() == [min(c) for c in a.T.tolist()] and hi.tolist() == [max(c) for c in a.T.tolist()]
+
+
+@given(_tables())
+def test_firsts_marks_the_rows_that_differ_from_the_row_before(a):
+    rows = sorted(a.tolist())
+    expected = [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
+    assert _firsts(np.array(rows, dtype=a.dtype).reshape(a.shape)).tolist() == expected
