@@ -326,33 +326,46 @@ class FiniteTable:
 
         Walks the lattice of subgroups one entry at a time: the subgroup
         generated by a prefix joined with the next entry is looked up in the
-        memoized table ``join[subgroup][element]``. The rows of the
-        subgroups first met at one entry are grown by batched ``closure``
-        calls, one for every element outside each of them, at most
-        ``_CLOSURE_CELLS`` mask cells a call.
+        memoized table ``join[subgroup, element]``, whose row starts as the
+        subgroup's own id at its members and -1 elsewhere. At each entry, one
+        sort gives the distinct (subgroup, element) pairs of the column that
+        the table lacks; only those are closed, by batched ``closure`` calls
+        on the subgroup's stored generators and the element, all padded with
+        the identity to one width, at most ``_CLOSURE_CELLS`` mask cells a
+        call. The subgroups first met get new rows.
         """
-        subgroups, gens = list(self.closure([()])), [()]
-        ids = {subgroups[0].tobytes(): 0}
-        join = np.zeros((0, self.order), dtype=np.intp)
+        order = self.order
+        trivial = np.arange(order) == self.id_idx
+        ids = {trivial.tobytes(): 0}
+        join = np.where(trivial, 0, -1)[None, :]
+        gens = np.zeros((1, 0), dtype=np.intp)  # row s: the generators of subgroup s, identity-padded
         sub = np.zeros(1, dtype=np.intp)
-        step = max(1, _CLOSURE_CELLS // self.order)
+        step = max(1, _CLOSURE_CELLS // order)
         for col in cols:
-            base = len(join)
-            if base < len(subgroups):
-                s_of, g_of = np.nonzero(~np.array(subgroups[base:]))
-                prefix = np.array(gens[base:], dtype=np.intp).reshape(len(subgroups) - base, len(gens[-1]))
-                grow = np.column_stack([prefix[s_of], g_of])
-                rows = np.repeat(np.arange(base, len(subgroups))[:, None], self.order, axis=1)
+            col = np.asarray(col, dtype=np.intp)
+            joined = join[sub, col]
+            missing = joined < 0
+            if missing.any():
+                key = np.sort((sub * order + col)[missing])
+                gens = np.column_stack([gens, np.full(len(gens), self.id_idx)])
+                s_of, g_of = np.divmod(key[_firsts(key)], order)
+                grow = gens[s_of]
+                grow[:, -1] = g_of
+                found, fresh = np.empty(len(grow), dtype=np.intp), []
                 for i in range(0, len(grow), step):
-                    for s, g, members in zip(s_of[i : i + step].tolist(), g_of[i : i + step].tolist(),
-                                             self.closure(grow[i : i + step])):
-                        rows[s, g] = ids.setdefault(members.tobytes(), len(subgroups))
-                        if rows[s, g] == len(subgroups):
-                            subgroups.append(members)
-                            gens.append(gens[base + s] + (g,))
-                join = np.vstack([join, rows])
-            sub = join[sub, col]
-        return sub == ids.get(np.ones(self.order, dtype=bool).tobytes(), -1)
+                    for k, members in enumerate(self.closure(grow[i : i + step]), i):
+                        found[k] = ids.setdefault(members.tobytes(), len(ids))
+                        if found[k] == len(join) + len(fresh):
+                            fresh.append((k, members))
+                if fresh:
+                    new, masks = zip(*fresh)
+                    first = len(join)
+                    join = np.vstack([join, np.where(masks, np.arange(first, first + len(new))[:, None], -1)])
+                    gens = np.vstack([gens, grow[list(new)]])
+                join[s_of, g_of] = found
+                joined = join[sub, col]
+            sub = joined
+        return sub == ids.get(np.ones(order, dtype=bool).tobytes(), -1)
 
 
 class Integers(Group):

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ResourceCapError
-from .groups import Group, IntVectorGroup, State, _firsts, encode_int
+from .groups import Group, IntVectorGroup, State, _firsts, _fold, encode_int
 from .moves import Move
 
 if TYPE_CHECKING:
@@ -183,9 +183,11 @@ class _Coordinates:
         return Z.transpose(1, 2, 0)[:, gather].reshape(-1, n * w)
 
     def measure(self, rows: np.ndarray, n: int) -> np.ndarray:
-        """The measure of each row: its largest unbounded coordinate."""
-        cols = rows.reshape(len(rows), n, self.group.width)[:, :, list(self.group.unbounded)]
-        return np.abs(cols).max(axis=(1, 2), initial=0)
+        """The measure of each row: its largest unbounded coordinate, folded
+        across the n * u columns that hold one (0 when there are none)."""
+        w = self.group.width
+        cols = [i * w + k for i in range(n) for k in self.group.unbounded]
+        return _fold(np.maximum, np.abs(rows[:, cols])) if cols else np.zeros(len(rows), dtype=rows.dtype)
 
     def ranking(self, rows: np.ndarray):
         """The rank function of parts of ``rows``: ``int_ranks``, the same for every layer."""

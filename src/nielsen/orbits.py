@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ResourceCapError, UsageError, count_text
-from .groups import DEFAULT_VERTEX_CAP, FiniteTable, Group, State
+from .groups import DEFAULT_VERTEX_CAP, FiniteTable, Group, State, _fold
 
 # cells of the sorted move-image rows that ``components`` ranks at once
 _MOVED_CELLS = 1 << 22
@@ -90,7 +90,106 @@ def _orbit_sizes(rows: np.ndarray, two: np.ndarray, dtype) -> np.ndarray:
     for c in range(1, rows.shape[1]):
         run = np.where(rows[:, c] == rows[:, c - 1], run + 1, 1)
         size = size * (c + 1) // run.astype(dtype)
-    return size << two[rows].sum(axis=1).astype(dtype)
+    return size << _fold(np.add, two[rows], np.intp).astype(dtype)
+
+
+@dataclass
+class GeneratingOrbits:
+    """The generating B_n-orbits of a finite group, in lex order, with the
+    tuples in each: the first step of ``components``, before any orbit edge."""
+
+    group: Group
+    n: int
+    table: FiniteTable
+    total: int                          # all orbits, C(K+n-1, n)
+    ranks: np.ndarray = field(repr=False)  # the lex rank of each generating orbit
+    rows: np.ndarray = field(repr=False)   # its sorted row of pair ids
+    sizes: np.ndarray = field(repr=False)  # its tuples, int64 or Python ints
+
+    @property
+    def count(self) -> int:
+        """The generating n-tuples."""
+        return int(self.sizes.sum())
+
+
+def generating_orbits(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> GeneratingOrbits:
+    """The first step of ``components``: every orbit edge bound is checked
+    first, then the orbits are listed and tested for generation on their
+    least tuples."""
+    if not group.is_finite:
+        raise UsageError("components requires a finite group")
+    if n < 1:
+        raise UsageError("components requires n >= 1")
+    if group.order**2 > cap:
+        raise ResourceCapError(f"multiplication table of {count_text(group.order)}^2 entries exceeds cap {cap}")
+    moves = 4 * n * (n - 1)
+    if moves > cap:
+        raise ResourceCapError(f"{count_text(moves)} moves per orbit exceed cap {cap}")
+    tab = FiniteTable.of(group)
+    lo = tab.pairs[:, 0]
+    total = math.comb(len(lo) + n - 1, n)  # K <= |G| and moves <= cap: comb stays cheap
+    if total * moves > cap:
+        raise ResourceCapError(f"orbit edges of {count_text(total)} orbits x {moves} moves exceed cap {cap}")
+    rows = tab.orbit_rows(n)
+    ranks = np.flatnonzero(tab.generating(lo[rows].T))
+    rows = rows[ranks]
+    exact = np.int64 if tab.order**n * n < 2**63 else object
+    return GeneratingOrbits(group, n, tab, total, ranks, rows, _orbit_sizes(rows, lo != tab.pairs[:, 1], exact))
+
+
+def classes(orbits: GeneratingOrbits) -> ComponentsReport:
+    """The second step of ``components``: the Nielsen classes of the
+    generating orbits, found by minimum-label propagation over orbit edges."""
+    tab, n, rows, total = orbits.table, orbits.n, orbits.rows, orbits.total
+    k = len(tab.pairs)
+    moves = 4 * n * (n - 1)
+    least = tab.pairs[rows.T, 0]  # (n, orbits): the orbit axis last, as in targets
+    least_inv = tab.inverses[least]
+    dtype = np.int32 if total < 2**31 else np.int64
+    index = np.full(total, -1, dtype=dtype)  # lex rank -> generating orbit
+    index[orbits.ranks] = np.arange(len(rows), dtype=dtype)
+    pair_of = np.empty(tab.order, dtype=rows.dtype)
+    pair_of[tab.pairs] = np.arange(k)[:, None]
+    # the lex rank of a sorted row a is total - 1 - sum_c comb(k+n-2-a_c-c, n-c)
+    terms = np.array([[math.comb(k + n - 2 - a - c, n - c) for a in range(k)] for c in range(n)], dtype=np.int64)
+    rest = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp).reshape(n, n - 1)
+    # orbit last, so that label[targets] reduces across rows of all orbits
+    targets = np.empty((n, 4 * (n - 1), len(rows)), dtype=dtype)
+    step = max(1, _MOVED_CELLS // max(1, len(rows) * moves))  # entries i whose images are ranked at once
+    for i in range(0, n, step):
+        others = rest[i : i + step]
+        xi, xj, xj_inv = least[i : i + step, None], least[others], least_inv[others]
+        images = np.concatenate([tab.table[xi, xj], tab.table[xi, xj_inv], tab.table[xj, xi], tab.table[xj_inv, xi]], 1)
+        moved = np.empty(images.shape + (n,), dtype=rows.dtype)
+        moved[..., :-1] = rows[:, others].transpose(1, 0, 2)[:, None]
+        moved[..., -1] = pair_of[images]
+        moved.sort(axis=-1)
+        targets[i : i + step] = index[total - 1 - sum(terms[c, moved[..., c]] for c in range(n))]
+    targets = targets.reshape(moves, len(rows))
+
+    label = np.arange(len(rows), dtype=dtype)
+    while True:
+        pulled = np.minimum(label, label[targets].min(axis=0, initial=len(rows)))
+        pulled = pulled[pulled]
+        if np.array_equal(pulled, label):
+            break
+        label = pulled
+
+    by_label = np.argsort(label, kind="stable")
+    reps = np.flatnonzero(label == np.arange(len(rows)))  # each class's least orbit labels itself
+    starts = np.concatenate([[0], np.cumsum(np.bincount(label, minlength=len(rows))[reps])])
+    sizes = orbits.sizes[by_label]
+    return ComponentsReport(
+        group=orbits.group,
+        n=n,
+        total_tuples=tab.order**n,
+        generating_count=orbits.count,
+        sizes=np.add.reduceat(sizes, starts[:-1]).tolist() if len(reps) else [],
+        representatives=[tuple(tab.elements[x] for x in t) for t in least[:, reps].T.tolist()],
+        table=tab,
+        orbits=rows[by_label],
+        starts=starts,
+    )
 
 
 def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> ComponentsReport:
@@ -114,71 +213,6 @@ def components(group: Group, n: int, cap: int = DEFAULT_VERTEX_CAP) -> Component
 
     The cap bounds the |G|^2 entries of the multiplication table, checked
     before it is built, and the orbits x 4n(n-1) orbit edges, not |G|^n.
+    It runs ``generating_orbits`` and then ``classes``.
     """
-    if not group.is_finite:
-        raise UsageError("components requires a finite group")
-    if n < 1:
-        raise UsageError("components requires n >= 1")
-    if group.order**2 > cap:
-        raise ResourceCapError(f"multiplication table of {count_text(group.order)}^2 entries exceeds cap {cap}")
-    moves = 4 * n * (n - 1)
-    if moves > cap:
-        raise ResourceCapError(f"{count_text(moves)} moves per orbit exceed cap {cap}")
-    tab = FiniteTable.of(group)
-    lo = tab.pairs[:, 0]
-    k = len(lo)
-    total = math.comb(k + n - 1, n)  # k <= |G| and moves <= cap: comb stays cheap
-    if total * moves > cap:
-        raise ResourceCapError(f"orbit edges of {count_text(total)} orbits x {moves} moves exceed cap {cap}")
-
-    rows = tab.orbit_rows(n)
-    generating = tab.generating(lo[rows].T)
-    rows = rows[generating]
-    least = lo[rows]
-    least_inv = tab.inverses[least]
-    dtype = np.int32 if total < 2**31 else np.int64
-    index = np.full(total, -1, dtype=dtype)  # lex rank -> generating orbit
-    index[generating] = np.arange(len(rows), dtype=dtype)
-    pair_of = np.empty(tab.order, dtype=rows.dtype)
-    pair_of[tab.pairs] = np.arange(k)[:, None]
-    # the lex rank of a sorted row a is total - 1 - sum_c comb(k+n-2-a_c-c, n-c)
-    terms = np.array([[math.comb(k + n - 2 - a - c, n - c) for a in range(k)] for c in range(n)], dtype=np.int64)
-    rest = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp).reshape(n, n - 1)
-    targets = np.empty((len(rows), n, 4 * (n - 1)), dtype=dtype)
-    step = max(1, _MOVED_CELLS // max(1, len(rows) * moves))  # entries i whose images are ranked at once
-    for i in range(0, n, step):
-        others = rest[i : i + step]
-        xi, xj, xj_inv = least[:, i : i + step, None], least[:, others], least_inv[:, others]
-        images = np.concatenate([tab.table[xi, xj], tab.table[xi, xj_inv], tab.table[xj, xi], tab.table[xj_inv, xi]], 2)
-        moved = np.empty(images.shape + (n,), dtype=rows.dtype)
-        moved[..., :-1] = rows[:, others][:, :, None]
-        moved[..., -1] = pair_of[images]
-        moved.sort(axis=-1)
-        targets[:, i : i + step] = index[total - 1 - sum(terms[c, moved[..., c]] for c in range(n))]
-    targets = targets.reshape(len(rows), moves)
-
-    label = np.arange(len(rows), dtype=dtype)
-    while True:
-        pulled = np.minimum(label, label[targets].min(axis=1, initial=len(rows)))
-        pulled = pulled[pulled]
-        if np.array_equal(pulled, label):
-            break
-        label = pulled
-
-    by_class = rows[np.argsort(label, kind="stable")]
-    reps = np.flatnonzero(label == np.arange(len(rows)))  # each class's least orbit labels itself
-    starts = np.concatenate([[0], np.cumsum(np.bincount(label, minlength=len(rows))[reps])])
-    total_tuples = tab.order**n
-    exact = np.int64 if total_tuples * n < 2**63 else object
-    sizes = _orbit_sizes(by_class, lo != tab.pairs[:, 1], exact)
-    return ComponentsReport(
-        group=group,
-        n=n,
-        total_tuples=total_tuples,
-        generating_count=int(sizes.sum()),
-        sizes=np.add.reduceat(sizes, starts[:-1]).tolist() if len(reps) else [],
-        representatives=[tuple(tab.elements[x] for x in t) for t in least[reps].tolist()],
-        table=tab,
-        orbits=by_class,
-        starts=starts,
-    )
+    return classes(generating_orbits(group, n, cap))

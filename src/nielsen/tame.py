@@ -8,8 +8,11 @@ and every class is its Cayley graph with respect to the move labels. This
 module enumerates both sides exhaustively and checks the match.
 
 Aut(G) is one (A, |G|) array: row k sends the base to the generating tuple
-at the k-th enumeration position, so phi o psi needs phi only at psi(base),
-a subgroup is a row mask grown by BFS, and moves act on whole index columns
+at the k-th enumeration position, so phi o psi needs phi only at psi(base).
+A dense array over all |G|^d tuples turns a tuple into its row with one
+gather. Each move automorphism a gives one step row, r -> r o a, built once;
+the tame subgroup, and the coset of it that each Nielsen class is, are row
+masks grown by BFS along the steps, and moves act on whole index columns
 through ``moves.apply_move``. Every step is a gather.
 """
 
@@ -21,12 +24,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ResourceCapError, UsageError, VerificationError, count_text
-from .explore import DEFAULT_VERTEX_CAP, components
+from .explore import DEFAULT_VERTEX_CAP
 from .groups import FiniteTable, Group
 from .moves import Move, apply_move, move_set
 
 if TYPE_CHECKING:
     from .orbits import ComponentsReport
+
+# cells (edges x A) of one block of aut_group's gathers: small enough to stay in cache
+_BLOCK_CELLS = 1 << 14
 
 
 class NotRelativelyFreeError(UsageError):
@@ -55,7 +61,9 @@ class AutAction:
     classes: ComponentsReport           # the Nielsen classes of the generating d-tuples
     positions: np.ndarray               # of the generating d-tuples, increasing
     perms: np.ndarray                   # (A, |G|): row k sends base to the tuple at positions[k]
+    row_of: np.ndarray                  # (|G|^d,) int32: k at positions[k], -1 off the generating tuples
     tame_flags: np.ndarray | None = None  # row mask of the tame subgroup, set by tame_subgroup
+    steps: np.ndarray | None = None     # (moves, A), move_set order: the row of r o a_mv at r; set by tame_subgroup
 
     @property
     def order(self) -> int:
@@ -63,9 +71,7 @@ class AutAction:
 
     def rows(self, cols) -> np.ndarray:
         """Rows sending base to d index columns (or one tuple); -1 off the generating tuples."""
-        pos = np.ravel_multi_index(cols, (self.table.order,) * self.d)
-        k = np.minimum(np.searchsorted(self.positions, pos), self.order - 1)
-        return np.where(self.positions[k] == pos, k, -1)
+        return self.row_of[np.ravel_multi_index(cols, (self.table.order,) * self.d)]
 
     def after(self, rows, inner) -> np.ndarray:
         """Rows of phi o psi for each row phi, where psi(base) = ``inner``."""
@@ -89,6 +95,12 @@ def _check_tuple_space(order: int, d: int) -> None:
         )
 
 
+def _blocks(edges: list[tuple[int, int, int]], width: int):
+    """The columns (g, k, h) of the edges, ``width`` edges at a time."""
+    edges = np.array(edges, dtype=np.intp).reshape(-1, 3)
+    return (edges[i : i + width].T for i in range(0, len(edges), width))
+
+
 def aut_group(group: Group, d: int) -> AutAction:
     """All automorphisms of a finite relatively free group of rank d.
 
@@ -99,8 +111,11 @@ def aut_group(group: Group, d: int) -> AutAction:
     free of rank d and NotRelativelyFreeError reports the discrepancy. The
     tuples t come from ``components``, kept as ``classes``. Sizes are checked
     against the vertex cap before the base is looked up and before each array
-    is built.
+    is built: the automorphism array as soon as the generating orbits are
+    counted, before any orbit edge.
     """
+    from . import orbits  # imported here, so that ``import nielsen`` does not compile it
+
     if not group.is_finite:
         raise UsageError(f"{group.kind} is not a finite group")
     _check_tuple_space(group.order, d)
@@ -109,41 +124,51 @@ def aut_group(group: Group, d: int) -> AutAction:
         raise UsageError(f"d = {d} must equal the rank {len(base_vals)} of the group")
     tab = FiniteTable.of(group)
     base_idx = tuple(tab.index[g] for g in base_vals)
-    if not tab.closure([base_idx]).all():
+    # a BFS tree of the Cayley graph of G with respect to the base, layer by
+    # layer, edges (g, k, g * b_k); the other edges are its chords
+    layers, chords, reached, frontier = [], [], {tab.id_idx}, [tab.id_idx]
+    while frontier:
+        layers.append([])
+        for g in frontier:
+            for k, bk in enumerate(base_idx):
+                h = tab.table.item(g, bk)
+                if h in reached:
+                    chords.append((g, k, h))
+                else:
+                    reached.add(h)
+                    layers[-1].append((g, k, h))
+        frontier = [h for _, _, h in layers[-1]]
+    if len(reached) < tab.order:
         raise UsageError("standard generators do not generate the group")
 
-    classes = components(group, d)
-    positions = np.sort(classes.positions)
-    if len(positions) * tab.order > DEFAULT_VERTEX_CAP:
+    generating = orbits.generating_orbits(group, d)
+    if generating.count * tab.order > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(
-            f"automorphism array of {len(positions)} x {tab.order} entries exceeds cap {DEFAULT_VERTEX_CAP}"
+            f"automorphism array of {generating.count} x {tab.order} entries exceeds cap {DEFAULT_VERTEX_CAP}"
         )
-    targets = np.unravel_index(positions, (tab.order,) * d)
-    # phi(g * b_k) = phi(g) * t_k along the tree (the base generates, so it
-    # spans G); checking it at every g * b_k makes phi a homomorphism
-    perms = np.empty((len(positions), tab.order), dtype=np.intp, order="F")
-    perms[:, tab.id_idx] = tab.id_idx
-    queue = [tab.id_idx]
-    reached = {tab.id_idx}
-    for g in queue:
-        for bk, tk in zip(base_idx, targets):
-            h = tab.table.item(g, bk)
-            if h not in reached:
-                reached.add(h)
-                queue.append(h)
-                perms[:, h] = tab.table[perms[:, g], tk]
-    # one contiguous column of the Fortran-ordered perms at a time keeps the
-    # peak near one (A, |G|) array
+    classes = orbits.classes(generating)
+    positions = np.sort(classes.positions)
+    targets = np.array(np.unravel_index(positions, (tab.order,) * d))
+    flat = tab.table.ravel()
+    width = max(1, _BLOCK_CELLS // len(positions))  # edges a block
+    # images[g] = phi(g) for every row phi, so perms = images.T is Fortran-
+    # ordered; phi(g * b_k) = phi(g) * t_k along the tree, one layer at a time
+    images = np.empty((tab.order, len(positions)), dtype=np.intp)
+    images[tab.id_idx] = tab.id_idx
+    for layer in layers:
+        for g, k, h in _blocks(layer, width):
+            images[h] = flat[images[g] * tab.order + targets[k]]
+    # the same at every chord makes phi a homomorphism; a homomorphism is
+    # bijective iff only the identity maps to the identity
     ok = np.ones(len(positions), dtype=bool)
-    for bk, tk in zip(base_idx, targets):
-        for g in range(tab.order):
-            ok &= perms[:, tab.table[g, bk]] == tab.table[perms[:, g], tk]
-    hit = np.zeros(perms.shape, dtype=bool)
-    np.put_along_axis(hit, perms, True, axis=1)
-    ok &= hit.all(axis=1)
+    for g, k, h in _blocks(chords, width):
+        ok &= (flat[images[g] * tab.order + targets[k]] == images[h]).all(axis=0)
+    ok &= (images == tab.id_idx).sum(axis=0) == 1
     if not ok.all():
         raise NotRelativelyFreeError(group, d, len(positions), int(ok.sum()))
-    return AutAction(table=tab, d=d, base=base_idx, classes=classes, positions=positions, perms=perms)
+    row_of = np.full(tab.order**d, -1, dtype=np.int32)
+    row_of[positions] = np.arange(len(positions), dtype=np.int32)
+    return AutAction(table=tab, d=d, base=base_idx, classes=classes, positions=positions, perms=images.T, row_of=row_of)
 
 
 @dataclass
@@ -153,37 +178,44 @@ class TameReport:
     index: int
 
 
-def move_automorphisms(act: AutAction, base: tuple[int, ...] | None = None) -> dict[Move, int]:
+def move_automorphisms(act: AutAction) -> dict[Move, int]:
     """The row of the automorphism induced by each move: the one carrying
-    base (a generating index tuple) to base.move."""
-    base = act.base if base is None else base
+    the base to base.move."""
     moves = move_set(act.d)
-    targets = np.array([apply_move(act.table, base, mv) for mv in moves]).T
+    targets = np.array([apply_move(act.table, act.base, mv) for mv in moves]).T
     rows = act.rows(targets)
     bad = np.flatnonzero(rows < 0)
     if bad.size:
         target = tuple(targets[:, bad[0]].tolist())
         raise VerificationError(f"move image {target} of the base is not a generating tuple")
-    return dict(zip(moves, act.carrying(int(act.rows(base)), rows).tolist()))
+    return dict(zip(moves, rows.tolist()))
 
 
-def _closure(act: AutAction, gens) -> np.ndarray:
-    """Row mask of the subgroup generated by the rows ``gens``."""
-    member = np.zeros(act.order, dtype=bool)
-    frontier = act.rows(act.base).reshape(1)
-    member[frontier] = True
-    inners = [act.perms[g, list(act.base)] for g in gens]
+def _steps(act: AutAction, gens) -> np.ndarray:
+    """Row i sends each row r to the row of r o gens[i]: one ``after`` a generator."""
+    return np.array([act.after(np.arange(act.order), act.perms[g, list(act.base)]) for g in gens])
+
+
+def _closure(steps: np.ndarray, start: int) -> np.ndarray:
+    """Row mask of start o H, H the subgroup generated by the automorphisms
+    whose right multiplications are the rows of ``steps``: a BFS from
+    ``start``, one gather a round, with the mask removing repeats."""
+    member = np.zeros(steps.shape[1], dtype=bool)
+    member[start] = True
+    frontier = np.array([start])
     while frontier.size:
-        reached = np.unique(np.concatenate([act.after(frontier, inner) for inner in inners]))
-        frontier = reached[~member[reached]]
-        member[frontier] = True
+        fresh = np.zeros_like(member)
+        fresh[steps[:, frontier]] = True
+        fresh &= ~member
+        member |= fresh
+        frontier = np.flatnonzero(fresh)
     return member
 
 
 def tame_subgroup(act: AutAction) -> TameReport:
     """Closure of the move-induced automorphisms, with its index in Aut(G)."""
-    gens = move_automorphisms(act)
-    act.tame_flags = _closure(act, gens.values())
+    act.steps = _steps(act, move_automorphisms(act).values())
+    act.tame_flags = _closure(act.steps, int(act.rows(act.base)))
     tame_order = int(act.tame_flags.sum())
     if act.order % tame_order != 0:
         raise VerificationError("tame subgroup order does not divide Aut order")
@@ -224,12 +256,13 @@ def verify_component_structure(group: Group, d: int) -> ComponentStructureReport
     """Exhaustively match the Nielsen classes of N_d(G) with Cayley graphs of
     the move-induced automorphism subgroup.
 
-    Checks: the number of classes equals the index of the tame subgroup;
+    Checks: the number of classes equals the index of the tame subgroup T;
     every class has its size; each class maps label-preservingly onto the
-    Cayley graph of the tame subgroup computed at that class's
-    representative; and the automorphism action carries class 0 onto every
-    other class. Any failure raises VerificationError (the statements are
-    theorems for relatively free groups).
+    Cayley graph of T: its rows are the coset phi o T, phi the row of its
+    representative, and each move sends a member's row r to r o a_mv, a_mv
+    the move's automorphism of the base; and the automorphism action carries
+    class 0 onto every other class. Any failure raises VerificationError (the
+    statements are theorems for relatively free groups).
     """
     act = aut_group(group, d)
     tame = tame_subgroup(act)
@@ -241,22 +274,13 @@ def verify_component_structure(group: Group, d: int) -> ComponentStructureReport
     cayley_match = True
     for cls in classes:
         cols = np.unravel_index(cls, dims)
-        gens = move_automorphisms(act, base=tuple(int(c[0]) for c in cols))
-        t_local = _closure(act, gens.values())
-        if t_local.sum() != tame.tame_order:
-            raise VerificationError("conjugate tame subgroup has a different order")
         rows = act.rows(cols)  # every class tuple has a row: positions are the classes' tuples
         rep_rows.append(int(rows[0]))
-        # beta[k] carries the representative to member k; the class is the
-        # Cayley graph iff beta is onto t_local and turns moves into alpha
-        beta = act.carrying(rep_rows[-1], rows)
-        if not np.array_equal(np.sort(beta), np.flatnonzero(t_local)):
+        coset = _closure(act.steps, rep_rows[-1])
+        if not (len(rows) == coset.sum() and coset[rows].all()):
             cayley_match = False
-        for mv, alpha in gens.items():
-            moved = np.ravel_multi_index(apply_move(act.table, cols, mv), dims)
-            at = np.minimum(np.searchsorted(cls, moved), len(cls) - 1)
-            expected = act.after(beta, act.perms[alpha, list(act.base)])
-            if not (np.array_equal(cls[at], moved) and np.array_equal(beta[at], expected)):
+        for mv, step in zip(move_set(d), act.steps):
+            if not np.array_equal(act.rows(apply_move(act.table, cols, mv)), step[rows]):
                 cayley_match = False
 
     components_isomorphic = True

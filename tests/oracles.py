@@ -1,10 +1,10 @@
 """Slow reference implementations that the fast paths in ``nielsen`` are
 checked against. They share no code with those paths beyond the group law,
 its ``FiniteTable`` index form and generation test, ``apply_move``, the key
-encoding, a fragment's decoded keys and tuples, the darts of a ``ball``
-(``reference_closed_walks``), the forest's component spec
-and report record, ``covering.push`` and the covering reports, and the error
-types."""
+encoding, the row lookup and composition of an ``AutAction``, a fragment's
+decoded keys and tuples, the darts of a ``ball`` (``reference_closed_walks``),
+the forest's component spec and report record, ``covering.push`` and the
+covering reports, and the error types."""
 
 import json
 import math
@@ -532,6 +532,29 @@ def _subgroup(generators: list, identity: tuple) -> set:
                     nxt.append(q)
         frontier = nxt
     return seen
+
+
+def rows_by_search(act, cols) -> np.ndarray:
+    """``AutAction.rows`` by binary search of the enumeration positions of
+    d index columns in the sorted ``act.positions``: -1 where none is."""
+    pos = np.ravel_multi_index(cols, (act.table.order,) * act.d)
+    k = np.minimum(np.searchsorted(act.positions, pos), act.order - 1)
+    return np.where(act.positions[k] == pos, k, -1)
+
+
+def closure_by_frontier(act, gens) -> np.ndarray:
+    """Row mask of the subgroup of Aut(G) that the rows ``gens`` generate:
+    a BFS from the identity, one ``act.after`` per generator and round, with
+    ``np.unique`` removing repeats."""
+    member = np.zeros(act.order, dtype=bool)
+    frontier = act.rows(act.base).reshape(1)
+    member[frontier] = True
+    inners = [act.perms[g, list(act.base)] for g in gens]
+    while frontier.size:
+        reached = np.unique(np.concatenate([act.after(frontier, inner) for inner in inners]))
+        frontier = reached[~member[reached]]
+        member[frontier] = True
+    return member
 
 
 def tame_reference(group: Group, d: int) -> dict:

@@ -30,6 +30,7 @@ from nielsen.groups import (
     Heisenberg,
     InfiniteDihedral,
     Integers,
+    IntVectorGroup,
     encode_int,
 )
 from nielsen.moves import I, R, apply_move, eval_word, move_set
@@ -97,6 +98,27 @@ def test_window_retains_frontier_unexpanded():
     assert frag.truncated
     with pytest.raises(UsageError):
         growth_profile(frag)
+
+
+@pytest.mark.parametrize("group, root, window", [(Heisenberg(), ((1, 0, 0), (0, 1, 0)), 3), (Z, (1, 1), 5),
+                                                   (D, ((0, 1), (1, 1)), 3), (FiniteAbelianExp(5, 1), ((1,), (2,)), 0)],
+                         ids=["Heisenberg-w3", "N2(Z)-w5", "D_inf-w3", "Z5-w0"])
+def test_window_measure_matches_a_python_max(group, root, window):
+    # the coordinate law folds across the unbounded columns of each row;
+    # plain Python takes the largest ``group.measure`` of its entries, on a
+    # windowed ball's rows and on rows with coordinates up to 2^30
+    from nielsen import layers
+
+    law, n, w = layers._Coordinates(group), len(root), group.width
+    frag = ball(group, root, 6, window=window)
+    rows = np.array([law.row(s) for s in frag.states], dtype=np.int32)
+    wild = np.random.default_rng(3).integers(-(2**30), 2**30, size=(40, n * w), dtype=np.int32)
+    for block in (rows, wild):
+        entries = [[tuple(r[i * w : (i + 1) * w]) if isinstance(group, IntVectorGroup) else r[i * w]
+                    for i in range(n)] for r in block.tolist()]
+        expected = [max(group.measure(g) for g in t) for t in entries]
+        assert law.measure(block, n).tolist() == expected
+    assert law.measure(rows[:0], n).shape == (0,)
 
 
 def test_growth_profiles():

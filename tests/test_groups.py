@@ -373,6 +373,63 @@ def test_lattice_walk_matches_the_closure_on_random_columns(n):
     assert not verdict.any() if n == 1 else 0 < verdict.sum() < len(verdict)
 
 
+def _lattice_columns(tab: FiniteTable, n: int, rows: int, seed: int) -> np.ndarray:
+    """Index columns (n, rows) that meet each case of the lazy join: entry c
+    is a random element, the identity (so a later entry first meets its
+    subgroup from a shorter prefix), or the square of an earlier entry or
+    the product of two (both inside the prefix subgroup); one column is
+    constant."""
+    rng = np.random.default_rng(seed)
+    cols = np.empty((n, rows), dtype=np.intp)
+    for c in range(n):
+        kind = rng.integers(0, 4 if c else 2, size=rows)
+        a, b = cols[rng.integers(0, max(c, 1), size=(2, rows)), np.arange(rows)] if c else (None, None)
+        cols[c] = rng.integers(0, tab.order, size=rows)
+        cols[c, kind == 1] = tab.id_idx
+        if c:
+            power = tab.table[a, a]
+            cols[c, kind == 2] = power[kind == 2]
+            cols[c, kind == 3] = tab.table[a, b][kind == 3]
+    cols[rng.integers(0, n)] = (tab.id_idx + rng.integers(1, tab.order)) % tab.order  # not the identity
+    return cols
+
+
+LAZY_TABLES = {
+    "(Z/13)^2": FiniteTable.of(FiniteAbelianExp(13, 2)),
+    "D4": FiniteTable.of(FiniteCayley(relabelled_table(dihedral_table(4), [3, 0, 6, 1, 7, 2, 5, 4]), 3)),
+    "Q8": FiniteTable.of(FiniteCayley(quaternion_table(), 0)),
+    "B(2,3)": FiniteTable.of(BurnsideB23()),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", LAZY_TABLES)
+def test_lazy_join_matches_the_closure_on_each_case(name, n):
+    tab = LAZY_TABLES[name]
+    cols = _lattice_columns(tab, n, 600, seed=n)
+    inside = [tab.closure(cols[:c].T)[np.arange(cols.shape[1]), cols[c]] for c in range(n)]
+    assert all(x.any() for x in inside[1:]) and (~inside[-1]).any()  # both cases at every entry
+    verdict = tab.generating(cols)
+    assert verdict.tolist() == tab.closure(cols.T).all(axis=1).tolist()
+
+
+@pytest.mark.parametrize("name", LAZY_TABLES)
+def test_lazy_join_closes_only_the_pairs_it_meets(name, monkeypatch):
+    # at each entry, the distinct (prefix subgroup, element) pairs with the
+    # element outside the subgroup bound the rows closed
+    tab = LAZY_TABLES[name]
+    cols = _lattice_columns(tab, 3, 600, seed=11)
+    bound = 0
+    for c in range(3):
+        masks = tab.closure(cols[:c].T)
+        bound += len({(m.tobytes(), g) for m, g in zip(masks, cols[c].tolist()) if not m[g]})
+    closed = []
+    closure = FiniteTable.closure
+    monkeypatch.setattr(FiniteTable, "closure", lambda self, gens: closed.append(len(gens)) or closure(self, gens))
+    tab.generating(cols)
+    assert 0 < sum(closed) <= bound
+
+
 def test_burnside_invariants():
     B = BurnsideB23()
     elems = list(B.elements())

@@ -1,21 +1,26 @@
 """Tame lab: automorphism enumeration, move-induced subgroup, class structure."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
+from nielsen import orbits
 from nielsen.errors import ResourceCapError, UsageError
 from nielsen.groups import BurnsideB23, FiniteAbelianExp, FiniteCayley, FiniteTable
 from nielsen.tame import (
     NotRelativelyFreeError,
+    _closure,
+    _steps,
     aut_group,
     move_automorphisms,
     tame_subgroup,
     verify_component_structure,
 )
 
-from conftest import cyclic_table, dihedral_table, direct_product_table
-from oracles import tame_reference
+from conftest import cyclic_table, dihedral_table, direct_product_table, relabelled_table
+from oracles import closure_by_frontier, rows_by_search, tame_reference
 
 
 def test_aut_counts():
@@ -85,6 +90,64 @@ def test_automorphism_array_is_capped():
     # 289^2 tuples fit the cap, but |GL_2(F_17)| x 289 entries do not
     with pytest.raises(ResourceCapError, match="automorphism array of 78336 x 289"):
         aut_group(FiniteAbelianExp(17, 2), 2)
+
+
+def test_automorphism_array_is_refused_before_any_orbit_edge(monkeypatch):
+    # the generating count is known from the orbit sizes; the classes, and
+    # with them every orbit edge, are never built
+    calls = []
+    monkeypatch.setattr(orbits, "classes", lambda generating: calls.append(generating))
+    with pytest.raises(ResourceCapError, match="automorphism array of 78336 x 289"):
+        aut_group(FiniteAbelianExp(17, 2), 2)
+    assert calls == []
+
+
+def _relabelled_z3sq() -> FiniteCayley:
+    perm = list(range(9))
+    random.Random(31).shuffle(perm)
+    return FiniteCayley(relabelled_table(direct_product_table(cyclic_table(3), cyclic_table(3)), perm), perm[0])
+
+
+ROW_CASES = {
+    "B23": (BurnsideB23(), 2),
+    "Z5^2": (FiniteAbelianExp(5, 2), 2),
+    "Z2^3": (FiniteAbelianExp(2, 3), 3),
+    "relabelled Z3^2": (_relabelled_z3sq(), 2),
+}
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_dense_rows_match_the_search_on_every_tuple(case):
+    group, d = ROW_CASES[case]
+    act = aut_group(group, d)
+    cols = np.unravel_index(np.arange(act.table.order**d), (act.table.order,) * d)
+    rows = act.rows(cols)
+    assert np.array_equal(rows, rows_by_search(act, cols))
+    generating = act.table.closure(np.array(cols).T).all(axis=1)
+    assert (rows >= 0).tolist() == generating.tolist()  # -1 exactly off the generating tuples
+    assert np.array_equal(rows[generating], np.arange(act.order))
+    for k in (0, len(rows) // 2, np.flatnonzero(generating)[-1]):  # one tuple, as move_automorphisms asks
+        assert int(act.rows(tuple(int(c[k]) for c in cols))) == rows[k]
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_step_closure_matches_the_frontier_bfs(case):
+    group, d = ROW_CASES[case]
+    act = aut_group(group, d)
+    identity = int(act.rows(act.base))
+    rng = np.random.default_rng(7)
+    gen_sets = [list(move_automorphisms(act).values())]
+    gen_sets += [rng.integers(0, act.order, size=k).tolist() for k in (1, 1, 2, 3)]
+    for gens in gen_sets:
+        steps = _steps(act, gens)
+        subgroup = closure_by_frontier(act, gens)
+        assert np.array_equal(_closure(steps, identity), subgroup)
+        # from another row phi the same steps reach the coset phi o H
+        phi = int(rng.integers(act.order))
+        members = np.flatnonzero(subgroup)
+        coset = np.zeros(act.order, dtype=bool)
+        coset[act.rows(act.perms[phi][act.perms[members][:, list(act.base)]].T)] = True
+        assert np.array_equal(_closure(steps, phi), coset)
 
 
 def test_component_structure_reports():
