@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ResourceCapError, UsageError, count_text
 from .explore import GraphFragment, ball
-from .groups import DEFAULT_VERTEX_CAP, Group, State, _fold
+from .groups import DEFAULT_VERTEX_CAP, Group, State, _firsts, _fold
 from .moves import move_set
 
 
@@ -49,9 +49,7 @@ class SpectralEstimate:
     a_k: int
     m: int
     rho_hat: float
-    note: str = (
-        "finite-k sample of a limsup; not a bound on the spectral radius in either direction"
-    )
+    note: str = "finite-k sample of a limsup; not a bound on the spectral radius in either direction"
 
     def to_json(self) -> dict:
         return {"k": self.k, "a_k": self.a_k, "m": self.m, "rho_hat": self.rho_hat, "note": self.note}
@@ -99,69 +97,70 @@ def iso_ratio(frag: GraphFragment, members, description: str = "custom") -> IsoR
 def closed_walks(group: Group, root: State, k_max: int, window: int | None = None) -> list[int]:
     """Exact counts a_0..a_{k_max} of closed move sequences based at root.
 
-    A closed walk of length k stays within distance floor(k/2) of the root,
-    so the dynamic program runs over the ball of radius floor(k_max/2)+1 in
-    which all vertices within floor(k_max/2) are expanded. If the window
-    blocks expansion within that radius, the computation refuses.
-
-    Each step pulls along the darts: by dart symmetry, the walks arriving at
-    an expanded vertex are those leaving it to an expanded vertex, and walks
-    that reach the frontier cannot return in the remaining steps, so they
-    are dropped. A count after k steps is at most m^k; the counts are int64
-    while that fits, Python ints after. A DP of more than the vertex cap in
-    k_max x ball vertices is refused before the ball outgrows it.
-
-    An even k_max whose count is sure to have too many digits to print is
-    refused after the ball and before the DP: a move word followed by its
-    inverse word is a closed walk inside the ball, so a_k >= m^(k/2).
+    Each move's inverse is a move, so a_{i+j} = sum_v w_i(v) w_j(v), where
+    w_t(v) counts the walks of length t from the root to v. The DP pushes w_t
+    along the darts for h = ceil(k_max/2) steps over the radius-h ball, whose
+    vertices within distance h-1 the window must let expand, and takes
+    a_{2t} = w_t.w_t and a_{2t-1} = w_t.w_{t-1} as each w_t is made: int64
+    while m^k bounds a count of length k, Python ints after. A DP of more
+    than the vertex cap in k_max x ball vertices is refused before the ball
+    outgrows it, and an even k_max before the DP when a_k >= m^(k/2) (a move
+    word, then its inverse) has too many digits to print.
     """
+    return _walks(group, root, k_max, window, every=True)
+
+
+def _walks(group: Group, root: State, k_max: int, window: int | None, every: bool) -> list[int]:
+    """``closed_walks``, or with ``every`` false [a_{k_max}] by one dot product."""
     if k_max < 0:
         raise UsageError("k_max must be >= 0")
-    need = k_max // 2
+    need, half = k_max // 2, (k_max + 1) // 2
     budget = DEFAULT_VERTEX_CAP // max(k_max, 1)
     try:
-        frag = ball(group, root, need + 1, window=window, cap=budget)
+        frag = ball(group, root, half, window=window, cap=budget)
     except ResourceCapError:
         raise ResourceCapError(f"walk DP of {count_text(k_max)} steps x over {budget} vertices "
                                f"exceeds cap {DEFAULT_VERTEX_CAP}") from None
-    if frag.truncated_at is not None and frag.truncated_at <= need:
-        raise UsageError(
-            f"window {window} too small for walks of length {k_max}: "
-            f"every vertex within distance {need} of the root must lie inside the window"
-        )
+    if frag.truncated:  # the window blocked a vertex within distance half - 1
+        raise UsageError(f"window {window} too small for walks of length {k_max}: every vertex within "
+                         f"distance {half - 1} of the root must lie inside the window")
     m = len(frag.moves)
     # m >= 10 for n >= 2, so m^e past the digit limit e already prints too long;
     # Pythons before 3.10.7 have no limit, read as 0
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if k_max % 2 == 0 and not count_text(m ** min(need, limit)).isdigit():
         raise ResourceCapError(f"a_{k_max} >= {m}^{need} has too many digits to print")
+    # the darts of the expanded vertices sorted once by target into runs of sources
     rows = np.flatnonzero(frag.expanded)
-    darts = frag.darts[rows]
-    counts = np.zeros(len(frag), dtype=np.int64)
-    counts[0] = 1  # the root
+    targets = frag.darts[rows].ravel()
+    order = np.argsort(targets, kind="stable")
+    starts = np.flatnonzero(_firsts(targets[order]))
+    heads, sources = targets[order[starts]], rows[order // m]
+    ends = np.searchsorted(frag.depths, np.arange(half + 1), side="right")  # w_t lives on ends[t] (depth order)
+    w = np.zeros(len(frag), dtype=np.int64)
+    w[0] = 1  # the root
     out = [1]
-    for k in range(1, k_max + 1):
-        if m ** k >= 2**63 and counts.dtype != object:
-            counts = counts.astype(object)
-        nxt = np.zeros_like(counts)
-        nxt[rows] = _fold(np.add, counts[darts])
-        counts = nxt
-        out.append(int(counts[0]))
-    return out
+    for t in range(1, half + 1):
+        if m**t >= 2**63 and w.dtype != object:
+            w = w.astype(object)
+        runs = np.searchsorted(heads, ends[t])  # the runs into vertices within distance t
+        darts = starts[runs] if runs < len(starts) else len(sources)
+        prev, w = w, np.zeros_like(w)
+        w[heads[:runs]] = np.add.reduceat(prev[sources[:darts]], starts[:runs])
+        for k, v, size in ((2 * t - 1, prev, ends[t - 1]), (2 * t, w, ends[t])):
+            if k == k_max or every and k < k_max:  # a_k = w_t.v, int64 while m^k bounds its sums
+                dtype = np.int64 if m**k < 2**63 else object
+                out.append(int(w[:size].astype(dtype, copy=False) @ v[:size].astype(dtype, copy=False)))
+    return out if every else out[-1:]
 
 
-def spectral_estimate(
-    group: Group,
-    root: State,
-    k: int,
-    window: int | None = None,
-) -> SpectralEstimate:
-    """Kesten-style estimate (1/m) * a_k**(1/k) from the exact walk count."""
+def spectral_estimate(group: Group, root: State, k: int, window: int | None = None) -> SpectralEstimate:
+    """Kesten-style estimate (1/m) * a_k**(1/k) from the exact walk count:
+    the walk DP of ``closed_walks``, with the one dot product of a_k."""
     if k < 1:
         raise UsageError("spectral estimate requires k >= 1 (a_k**(1/k) is undefined for k = 0)")
-    n = len(root)
-    m = len(move_set(n))
-    a_k = closed_walks(group, root, k, window=window)[k]
+    m = len(move_set(len(root)))
+    a_k = _walks(group, root, k, window, every=False)[0]
     text = count_text(a_k)
     if not text.isdigit():
         raise ResourceCapError(f"a_{k} = {text} has too many digits to print")

@@ -775,8 +775,10 @@ class FreeGroup(Group):
                 raise UsageError(f"FreeGroup word {a!r} is not freely reduced")
         return a
 
+    _codes = {x: encode_int(x) for x in range(-26, 27) if x}  # each letter's encode_int, built once
+
     def encode_element(self, a):
-        return encode_int(len(a)) + b"".join(encode_int(x) for x in a)
+        return encode_int(len(a)) + b"".join(map(self._codes.__getitem__, a))
 
     def element_to_json(self, a):
         return self.word_to_str(a)
@@ -803,9 +805,7 @@ class FreeGroup(Group):
         return out
 
     def word_to_str(self, a) -> str:
-        if not a:
-            return "1"
-        return "".join(_LETTERS[x - 1] if x > 0 else _LETTERS[-x - 1].upper() for x in a)
+        return "".join(_LETTERS[x - 1] if x > 0 else _LETTERS[-x - 1].upper() for x in a) or "1"
 
     def measure(self, a):
         return len(a)

@@ -19,6 +19,7 @@ from nielsen.groups import (
     FiniteAbelianExp,
     FiniteCayley,
     FreeGroup,
+    Heisenberg,
     InfiniteDihedral,
     Integers,
 )
@@ -118,12 +119,50 @@ def test_walk_counts_past_int64_match_the_row_sum_oracle(group, root):
     assert closed_walks(group, root, 20) == reference_closed_walks(group, root, 20)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 19, 20, 21])
+@pytest.mark.parametrize("group,root", [(Z, (1, 1)), (D, DINF_ROOT)], ids=["N2Z", "D_inf"])
+def test_walk_counts_by_halves_match_the_row_sum_oracle(group, root, k):
+    # the DP by halves runs ceil(k/2) steps; the oracle runs k steps over a ball one layer wider
+    counts = closed_walks(group, root, k)
+    assert counts == reference_closed_walks(group, root, k)
+    if k:
+        assert spectral_estimate(group, root, k).a_k == counts[k]
+
+
+def test_walk_counts_by_halves_on_heisenberg_and_past_int64_on_a_finite_group():
+    H = Heisenberg()
+    root = H.standard_generators()
+    counts = closed_walks(H, root, 8)
+    assert counts == reference_closed_walks(H, root, 8)
+    assert [spectral_estimate(H, root, k).a_k for k in range(1, 9)] == counts[1:]
+    # Z/3 as a table: 8 vertices, so the counts pass 2^63 at k = 19 and the dots well before k = 40
+    z3 = FiniteCayley([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0)
+    counts = closed_walks(z3, (1, 0), 40)
+    assert counts == reference_closed_walks(z3, (1, 0), 40)
+    assert counts[40] > 2**63
+    assert spectral_estimate(z3, (1, 0), 40).a_k == counts[40]
+    assert spectral_estimate(z3, (1, 0), 39).a_k == counts[39]
+
+
 def test_walks_window_precondition():
     with pytest.raises(UsageError) as err:
         closed_walks(Z, (1, 1), 12, window=2)
-    assert "distance 6" in str(err.value)
+    assert "distance 5" in str(err.value)
     # a window that does contain the needed ball is accepted
     assert closed_walks(Z, (1, 1), 4, window=30) == closed_walks(Z, (1, 1), 4)
+
+
+def test_window_that_blocks_only_at_distance_half_k_is_accepted():
+    # on N_2(Z) at (1, 1) the largest entry within distance d is Fibonacci F_{d+2}: window 5
+    # holds every vertex within distance 3 and blocks some at distance 4 = k/2, which the
+    # walks of length 8 reach but never leave
+    assert ball(Z, (1, 1), 5, window=5).truncated_at == 4
+    assert closed_walks(Z, (1, 1), 8, window=5) == closed_walks(Z, (1, 1), 8)
+    assert spectral_estimate(Z, (1, 1), 8, window=5) == spectral_estimate(Z, (1, 1), 8)
+    with pytest.raises(UsageError, match="distance 3 of the root"):
+        closed_walks(Z, (1, 1), 8, window=4)
+    with pytest.raises(UsageError, match="distance 4 of the root"):
+        closed_walks(Z, (1, 1), 9, window=5)
 
 
 def test_walk_dp_past_the_cap_is_refused_before_its_ball():

@@ -97,6 +97,13 @@ def test_spectral_k0_is_usage_error(capsys):
     assert "k >= 1" in err
 
 
+def test_spectral_at_k30_fits_the_walk_dp_cap(capsys):
+    # 15 steps over the radius-15 ball of N_2(Z): 147,456 vertices, within the 166,666 of the cap
+    code, out, err = run_cli(capsys, "spectral", "--group", '{"kind":"Integers"}', "--root", "[1,1]", "--k", "30")
+    assert code == 0 and err == ""
+    assert '"k": 30' in out and '"a_k": 9497081964324590621732896768' in out
+
+
 def test_bad_group_json_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "explore", "--group", '{"kind":"Wat"}', "--root", "[1]", "--radius", "1",

@@ -31,6 +31,7 @@ from nielsen.groups import (
     IntVectorGroup,
     _firsts,
     _fold,
+    encode_int,
     group_from_json,
     lattice_is_full,
 )
@@ -175,6 +176,17 @@ def test_integer_encoding_handles_big_values(v):
     if size > 1:
         half = 1 << (8 * (size - 1) - 1)
         assert not -half <= v < half  # one byte fewer would not hold v
+
+
+@pytest.mark.parametrize("d", range(1, 27))
+@settings(max_examples=25)
+@given(st.data())
+def test_free_group_keys_from_the_letter_table_match_encode_int(d, data):
+    # the word length, then each letter's code: the composition the table caches
+    F = FreeGroup(d)
+    letters = data.draw(st.lists(st.integers(1, d).flatmap(lambda x: st.sampled_from((x, -x))), max_size=40))
+    word = functools.reduce(F.mul, ((x,) for x in letters), F.identity())
+    assert F.encode_element(word) == encode_int(len(word)) + b"".join(encode_int(x) for x in word)
 
 
 # ---------------------------------------------------------------------------
