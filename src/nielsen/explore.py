@@ -173,15 +173,14 @@ def ball(
 
 
 def fragment_from_jsonl(group: Group, n: int, text: str) -> GraphFragment:
-    """Read a fragment in the canonical form that ``to_jsonl`` writes.
+    """Read a fragment from the JSONL that ``to_jsonl`` writes, up to key
+    order, whitespace, blank lines, line endings and extra fields.
 
     Only the root (the first line, which must generate the group) and which
     vertices are expanded (line k's ``adj`` is a list for the vertex at
     canonical position k) are taken as given: the fragment is grown again
-    by the BFS of ``ball``, and every line must equal the record of its
-    vertex. Any difference, or a malformed line, is a UsageError. A file
-    that is exactly the text ``to_jsonl`` writes is accepted on that
-    comparison alone; any other is parsed line by line (``nielsen.serialize``).
+    by the BFS of ``ball``, and every line must hold the record of its
+    vertex. The first line that does not is named in a UsageError.
     """
     from . import serialize
 

@@ -389,18 +389,12 @@ def _canonical_order(law, rows: np.ndarray) -> np.ndarray:
     return np.argsort(words[:, 0]) if radix.key is None else np.lexsort(words.T[::-1])
 
 
-def by_state(marked: dict):
-    """The ``only`` hook that expands the rows whose tuples ``marked`` holds true."""
-    return lambda law, rows, first: np.array([bool(marked.get(s)) for s in law.states(rows)], dtype=bool)
-
-
-def grow(frag: GraphFragment, cap: int, only=None) -> None:
+def grow(frag: GraphFragment, cap: int, only: np.ndarray | None = None) -> None:
     """Grow ``frag`` from its root by BFS out to its radius.
 
     A vertex at distance < radius is expanded when it lies in the window
-    and, if ``only`` is given, when that hook marks it: ``only`` is called
-    with the law, a layer's rows and the id of its first vertex, and
-    returns the mask of the rows that may be expanded. The least depth
+    and, if the mask ``only`` is given, when it holds at the vertex's id
+    (``only`` is as long as the ids ``cap`` allows). The least depth
     where a vertex is not expanded is ``truncated_at``. The vertices end in
     canonical order; more than ``cap`` of them, a cap clamped to the
     2^31 - 1 ids of int32, is a ResourceCapError.
@@ -441,8 +435,7 @@ def _bfs(frag: GraphFragment, law, cap: int, only) -> None:
         base = starts[depth] + len(X)
         mask = None if window is None else law.measure(X, n) <= window
         if only is not None:
-            marked = only(law, X, starts[depth])
-            mask = marked if mask is None else mask & marked
+            mask = only[starts[depth] : base] if mask is None else mask & only[starts[depth] : base]
         if mask is not None and not mask.all():
             masks[depth] = mask
             if not mask.any():

@@ -6,24 +6,24 @@ its label. A vertex's key and tuple texts are joins of those pieces, and a
 dart is a per-move prefix followed by its target's key. Lines are made a
 block of ``_BLOCK`` at a time, a column of pieces at a time.
 
-The import regrows the fragment and accepts a file that is exactly the text
-the writer makes for it. The fragment is fixed by its root, the tuple of
-line 1, and by which vertices it expands: the vertex at canonical position k
-when line k's ``adj`` is a list, read from the char after its ``{"adj": ``.
-The BFS gives each vertex that position when its layer is made, so the mark
-is read as it stands. A file that is not then the writer's text is parsed
-line by line, and the parsed checks accept it or name its first fault.
+The import accepts the writer's JSON up to key order, whitespace, blank
+lines, line endings and extra fields. It grows the fragment from the root of
+line 1, expanding the vertex at canonical position k when line k's ``adj``
+is a list: the BFS gives each vertex its position as its layer is made.
+Each line is then compared with the writer's; a line that differs is parsed
+and checked field by field, and the first that holds another record is named.
 """
 
 from __future__ import annotations
 
 import json
-from operator import itemgetter
+from itertools import chain, compress, count
+from operator import ne
 
 import numpy as np
 
 from . import layers
-from .errors import ResourceCapError, UsageError
+from .errors import UsageError
 from .explore import GraphFragment
 from .groups import Group, State
 from .moves import move_set
@@ -117,131 +117,98 @@ def jsonl_lines(frag: GraphFragment):
                                texts("json", start, stop), ', "v": "', names[start:stop], '"}\n'])
 
 
+# how every line the writer makes starts, marked or not
+_MARKED, _UNMARKED = '{"adj": [', '{"adj": n'
+# the chars that end a line for ``str.splitlines``
+_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _record(group: Group, n: int, row, lineno: int, marked: bool) -> tuple[dict, State]:
+    """A parsed line's record and tuple, past the checks of its JSON, shape and entries. A
+    ``marked`` line's adj is a list unless "adj" repeats: its mark reads the first, json the last."""
+    if isinstance(row, Exception):  # not JSON, an int of more digits than Python converts, or deep nesting
+        raise UsageError(f"fragment line {lineno} is not JSON: {row}" if isinstance(row, json.JSONDecodeError)
+                         else f"fragment line {lineno}: {row}")
+    if not (isinstance(row, dict) and {"v", "tuple", "depth", "adj"} <= row.keys()
+            and isinstance(row["adj"], list) == marked):
+        raise UsageError(f"fragment line {lineno} must be an object with fields v, tuple, depth, adj")
+    if not (isinstance(row["tuple"], list) and len(row["tuple"]) == n):
+        raise UsageError(f"fragment line {lineno}: tuple must be a list of {n} elements")
+    if not (isinstance(row["depth"], int) and not isinstance(row["depth"], bool) and row["depth"] >= 0):
+        raise UsageError(f"fragment line {lineno}: depth must be an int >= 0")
+    if not (row["adj"] is None or isinstance(row["adj"], list)):
+        raise UsageError(f"fragment line {lineno}: adj must be a list or null")
+    return row, tuple(group.element_from_json(e) for e in row["tuple"])
+
+
 def read_jsonl(group: Group, n: int, text: str) -> GraphFragment:
-    """``explore.fragment_from_jsonl``: canonical text on its root and its
-    marks, any other text on its parsed checks."""
-    frag = _marked_import(group, n, text) or _parsed_import(group, n, text)  # a fragment holds its root
-    frag.radius = int(frag.depths[-1])  # the deepest vertex is the last
-    frag.truncated_at = None
-    return frag
-
-
-def _marked_import(group: Group, n: int, text: str) -> GraphFragment | None:
-    """The fragment grown from the root of line 1 that expands the vertex at
-    canonical position k exactly when line k's ``adj`` is a list, when
-    ``text`` is exactly its JSONL, else None.
-
-    Line k is marked when the char after its '{"adj": ' is "[" (every line
-    the writer makes starts so), and no tuple but the root's is parsed. The
-    BFS numbers each layer canonically as it is made, so a layer whose first
-    vertex is ``first`` takes the marks of lines ``first:first + len(rows)``
-    as they stand. A fragment has one line per vertex, so the BFS is capped
-    at the file's line count, and a misread file cannot pass: the lines of
-    the fragment grown from what was read must equal the file, compared up
-    to the first line that differs.
-    """
-    if not text.endswith("\n"):
-        return None
-    find, end = text.find, len(text)
-    heads, at = [], 0  # the start of each line
-    while at < end:
-        heads.append(at)
-        at = find("\n", at) + 1
-    # the char after '{"adj": ' of each line (the text's last one for a
-    # shorter last line), one byte each: any char past latin-1 becomes "?"
-    chars = "".join(itemgetter(*np.minimum(np.array(heads) + len('{"adj": '), end - 1).tolist())(text))
-    marks = np.frombuffer(chars.encode("latin-1", "replace"), dtype=np.uint8) == ord("[")
-
-    try:
-        entries = json.loads(text[: text.index("\n")])["tuple"]
-        if not (isinstance(entries, list) and len(entries) == n):
-            return None
-        root = tuple(group.element_from_json(e) for e in entries)
-        if not group.is_generating(root):
-            return None
-        frag = GraphFragment(group=group, n=n, moves=move_set(n), root=root, radius=len(marks), window=None)
-        layers.grow(frag, len(marks), only=lambda law, rows, first: marks[first : first + len(rows)])
-    except (ValueError, TypeError, KeyError, RecursionError, UsageError, ResourceCapError):
-        return None  # JSONDecodeError is a ValueError
-    at = 0
-    for line in jsonl_lines(frag):
-        if not text.startswith(line, at):
-            return None
-        at += len(line)
-    return frag if at == end else None
-
-
-def _parsed_import(group: Group, n: int, text: str) -> GraphFragment:
-    """The import on parsed lines: the checks that name what is wrong."""
-    moves = move_set(n)
-    texts = [mv.text() for mv in moves]
-    rows = []  # (lineno, key, depth, darts) per vertex line
-    marked: dict[State, bool] = {}  # tuple -> expanded, in file order
-    targets: dict[str, str] = {}  # each dart target text once
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"fragment line {lineno} is not JSON: {e}") from None
-        except (ValueError, RecursionError) as e:  # an int of more digits than Python converts, or deep nesting
-            raise UsageError(f"fragment line {lineno}: {e}") from None
-        if not (isinstance(row, dict) and {"v", "tuple", "depth", "adj"} <= row.keys()):
-            raise UsageError(f"fragment line {lineno} must be an object with fields v, tuple, depth, adj")
-        if not (isinstance(row["tuple"], list) and len(row["tuple"]) == n):
-            raise UsageError(f"fragment line {lineno}: tuple must be a list of {n} elements")
-        if not (isinstance(row["depth"], int) and not isinstance(row["depth"], bool) and row["depth"] >= 0):
-            raise UsageError(f"fragment line {lineno}: depth must be an int >= 0")
-        adj = row["adj"]
-        if not (adj is None or isinstance(adj, list)):
-            raise UsageError(f"fragment line {lineno}: adj must be a list or null")
-        state = tuple(group.element_from_json(e) for e in row["tuple"])
-        if state in marked:
-            first = rows[list(marked).index(state)][1]
-            raise UsageError(f"fragment vertices {first} and {row['v']} share a tuple")
-        marked[state] = adj is not None
-        # darts of the right moves in move order are kept as their target texts
-        if adj is not None and len(adj) == len(moves) and all(
-            isinstance(dart, dict) and dart.keys() == {"move", "to"} and dart["move"] == move
-            and isinstance(dart["to"], str) for dart, move in zip(adj, texts)
-        ):
-            adj = tuple(targets.setdefault(dart["to"], dart["to"]) for dart in adj)
-        rows.append((lineno, row["v"], row["depth"], adj))
-    if not rows or rows[0][2] != 0:
+    """``explore.fragment_from_jsonl``."""
+    lines = text.splitlines(keepends=True)
+    heads = np.array(lines, dtype="U9")  # the first 9 chars of each line
+    # blank lines are skipped, and counted: each starts as no line the writer makes
+    blank = [k for k in np.flatnonzero((heads != _MARKED) & (heads != _UNMARKED)).tolist() if lines[k].isspace()]
+    linenos = np.delete(np.arange(1, len(lines) + 1), blank)
+    body, heads = ([lines[i - 1] for i in linenos.tolist()], heads[linenos - 1]) if blank else (lines, heads)
+    if not body:
         raise UsageError("fragment must start with its depth-0 vertex")
-    root = next(iter(marked))
+    # line k is marked when its adj is a list, read from the char after its '{"adj": ' when it starts so
+    marks = heads == _MARKED
+
+    def parsed(k: int):  # line k's JSON, or the error that refuses it; parsed again when checked
+        try:
+            return json.loads(body[k].rstrip(_ENDS))
+        except (ValueError, RecursionError) as e:
+            return e
+
+    for k in np.flatnonzero(~marks & (heads != _UNMARKED)).tolist():
+        marks[k] = isinstance(row := parsed(k), dict) and isinstance(row.get("adj"), list)
+    row, root = _record(group, n, parsed(0), linenos[0], marks[0])
+    if row["depth"] != 0:
+        raise UsageError("fragment must start with its depth-0 vertex")
     if not group.is_generating(root):
         raise UsageError(f"root tuple {root!r} does not generate the group")
-    frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=1 + max(row[2] for row in rows), window=None)
-    layers.grow(frag, 1 + len(rows) * len(moves), only=layers.by_state(marked))
-    keys, depths, expanded = frag.keys, frag.depths.tolist(), frag.expanded.tolist()
-    for v, state in enumerate(frag.states):
-        if state not in marked:
-            raise UsageError(f"fragment lacks vertex {keys[v].hex()} at distance {depths[v]} from the root")
-    for v, ((lineno, key, depth, _), state) in enumerate(zip(rows, marked)):
-        w = frag.index.get(state)
-        if w is None:
-            raise UsageError(f"fragment vertex {key} has depth {depth} but is unreachable from the root")
-        if w != v and depths[w] == depth:
-            raise UsageError(f"fragment line {lineno}: vertex {key} is out of canonical order (depth, then key)")
-        if key != keys[w].hex():
-            raise UsageError(f"fragment vertex {key} does not encode its tuple")
-        if depth != depths[w]:
-            raise UsageError(f"fragment vertex {key} has depth {depth} but is at distance {depths[w]} from the root")
-    for v, (lineno, _, _, adj) in enumerate(rows):
-        if not expanded[v]:
-            continue  # adj is null, as the first pass found
-        want = tuple(keys[w].hex() for w in frag.darts[v].tolist())
-        if adj == want:
-            continue
-        if isinstance(adj, tuple):
-            adj = [{"move": move, "to": to} for move, to in zip(texts, adj)]
-        if len(adj) != len(want):
-            raise UsageError(f"fragment line {lineno}: {len(adj)} darts, not one per move ({len(want)})")
-        for dart, move, to in zip(adj, texts, want):
-            if not (isinstance(dart, dict) and dart.keys() == {"move", "to"} and dart["move"] == move):
-                raise UsageError(f"fragment line {lineno}: dart {dart!r} stands where move {move} belongs")
-            if dart["to"] != to:
-                raise UsageError(f"fragment dart {move} of vertex {keys[v].hex()} does not lead to vertex {dart['to']}")
+    # a vertex's depth is at most its position, so every marked vertex lies within the radius
+    frag = GraphFragment(group=group, n=n, moves=move_set(n), root=root, radius=len(body), window=None)
+    cap = 1 + int(np.count_nonzero(marks)) * len(frag.moves)  # the root, and the darts of the marked lines
+    layers.grow(frag, cap, only=np.concatenate((marks, np.zeros(cap, dtype=bool))))  # unmarked past the file
+    moves = [mv.text() for mv in frag.moves]
+    # the lines that are not the writer's, then those past the fragment's end
+    for k in chain(compress(count(), map(ne, body, jsonl_lines(frag))), range(len(frag), len(body))):
+        _check(frag, k, *_record(group, n, parsed(k), linenos[k], marks[k]), linenos[k], moves)
+    if len(body) < len(frag):
+        v = len(body)
+        raise UsageError(f"fragment lacks vertex {frag.keys[v].hex()} at distance {frag.depths[v]} from the root")
+    frag.radius, frag.truncated_at = int(frag.depths[-1]), None  # the deepest vertex is the last
     return frag
+
+
+def _check(frag: GraphFragment, k: int, row: dict, state: State, lineno: int, moves: list[str]) -> None:
+    """Refuse line k by its first fault past its JSON, shape and entries, or return when it holds
+    the record of vertex k. The lines before it fix every vertex up to k: its tuple sits at k, or is
+    named by where it sits."""
+    keys, depths, v = frag.keys, frag.depths, row["v"]
+    w = k if k < len(frag) and frag.states[k] == state else frag.index.get(state)
+    if w is None:
+        raise UsageError(f"fragment vertex {v} has depth {row['depth']} but is unreachable from the root")
+    if w < k:
+        raise UsageError(f"fragment vertices {keys[w].hex()} and {v} share a tuple")
+    if w > k:
+        raise UsageError(f"fragment line {lineno}: vertex {v} is out of canonical order (depth, then key)"
+                         if depths[w] == depths[k] else
+                         f"fragment lacks vertex {keys[k].hex()} at distance {depths[k]} from the root")
+    if row["depth"] != depths[k]:
+        raise UsageError(f"fragment vertex {v} has depth {row['depth']} but is at distance {depths[k]} from the root")
+    if v != keys[k].hex():
+        raise UsageError(f"fragment vertex {v} does not encode its tuple")
+    adj = row["adj"]  # a list exactly when vertex k is expanded
+    if adj is not None and len(adj) != len(moves):
+        raise UsageError(f"fragment line {lineno}: {len(adj)} darts, not one per move ({len(moves)})")
+    for dart, move, w in zip(adj or (), moves, frag.darts[k].tolist()):
+        if not (isinstance(dart, dict) and dart.keys() == {"move", "to"} and dart["move"] == move):
+            raise UsageError(f"fragment line {lineno}: dart {dart!r} stands where move {move} belongs")
+        if dart["to"] != keys[w].hex():
+            raise UsageError(f"fragment dart {move} of vertex {v} does not lead to vertex {dart['to']}")
+    entries = [frag.group.element_to_json(g) for g in state]
+    if row["tuple"] != entries:
+        raise UsageError(f"fragment vertex {v} writes its tuple as {json.dumps(row['tuple'])}, "
+                         f"not {json.dumps(entries)}")

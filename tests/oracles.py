@@ -301,69 +301,98 @@ def dot_by_darts(frag: GraphFragment) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parsed_line(group: Group, n: int, lineno: int, line: str, marked: bool) -> tuple[dict, State]:
+    """A line's record and tuple, or the UsageError that names its JSON, its
+    shape or an entry; a record's adj is a list exactly when it is marked."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise UsageError(f"fragment line {lineno} is not JSON: {e}") from None
+    except (ValueError, RecursionError) as e:
+        raise UsageError(f"fragment line {lineno}: {e}") from None
+    if not (isinstance(row, dict) and {"v", "tuple", "depth", "adj"} <= row.keys()
+            and isinstance(row["adj"], list) == marked):
+        raise UsageError(f"fragment line {lineno} must be an object with fields v, tuple, depth, adj")
+    if not (isinstance(row["tuple"], list) and len(row["tuple"]) == n):
+        raise UsageError(f"fragment line {lineno}: tuple must be a list of {n} elements")
+    if not (isinstance(row["depth"], int) and not isinstance(row["depth"], bool) and row["depth"] >= 0):
+        raise UsageError(f"fragment line {lineno}: depth must be an int >= 0")
+    if not (row["adj"] is None or isinstance(row["adj"], list)):
+        raise UsageError(f"fragment line {lineno}: adj must be a list or null")
+    return row, tuple(group.element_from_json(e) for e in row["tuple"])
+
+
+def _line_mark(line: str) -> bool:
+    """Whether a line's ``adj`` is a list: said by the char after its
+    '{"adj": ' when that is "[" or "n", else by its parse (a line that does
+    not parse to an object is unmarked)."""
+    if line.startswith(('{"adj": [', '{"adj": n')):
+        return line[8] == "["
+    try:
+        row = json.loads(line)
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(row, dict) and isinstance(row.get("adj"), list)
+
+
 def fragment_from_jsonl_by_records(group: Group, n: int, text: str) -> GraphFragment:
-    """The JSONL import that parses every line twice: once for the root, the
-    expanded tuples, keys and depths, and again for the darts, compared with
-    the record dict of each regrown vertex."""
+    """The JSONL import that parses every line and compares record dicts.
+
+    Each non-blank line is marked as ``_line_mark`` says; the fragment is
+    grown from the root of line 1, expanding the vertex at canonical position
+    k when line k is marked; then each line, in file order, is refused by its
+    first fault or accepted when its four fields, dumped with sorted keys,
+    are those of ``record`` of its vertex. Past the last line, the first
+    vertex the file lacks is named.
+    """
     moves = move_set(n)
-    rows = []  # (lineno, key, depth) per vertex line
-    marked: dict[State, bool] = {}  # tuple -> expanded, in file order
     lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1) if line.strip()]
-    for lineno, line in lines:
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"fragment line {lineno} is not JSON: {e}") from None
-        except ValueError as e:
-            raise UsageError(f"fragment line {lineno}: {e}") from None
-        if not (isinstance(row, dict) and {"v", "tuple", "depth", "adj"} <= row.keys()):
-            raise UsageError(f"fragment line {lineno} must be an object with fields v, tuple, depth, adj")
-        if not (isinstance(row["tuple"], list) and len(row["tuple"]) == n):
-            raise UsageError(f"fragment line {lineno}: tuple must be a list of {n} elements")
-        if not (isinstance(row["depth"], int) and not isinstance(row["depth"], bool) and row["depth"] >= 0):
-            raise UsageError(f"fragment line {lineno}: depth must be an int >= 0")
-        if not (row["adj"] is None or isinstance(row["adj"], list)):
-            raise UsageError(f"fragment line {lineno}: adj must be a list or null")
-        state = tuple(group.element_from_json(e) for e in row["tuple"])
-        if state in marked:
-            first = rows[list(marked).index(state)][1]
-            raise UsageError(f"fragment vertices {first} and {row['v']} share a tuple")
-        marked[state] = row["adj"] is not None
-        rows.append((lineno, row["v"], row["depth"]))
-    if not rows or rows[0][2] != 0:
+    if not lines:
         raise UsageError("fragment must start with its depth-0 vertex")
-    root = next(iter(marked))
+    marks = [_line_mark(line) for _, line in lines]
+    row, root = _parsed_line(group, n, *lines[0], marks[0])
+    if row["depth"] != 0:
+        raise UsageError("fragment must start with its depth-0 vertex")
     if not group.is_generating(root):
         raise UsageError(f"root tuple {root!r} does not generate the group")
-    radius = max(depth for _, _, depth in rows)
-    frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=radius + 1, window=None)
-    layers.grow(frag, 1 + len(rows) * len(moves), only=layers.by_state(marked))
-    keys, depths, expanded = frag.keys, frag.depths.tolist(), frag.expanded.tolist()
-    for v, state in enumerate(frag.states):
-        if state not in marked:
-            raise UsageError(f"fragment lacks vertex {keys[v].hex()} at distance {depths[v]} from the root")
-    for v, ((lineno, key, depth), state) in enumerate(zip(rows, marked)):
+    frag = GraphFragment(group=group, n=n, moves=moves, root=root, radius=len(lines), window=None)
+    cap = 1 + sum(marks) * len(moves)
+    layers.grow(frag, cap, only=np.array(marks + [False] * cap, dtype=bool))
+    for k, (lineno, line) in enumerate(lines):
+        row, state = _parsed_line(group, n, lineno, line, marks[k])
+        want = record(frag, k) if k < len(frag) else None
+        fields = {field: row[field] for field in ("v", "tuple", "depth", "adj")}
+        if json.dumps(fields, sort_keys=True) == json.dumps(want, sort_keys=True):
+            continue
+        key, depth = row["v"], row["depth"]
         w = frag.index.get(state)
         if w is None:
             raise UsageError(f"fragment vertex {key} has depth {depth} but is unreachable from the root")
-        if w != v and depths[w] == depth:
+        if w < k:
+            raise UsageError(f"fragment vertices {frag.keys[w].hex()} and {key} share a tuple")
+        if w > k and frag.depths[w] == want["depth"]:
             raise UsageError(f"fragment line {lineno}: vertex {key} is out of canonical order (depth, then key)")
-        if key != keys[w].hex():
+        if w > k:
+            raise UsageError(f"fragment lacks vertex {want['v']} at distance {want['depth']} from the root")
+        if depth != want["depth"]:
+            raise UsageError(f"fragment vertex {key} has depth {depth} but is at distance {want['depth']} "
+                             "from the root")
+        if key != want["v"]:
             raise UsageError(f"fragment vertex {key} does not encode its tuple")
-        if depth != depths[w]:
-            raise UsageError(f"fragment vertex {key} has depth {depth} but is at distance {depths[w]} from the root")
-    for v, (lineno, line) in enumerate(lines):
-        if not expanded[v]:
-            continue
-        adj, want = json.loads(line)["adj"], record(frag, v)["adj"]
-        if adj != want:
-            if len(adj) != len(want):
-                raise UsageError(f"fragment line {lineno}: {len(adj)} darts, not one per move ({len(want)})")
-            dart, ok = next((dart, ok) for dart, ok in zip(adj, want) if dart != ok)
+        adj = row["adj"]
+        if adj != want["adj"]:
+            if len(adj) != len(want["adj"]):
+                raise UsageError(f"fragment line {lineno}: {len(adj)} darts, not one per move ({len(want['adj'])})")
+            dart, ok = next((dart, ok) for dart, ok in zip(adj, want["adj"]) if dart != ok)
             if not (isinstance(dart, dict) and dart.keys() == ok.keys() and dart["move"] == ok["move"]):
                 raise UsageError(f"fragment line {lineno}: dart {dart!r} stands where move {ok['move']} belongs")
-            raise UsageError(f"fragment dart {ok['move']} of vertex {keys[v].hex()} does not lead to vertex {dart['to']}")
-    frag.radius = radius
+            raise UsageError(f"fragment dart {ok['move']} of vertex {key} does not lead to vertex {dart['to']}")
+        raise UsageError(f"fragment vertex {key} writes its tuple as {json.dumps(row['tuple'])}, "
+                         f"not {json.dumps(want['tuple'])}")
+    if len(lines) < len(frag):
+        want = record(frag, len(lines))
+        raise UsageError(f"fragment lacks vertex {want['v']} at distance {want['depth']} from the root")
+    frag.radius = max(frag.depths.tolist())
     frag.truncated_at = None
     return frag
 

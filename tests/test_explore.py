@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nielsen.errors import ResourceCapError, UsageError, VerificationError
-from nielsen import serialize
 from nielsen.explore import (
     ball,
     components,
@@ -273,8 +272,8 @@ def test_layers_in_chunks_match_the_oracle(monkeypatch, name, chunk):
     assert fragment_lists(frag) == ball_by_keys(group, root, radius, **kwargs)
     # the marks of each layer, sorted as one chunk or in packed chunks, are taken as they stand
     text = frag.to_jsonl()
-    assert _same_arrays(serialize._marked_import(group, len(root), text),
-                        serialize._parsed_import(group, len(root), text))
+    read = fragment_from_jsonl(group, len(root), text)
+    assert _same_arrays(read, fragment_from_jsonl_by_records(group, len(root), text)) and content_equal(read, frag)
     # every layer took the packed path, so the oracle has checked it on this case
     assert paths["small"] == 0 and paths["radix"] > 0
 
@@ -309,9 +308,9 @@ def test_thin_layers_take_one_sort_and_thick_ones_the_packed_path(monkeypatch):
 def test_the_one_sort_path_takes_the_marks_of_a_thin_export(monkeypatch):
     text = ball(D, ((0, 1), (1, 1)), 40).to_jsonl()
     paths = _spy_on_paths(monkeypatch)
-    fast = serialize._marked_import(D, 2, text)
+    read = fragment_from_jsonl(D, 2, text)
     assert paths["small"] == 40 and paths["radix"] == 0
-    assert _same_arrays(fast, serialize._parsed_import(D, 2, text))
+    assert _same_arrays(read, fragment_from_jsonl_by_records(D, 2, text))
 
 
 @st.composite
@@ -440,9 +439,9 @@ def test_writers_match_the_record_oracle(name):
     assert all(line.endswith("\n") and line.count("\n") == 1 for line in frag.jsonl_lines())
     assert frag.to_dot() == dot_by_darts(frag)
     assert list(frag.dot_lines()) == frag.to_dot().splitlines(keepends=True)
-    # a canonical export is read on its root and marks alone, to the fragment the parsed checks give
-    fast = serialize._marked_import(group, len(root), text)
-    assert _same_arrays(fast, serialize._parsed_import(group, len(root), text)) and content_equal(fast, frag)
+    # a canonical export is read on its root and marks alone, to the fragment the record oracle gives
+    read = fragment_from_jsonl(group, len(root), text)
+    assert _same_arrays(read, fragment_from_jsonl_by_records(group, len(root), text)) and content_equal(read, frag)
 
 
 def _reordered(row: dict) -> dict:
@@ -454,17 +453,76 @@ def _reordered(row: dict) -> dict:
 @pytest.mark.parametrize("name", ["Z_window", "F2", "B23", "Z_past_guard"])
 @pytest.mark.parametrize("dump", [lambda row: json.dumps(_reordered(row)),
                                   lambda row: json.dumps(row, separators=(",", ":")),
-                                  lambda row: " " + json.dumps(row, sort_keys=True) + "  \n"],
-                         ids=["reordered", "compact", "padded"])
+                                  lambda row: " " + json.dumps(row, sort_keys=True) + "  \n",
+                                  # past '{"adj": ' stands neither "[" nor "n": the mark is read from the parse
+                                  lambda row: json.dumps(row, sort_keys=True, separators=(", ", ":  ")),
+                                  # the README's promise: extra fields are ignored
+                                  lambda row: json.dumps({**row, "note": [{"adj": None}]}, sort_keys=True)],
+                         ids=["reordered", "compact", "padded", "wide", "extra_field"])
 def test_jsonl_import_accepts_other_serializations(name, dump):
     group, root, radius, kwargs = WRITER_CASES[name]
     root = group.standard_generators() if root is None else root
     frag = ball(group, root, radius, **kwargs)
     text = frag.to_jsonl()
     other = "".join(dump(json.loads(line)) + "\n" for line in text.splitlines())
-    assert other != text and serialize._marked_import(group, len(root), other) is None
+    assert other != text
     clone = fragment_from_jsonl(group, len(root), other)
     assert content_equal(clone, frag) and clone.to_jsonl() == text
+    assert _same_arrays(clone, fragment_from_jsonl_by_records(group, len(root), other))
+
+
+def test_jsonl_import_refuses_an_entry_spelled_otherwise():
+    # "" and "1" are both the identity of F_2, which the writer spells "1"
+    group = FreeGroup(2)
+    lines = ball(group, ((1,), (2,), ()), 1).to_jsonl().splitlines(keepends=True)
+    root = json.loads(lines[0])
+    assert root["tuple"] == ["a", "b", "1"]
+    lines[0] = lines[0].replace('"tuple": ["a", "b", "1"]', '"tuple": ["a", "b", ""]')
+    text = "".join(lines)
+    message = f'fragment vertex {root["v"]} writes its tuple as ["a", "b", ""], not ["a", "b", "1"]'
+    assert _outcome(fragment_from_jsonl, group, 3, text) == ("UsageError", message)
+    assert _outcome(fragment_from_jsonl_by_records, group, 3, text) == ("UsageError", message)
+
+
+@pytest.mark.parametrize("first", ["[]", "null"])
+def test_jsonl_import_reads_a_line_that_repeats_adj_as_the_record_oracle_does(first):
+    # the mark of a line that starts '{"adj": ' is read from its first adj,
+    # json keeps the last: a line whose two disagree is no record
+    frag = ball(Z, (1, 1), 2)
+    lines = frag.to_jsonl().splitlines(keepends=True)
+    k = int(np.flatnonzero(~frag.expanded)[0])
+    lines[k] = '{"adj": ' + first + ", " + lines[k][1:]
+    text = "".join(lines)
+    got = _outcome(fragment_from_jsonl, Z, 2, text)
+    assert got == _outcome(fragment_from_jsonl_by_records, Z, 2, text)
+    if first == "null":
+        assert content_equal(fragment_from_jsonl(Z, 2, text), frag)
+    else:
+        assert got == ("UsageError", f"fragment line {k + 1} must be an object with fields v, tuple, depth, adj")
+
+
+def test_jsonl_import_names_the_first_faulty_line():
+    lines = ball(Z, (1, 1), 2).to_jsonl().splitlines(keepends=True)
+    row = json.loads(lines[1])
+    move, to, wrong = row["adj"][0]["move"], row["adj"][0]["to"], json.loads(lines[2])["v"]
+    lines[1] = lines[1].replace(f'"to": "{to}"', f'"to": "{wrong}"', 1)
+    lines[5] = "this is not a fragment line\n"
+    text = "".join(lines)
+    message = f"fragment dart {move} of vertex {row['v']} does not lead to vertex {wrong}"
+    assert _outcome(fragment_from_jsonl, Z, 2, text) == ("UsageError", message)
+    assert _outcome(fragment_from_jsonl_by_records, Z, 2, text) == ("UsageError", message)
+
+
+def test_jsonl_import_refuses_lines_past_the_fragment():
+    small, large = ball(Z, (1, 1), 2), ball(Z, (1, 1), 3)
+    text = small.to_jsonl()
+    deeper = [line for line in large.jsonl_lines() if json.loads(line)["depth"] == 3]
+    key = json.loads(deeper[0])["v"]
+    # the file read twice, and a deeper layer of records under the unmarked last one
+    for extra, message in ((text, f"fragment vertices {small.keys[0].hex()} and {small.keys[0].hex()} share a tuple"),
+                           ("".join(deeper), f"fragment vertex {key} has depth 3 but is unreachable from the root")):
+        assert _outcome(fragment_from_jsonl, Z, 2, text + extra) == ("UsageError", message)
+        assert _outcome(fragment_from_jsonl_by_records, Z, 2, text + extra) == ("UsageError", message)
 
 
 def test_jsonl_import_names_a_wrong_last_dart():
@@ -561,10 +619,16 @@ def test_jsonl_import_rejects_darts_out_of_move_order():
 
 def test_jsonl_import_rejects_a_missing_vertex_and_upper_case_keys():
     rows = [json.loads(line) for line in ball(Z, (1, 1), 2).to_jsonl().splitlines()]
+    # the first line that differs holds the next vertex of the same layer
     gone = rows.pop(10)
-    with pytest.raises(UsageError, match=f"fragment lacks vertex {gone['v']} at distance {gone['depth']}"):
+    assert rows[10]["depth"] == gone["depth"]
+    message = f"fragment line 11: vertex {rows[10]['v']} is out of canonical order (depth, then key)"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         fragment_from_jsonl(Z, 2, "".join(json.dumps(row) + "\n" for row in rows))
     rows.insert(10, gone)
+    # a file that stops short lacks the vertex after its last line
+    with pytest.raises(UsageError, match=f"^fragment lacks vertex {rows[-1]['v']} at distance 2 from the root$"):
+        fragment_from_jsonl(Z, 2, "".join(json.dumps(row) + "\n" for row in rows[:-1]))
     loud = next(row for row in rows if row["v"] != row["v"].upper())
     loud["v"] = loud["v"].upper()
     with pytest.raises(UsageError, match=f"vertex {loud['v']} does not encode its tuple"):
@@ -581,10 +645,16 @@ def test_jsonl_import_rejects_repeated_tuple():
 
 def test_jsonl_import_recomputes_keys():
     text = ball(Z, (1, 1), 2).to_jsonl()
-    for old in [json.loads(line)["v"] for line in text.splitlines()]:
-        # a fresh key, under which every dart still finds the vertex
+    rows = [json.loads(line) for line in text.splitlines()]
+    for old in [row["v"] for row in rows]:
+        # a fresh key, under which every dart still finds the vertex: the
+        # first line that holds it names it, as its key or as a dart target
         new = "ff" + old
-        with pytest.raises(UsageError, match=f"vertex {new} does not encode its tuple"):
+        row = next(row for row in rows if old in (row["v"], *(dart["to"] for dart in row["adj"] or ())))
+        move = row["v"] != old and next(dart["move"] for dart in row["adj"] if dart["to"] == old)
+        message = (f"fragment dart {move} of vertex {row['v']} does not lead to vertex {new}" if move
+                   else f"fragment vertex {new} does not encode its tuple")
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             fragment_from_jsonl(Z, 2, text.replace(f'"{old}"', f'"{new}"'))
 
 
@@ -620,11 +690,10 @@ BALL_IMPORT_CASES = {
 }
 
 
-def _same_arrays(fast, slow) -> bool:
-    """Did the marked import take the file, to the arrays of the parsed import?"""
-    return fast is not None and all(
-        np.array_equal(getattr(fast, field), getattr(slow, field)) for field in ("rows", "darts", "depths", "expanded")
-    )
+def _same_arrays(read, oracle) -> bool:
+    """Did the import grow the arrays of the record oracle?"""
+    return all(np.array_equal(getattr(read, field), getattr(oracle, field))
+               for field in ("rows", "darts", "depths", "expanded"))
 
 
 @pytest.mark.parametrize("name", BALL_IMPORT_CASES)
@@ -632,17 +701,16 @@ def test_ball_import_matches_the_canonical_import(name):
     group, root, radius = BALL_IMPORT_CASES[name]
     root = group.standard_generators() if root is None else root
     text = ball(group, root, radius).to_jsonl()
-    assert _same_arrays(serialize._marked_import(group, len(root), text),
-                        serialize._parsed_import(group, len(root), text))
-    assert fragment_from_jsonl(group, len(root), text).to_jsonl() == text
+    read = fragment_from_jsonl(group, len(root), text)
+    assert _same_arrays(read, fragment_from_jsonl_by_records(group, len(root), text))
+    assert read.to_jsonl() == text
 
 
-def test_ball_import_falls_back_on_a_late_line():
+def test_ball_import_names_a_late_line():
     lines = ball(Z, (1, 1), 4).to_jsonl().splitlines(keepends=True)
     last = json.loads(lines[-1])
     lines[-1] = lines[-1].replace(f'"v": "{last["v"]}"', f'"v": "ff{last["v"]}"')
     text = "".join(lines)
-    assert serialize._marked_import(Z, 2, text) is None
     with pytest.raises(UsageError, match=f"^fragment vertex ff{last['v']} does not encode its tuple$"):
         fragment_from_jsonl(Z, 2, text)
     assert _outcome(fragment_from_jsonl, Z, 2, text) == _outcome(fragment_from_jsonl_by_records, Z, 2, text)
@@ -667,9 +735,8 @@ def test_marked_import_takes_windowed_exports(name):
     assert frag.truncated and any(0 < frag.expanded[frag.depths == d].sum() < (frag.depths == d).sum()
                                   for d in range(radius))
     assert type(frag.law).__name__ == ("_Interned" if name in ("F2", "Z_past_guard") else "_Coordinates")
-    fast = serialize._marked_import(group, len(root), text)
-    assert _same_arrays(fast, serialize._parsed_import(group, len(root), text))
-    assert content_equal(fast, fragment_from_jsonl_by_records(group, len(root), text)) and content_equal(fast, frag)
+    read = fragment_from_jsonl(group, len(root), text)
+    assert _same_arrays(read, fragment_from_jsonl_by_records(group, len(root), text)) and content_equal(read, frag)
     assert _outcome(fragment_from_jsonl, group, len(root), text) == _outcome(
         fragment_from_jsonl_by_records, group, len(root), text)
 
@@ -679,19 +746,25 @@ def _deep_tail(lines: list[str]) -> str:
     return lines[0] + lines[1].replace('"depth": 1,', '"depth": 1000000,')
 
 
-@pytest.mark.parametrize("cut", [
-    lambda lines: "".join(lines)[:-1],  # no trailing newline
-    lambda lines: lines[0],  # one line
-    _deep_tail,
+_CUT_BALL = ball(Z, (1, 1), 6)
+_CUT_KEYS = [key.hex() for key in _CUT_BALL.keys]
+
+
+@pytest.mark.parametrize("cut,refusal", [
+    (lambda lines: "".join(lines)[:-1], None),  # no trailing newline
+    (lambda lines: lines[0], f"fragment lacks vertex {_CUT_KEYS[1]} at distance 1 from the root"),  # one line
+    (_deep_tail, f"fragment vertex {_CUT_KEYS[1]} has depth 1000000 but is at distance 1 from the root"),
 ], ids=["no_newline", "one_line", "deep_tail"])
-def test_ball_import_falls_back_without_a_long_bfs(cut):
-    text = cut(ball(Z, (1, 1), 6).to_jsonl().splitlines(keepends=True))
+def test_ball_import_reads_a_cut_export_without_a_long_bfs(cut, refusal):
+    text = cut(_CUT_BALL.to_jsonl().splitlines(keepends=True))
     start = time.perf_counter()
-    assert serialize._marked_import(Z, 2, text) is None
     got = _outcome(fragment_from_jsonl, Z, 2, text)
     assert time.perf_counter() - start < 1.0
     assert got == _outcome(fragment_from_jsonl_by_records, Z, 2, text)
-    assert got[0] != "ResourceCapError"
+    if refusal is None:
+        assert content_equal(fragment_from_jsonl(Z, 2, text), _CUT_BALL)
+    else:
+        assert got == ("UsageError", refusal)
 
 
 def test_dot_output_shape():
